@@ -1,14 +1,12 @@
 //! Accelerator architecture configuration, technology constants, and the
 //! area model (TSMC 5nm class, INT8 datapath — §V of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Architecture parameters of one accelerator instance (Figure 9).
 ///
 /// The paper holds the total parallel-MAC count at 16384 for every design
 /// point and trades it between vector width (`c0`), vector MACs per PE
 /// (`k0`), and PE count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Vector MACs per PE (one per output channel in flight).
     pub k0: usize,
@@ -143,7 +141,7 @@ pub const SRAM_MM2_PER_KB: f64 = 4.2e-4;
 /// (e.g. the MAGNet-derived designs the paper builds on); every figure in
 /// the evaluation uses *normalized* energy, which depends only on the
 /// ratios between these constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TechEnergy {
     /// One INT8 MAC.
     pub mac_j: f64,

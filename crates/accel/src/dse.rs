@@ -2,11 +2,10 @@
 
 use crate::config::AccelConfig;
 use crate::sim::{simulate, SimOptions};
-use serde::{Deserialize, Serialize};
 use vit_graph::Graph;
 
 /// One evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// The architecture.
     pub config: AccelConfig,

@@ -3,11 +3,10 @@
 //! and energy.
 
 use crate::config::{AccelConfig, TechEnergy};
-use serde::{Deserialize, Serialize};
 use vit_graph::{Graph, LayerRole, Node, Op, OpClass};
 
 /// Optional execution features (§V's three optimizations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
     /// Allow splitting a layer's input channels across PEs, with partial
     /// sums reduced between PEs. Costs a little energy; required to map
@@ -41,7 +40,7 @@ fn ppu_lanes(cfg: &AccelConfig) -> u64 {
 }
 
 /// Per-layer simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerStats {
     /// Node name.
     pub name: String,
@@ -75,7 +74,7 @@ impl LayerStats {
 }
 
 /// Whole-graph simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelReport {
     /// Model name.
     pub model: String,

@@ -1,6 +1,6 @@
-//! Criterion benchmarks of the serving scheduler hot path: EDF queue
-//! push/pop, admission + budget selection per dispatch, and a full
-//! simulated load sweep step.
+//! Criterion benchmarks of the serving scheduler hot path: dispatch queue
+//! push/pop (single tenant, pure EDF), admission + budget selection per
+//! dispatch, and a full simulated load sweep step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,21 +8,26 @@ use vit_bench::loadgen;
 use vit_drt::DrtEngine;
 use vit_models::SegFormerVariant;
 use vit_resilience::{ResourceKind, Workload};
-use vit_serve::{admissible, budget_for, simulate, EdfQueue, PopResult, SchedulePolicy, SimConfig};
+use vit_serve::{
+    admissible, budget_for, simulate, PopResult, SchedulePolicy, SharedDispatchQueue, SimConfig,
+    TenantId,
+};
 
 fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
 
-    // The per-request queue cost: one EDF push + one pop at a realistic
-    // occupancy (queue pre-loaded with 64 pending requests).
+    // The per-request queue cost: one push + one pop on the server's
+    // single-tenant dispatch queue at a realistic occupancy (queue
+    // pre-loaded with 64 pending requests).
+    let t = TenantId::default();
     g.bench_function("edf_push_pop_at_depth_64", |bench| {
-        let q: EdfQueue<u64, u64> = EdfQueue::bounded(128);
+        let q: SharedDispatchQueue<u64, u64> = SharedDispatchQueue::bounded(128, &[]);
         for i in 0..64u64 {
-            q.try_push(i * 7 % 64, i).unwrap();
+            q.try_push(t, i * 7 % 64, i).unwrap();
         }
         let mut next = 64u64;
         bench.iter(|| {
-            q.try_push(black_box(next % 64), next).unwrap();
+            q.try_push(t, black_box(next % 64), next).unwrap();
             next += 1;
             match q.pop() {
                 PopResult::Item(it) => it,

@@ -1,9 +1,10 @@
 //! `repro bench`: sequential-vs-parallel wall-clock regression harness.
 //!
 //! Times the *full* (undynamic) execution path of each model with the
-//! sequential interpreter, with the wavefront executor at several thread
-//! counts, and by replaying a compiled [`ExecPlan`]; asserts every
-//! variant's outputs are bit-identical to the sequential interpreter's,
+//! sequential interpreter (the reference oracle) and by replaying a
+//! compiled [`ExecPlan`] sequentially and at several thread counts;
+//! asserts every variant's outputs are bit-identical to the sequential
+//! interpreter's,
 //! and (with `--json`) writes the numbers — including per-op-class
 //! GFLOP/s from best-of-N traced runs — to `BENCH_parallel_exec.json` so
 //! later PRs have a perf trajectory to compare against.
@@ -26,7 +27,7 @@ use crate::{banner, f, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use vit_graph::{ExecOptions, ExecScratch, Graph, OpClass, RunContext, WeightGen};
+use vit_graph::{ExecScratch, Graph, OpClass, RunContext, WeightGen};
 use vit_models::{
     build_segformer, build_swin_upernet, SegFormerConfig, SegFormerVariant, SwinConfig, SwinVariant,
 };
@@ -90,6 +91,8 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// Plan replay with its kernels tiled over `threads` (> 1) threads; the
+/// JSON keeps the historical `parallel` key for these rows.
 struct ParallelPoint {
     threads: usize,
     ms: f64,
@@ -240,7 +243,7 @@ fn gflops(flops: u64, ms: f64) -> f64 {
 
 /// The seq-vs-parallel benchmark (`repro bench`).
 pub fn bench(args: BenchArgs) {
-    banner("bench — sequential vs parallel vs compiled-plan execution (full paths)");
+    banner("bench — sequential interpreter vs compiled-plan replay at N threads (full paths)");
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let (reps, thread_counts): (usize, &[usize]) =
         if args.quick { (1, &[2]) } else { (3, &[2, 4]) };
@@ -250,23 +253,31 @@ pub fn bench(args: BenchArgs) {
     let mut results = Vec::new();
     let mut t = Table::new(&[
         "model",
-        "seq ms",
-        "threads",
-        "par ms",
+        "interp ms",
+        "plan threads",
+        "plan ms",
         "speedup",
         "bit-identical",
     ]);
     for case in cases() {
         let mut scratch = ExecScratch::new();
         let (seq_ms, seq_out) = time_run(&mut scratch, gen, &case, &RunContext::default(), reps);
+
+        // Compiled plan: pay the lowering once, then replay the flat
+        // record stream sequentially and with its kernels tiled over N
+        // threads. Replay must beat (or at worst match) the interpreter —
+        // that is the whole point of plans.
+        let t0 = Instant::now();
+        let plan = ExecPlan::compile(&case.graph, gen).expect("bench plan compiles");
+        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mut plan_ms = 0.0;
         let mut parallel = Vec::new();
-        for &threads in thread_counts {
-            let ctx = RunContext::default().with_exec(ExecOptions::threaded(threads));
-            let (ms, out) = time_run(&mut scratch, gen, &case, &ctx, reps);
+        for threads in std::iter::once(1).chain(thread_counts.iter().copied()) {
+            let (ms, out) = time_plan(&plan, &case, &RunContext::threaded(threads), reps);
             let identical = out == seq_out;
             assert!(
                 identical,
-                "{}: parallel output at {threads} threads diverged from sequential",
+                "{}: plan replay at {threads} threads diverged from the sequential interpreter",
                 case.name
             );
             t.row(&[
@@ -277,38 +288,20 @@ pub fn bench(args: BenchArgs) {
                 f(seq_ms / ms, 2),
                 identical.to_string(),
             ]);
-            parallel.push(ParallelPoint {
-                threads,
-                ms,
-                bit_identical: identical,
-            });
+            if threads == 1 {
+                plan_ms = ms;
+            } else {
+                parallel.push(ParallelPoint {
+                    threads,
+                    ms,
+                    bit_identical: identical,
+                });
+            }
         }
-
-        // Compiled plan: pay the lowering once, then replay the flat
-        // record stream sequentially. Replay must beat (or at worst
-        // match) the interpreter — that is the whole point of plans.
-        let t0 = Instant::now();
-        let plan = ExecPlan::compile(&case.graph, gen).expect("bench plan compiles");
-        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (plan_ms, plan_out) = time_plan(&plan, &case, &RunContext::default(), reps);
-        let identical = plan_out == seq_out;
-        assert!(
-            identical,
-            "{}: plan replay diverged from the sequential interpreter",
-            case.name
-        );
-        t.row(&[
-            case.name.to_string(),
-            f(seq_ms, 2),
-            "plan".to_string(),
-            f(plan_ms, 2),
-            f(seq_ms / plan_ms, 2),
-            identical.to_string(),
-        ]);
         let plan_point = PlanPoint {
             compile_ms,
             ms: plan_ms,
-            bit_identical: identical,
+            bit_identical: true,
             records: plan.records().len(),
             fused: plan.fused_nodes(),
             arena_elems: plan.arena_len(),

@@ -6,7 +6,6 @@ use crate::Table;
 use vit_accel::AccelConfig;
 use vit_drt::{DrtEngine, EngineFamily};
 use vit_graph::Graph;
-use vit_graph::SchedMeta;
 use vit_graph::WeightGen;
 use vit_models::{
     bert_base, build_bert, build_deformable_detr, build_detr, build_resnet, build_segformer,
@@ -199,11 +198,9 @@ pub fn run(args: VerifyArgs) -> i32 {
                 Ok(plan) => {
                     report.extend(verify_plan(&graph, &plan));
                     // Pass 6: prove the plan safe to run in parallel —
-                    // chunk disjointness, reclamation soundness against
-                    // the scheduler metadata the executor would use, and
-                    // the shadow-replay cross-check.
-                    let sched = SchedMeta::of(&graph);
-                    report.extend(verify_exec_safety(&graph, &plan, &sched));
+                    // chunk disjointness, reclamation soundness, and the
+                    // shadow-replay cross-check.
+                    report.extend(verify_exec_safety(&plan));
                     if args.exec_safety {
                         safety_rows.push((label.clone(), exec_safety_summary(&plan).to_string()));
                     }

@@ -56,8 +56,8 @@ static analysis:
                pass 6 proved per artifact)
 
 regression benchmarks:
-  bench       sequential vs parallel wavefront executor vs compiled-plan
-              replay on full model paths; asserts bit-identical outputs
+  bench       sequential interpreter vs compiled-plan replay at 1/2/4
+              threads on full model paths; asserts bit-identical outputs
               and reports per-op-class GFLOP/s
               (flags: --json write BENCH_parallel_exec.json and ratchet
                per-op-class GFLOP/s against the committed baseline

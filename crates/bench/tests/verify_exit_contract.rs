@@ -10,14 +10,14 @@
 //! driven through the same [`exit_code`] mapping `repro verify` uses.
 
 use vit_bench::experiments::verify::exit_code;
-use vit_graph::{Graph, LayerRole, Op, SchedMeta, WeightGen};
+use vit_graph::{Graph, LayerRole, Op, WeightGen};
 use vit_plan::{BufRange, ExecContract, ExecPlan, PlanRecord};
 use vit_verify::{
-    audit_source, verify_exec_safety, verify_plan_exec, verify_sched_meta, verify_shadow, Code,
-    Diagnostic, Report, Severity,
+    audit_source, verify_exec_safety, verify_plan_exec, verify_shadow, Code, Diagnostic, Report,
+    Severity,
 };
 
-/// input -> conv -> relu, the graph the scheduler-metadata lints break.
+/// input -> conv -> relu, a small sound graph.
 fn small_graph() -> Graph {
     let mut g = Graph::new("contract");
     let x = g.input("in", &[1, 4, 8, 8]).unwrap();
@@ -131,7 +131,7 @@ fn assert_contract(diags: Vec<Diagnostic>, code: Code) {
 fn clean_artifacts_exit_zero() {
     let g = small_graph();
     let plan = ExecPlan::compile(&g, WeightGen::new(0)).unwrap();
-    let diags = verify_exec_safety(&g, &plan, &SchedMeta::of(&g));
+    let diags = verify_exec_safety(&plan);
     assert!(diags.is_empty(), "{diags:?}");
     let mut report = Report::new("clean");
     report.extend(diags);
@@ -202,26 +202,6 @@ fn v053_premature_free_contract() {
         vec![8],
     );
     assert_contract(verify_plan_exec(&broken), Code::PrematureFree);
-}
-
-#[test]
-fn v054_sched_indegree_contract() {
-    let g = small_graph();
-    let truth = SchedMeta::of(&g);
-    let mut indegree = truth.indegree().to_vec();
-    indegree[1] = 0;
-    let broken = SchedMeta::from_raw_parts(indegree, truth.consumers().to_vec());
-    assert_contract(verify_sched_meta(&g, &broken), Code::SchedIndegree);
-}
-
-#[test]
-fn v055_sched_consumers_contract() {
-    let g = small_graph();
-    let truth = SchedMeta::of(&g);
-    let mut consumers = truth.consumers().to_vec();
-    consumers[0] = 0;
-    let broken = SchedMeta::from_raw_parts(truth.indegree().to_vec(), consumers);
-    assert_contract(verify_sched_meta(&g, &broken), Code::SchedConsumers);
 }
 
 #[test]

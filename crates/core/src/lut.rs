@@ -2,7 +2,6 @@
 //! Figure 8): Pareto-optimal execution paths keyed by resource budget.
 
 use crate::json::{self, Json};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vit_models::{SegFormerDynamic, SwinDynamic};
 use vit_resilience::{pareto_front, DynConfig, TradeoffPoint};
@@ -10,7 +9,7 @@ use vit_resilience::{pareto_front, DynConfig, TradeoffPoint};
 /// A serializable dynamic configuration (mirror of
 /// [`vit_resilience::DynConfig`] with stable field names for the on-disk
 /// LUT format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LutConfig {
     /// SegFormer execution path.
     SegFormer {
@@ -84,7 +83,7 @@ impl LutConfig {
 }
 
 /// One LUT row: an execution path with its precomputed cost and accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LutEntry {
     /// The execution path.
     pub config: LutConfig,
@@ -192,7 +191,7 @@ impl From<json::JsonParseError> for LutError {
 
 /// The Pareto LUT: rows sorted by increasing resource, each strictly more
 /// accurate than the previous (invariant established at construction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lut {
     /// Human-readable description (model + workload + resource kind).
     pub description: String,

@@ -14,10 +14,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vit_fault::{check_guard, FaultCtx, FaultError, GuardConfig};
-use vit_tensor::par::Scope;
 use vit_tensor::{ops, BufferPool, ExecCtx, Tensor, TensorError, ThreadPool};
 use vit_trace::{now_ns, null_sink, EventKind, Phase as TracePhase, TraceSink};
 
@@ -27,23 +25,24 @@ use vit_trace::{now_ns, null_sink, EventKind, Phase as TracePhase, TraceSink};
 /// much per-run work happens outside the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
-    /// Walk the graph per run: per-node weight-cache lookups, buffer-pool
-    /// allocation, and (when threaded) wavefront node scheduling.
+    /// Walk the graph node by node per run: per-node weight-cache lookups
+    /// and buffer-pool allocation. This is the reference oracle the
+    /// differential suites compare against and the serving breaker's
+    /// fallback when plan replay keeps failing.
     #[default]
     Interpret,
     /// Replay a compiled `vit-plan` `ExecPlan`: a flat record loop over a
-    /// pre-sized arena with pre-packed weights and fused epilogues. The
-    /// flag lives here so `RunContext` can carry it everywhere; the plan
-    /// types themselves live in the `vit-plan` crate and engines dispatch
-    /// on this value.
+    /// pre-sized arena with pre-packed weights and fused epilogues — the
+    /// production executor. The flag lives here so `RunContext` can carry
+    /// it everywhere; the plan types themselves live in the `vit-plan`
+    /// crate and engines dispatch on this value.
     Plan,
 }
 
-/// How a graph execution runs: sequentially, or tiled across a worker
-/// pool with wavefront node scheduling — and on which backend
-/// ([`ExecBackend`]).
+/// How a graph execution runs: sequentially, or with its heavy kernels
+/// tiled across a worker pool — and on which backend ([`ExecBackend`]).
 ///
-/// The parallel path is **bit-identical** to the sequential one at any
+/// The tiled path is **bit-identical** to the sequential one at any
 /// thread count (see the determinism contract in [`vit_tensor::par`]); the
 /// option only changes wall-clock time, never results.
 ///
@@ -126,10 +125,9 @@ impl ExecOptions {
 /// execute ([`ExecOptions`]) and where to send trace events
 /// ([`TraceSink`]).
 ///
-/// This is the single context parameter that replaced the
-/// `run`/`run_opts`/`infer_with`/`infer_with_opts` method sprawl.
-/// `RunContext::default()` is sequential and untraced — exactly the old
-/// default behavior — and the builder methods opt into more:
+/// `RunContext::default()` is sequential, untraced and on the
+/// [`ExecBackend::Interpret`] reference backend; the builder methods opt
+/// into more:
 ///
 /// ```
 /// use vit_graph::{ExecOptions, RunContext};
@@ -147,7 +145,7 @@ impl ExecOptions {
 /// clone one context per request.
 #[derive(Debug, Clone)]
 pub struct RunContext {
-    /// Sequential vs wavefront-parallel execution.
+    /// Backend, kernel tiling pool and kernel tier of the run.
     pub exec: ExecOptions,
     /// Destination for trace events; [`vit_trace::NullSink`] (the default)
     /// keeps the run untraced and free of tracing cost.
@@ -740,40 +738,12 @@ impl ExecScratch {
         self.run_with(gen, graph, inputs, &RunContext::default())
     }
 
-    /// [`ExecScratch::run`] with explicit [`ExecOptions`]: sequential
-    /// without a pool, wavefront-scheduled (plus intra-kernel tiling)
-    /// with one. Both paths return bit-identical tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] when input count/shapes mismatch the graph or a
-    /// kernel fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph has no output set.
-    pub fn run_opts(
-        &mut self,
-        gen: WeightGen,
-        graph: &Graph,
-        inputs: &[Tensor],
-        opts: &ExecOptions,
-    ) -> Result<Tensor, ExecError> {
-        let ctx = RunContext {
-            exec: opts.clone(),
-            sink: null_sink(),
-            fault: FaultCtx::default(),
-        };
-        self.run_with(gen, graph, inputs, &ctx)
-    }
-
     /// The canonical entry point: runs the graph under a full
     /// [`RunContext`] — execution options plus trace sink.
     ///
     /// With an enabled sink this records a [`TracePhase::WeightMaterialize`]
     /// span, a [`TracePhase::Run`] span, one [`EventKind::Node`] span per
-    /// executed node, wavefront [`EventKind::Sched`] samples on the
-    /// parallel path, and buffer-pool hit/miss/zeroing counter deltas.
+    /// executed node, and buffer-pool hit/miss/zeroing counter deltas.
     /// Tracing never changes what is computed: outputs are bit-identical
     /// with any sink attached.
     ///
@@ -832,13 +802,7 @@ impl ExecScratch {
             });
         }
         let run_start = sink.timestamp();
-        let reference = ctx.exec.reference_kernels();
-        let result = match ctx.exec.active_pool() {
-            Some(pool) => self.run_wavefront(
-                gen, graph, inputs, output, pool, sink, &ctx.fault, reference,
-            ),
-            None => self.run_sequential(gen, graph, inputs, output, sink, &ctx.fault, reference),
-        };
+        let result = self.run_nodes(gen, graph, inputs, output, ctx);
         if enabled {
             sink.record(EventKind::Phase {
                 phase: TracePhase::Run,
@@ -868,17 +832,18 @@ impl ExecScratch {
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential(
+    /// Evaluates every node in graph order. An attached pool tiles the
+    /// heavy kernels (intra-kernel only), which never changes results.
+    fn run_nodes(
         &mut self,
         gen: WeightGen,
         graph: &Graph,
         inputs: &[Tensor],
         output: NodeId,
-        sink: &dyn TraceSink,
-        fault: &FaultCtx,
-        reference: bool,
+        ctx: &RunContext,
     ) -> Result<Tensor, ExecError> {
+        let sink = ctx.sink.as_ref();
+        let fault = &ctx.fault;
         // Resolved once per run so injection is independent of node order.
         let flip_at = fault.flip_node(graph.len());
         let node_guard = fault.node_guard();
@@ -906,13 +871,13 @@ impl ExecScratch {
                     .iter()
                     .map(|i| values[i.index()].as_ref().expect("topological order"))
                     .collect();
-                let ctx = ExecCtx {
-                    pool: None,
+                let kctx = ExecCtx {
+                    pool: ctx.exec.active_pool(),
                     bufs: Some(&self.bufs),
                     sink: enabled.then_some(sink),
-                    reference,
+                    reference: ctx.exec.reference_kernels(),
                 };
-                eval_node(node, weights.as_slice(), &in_tensors, &ctx)?
+                eval_node(node, weights.as_slice(), &in_tensors, &kctx)?
             };
             if flip_at == Some(id.index()) {
                 fault.corrupt(out.data_mut());
@@ -957,327 +922,6 @@ impl ExecScratch {
         values.clear();
         self.values = values;
         Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    fn run_wavefront(
-        &self,
-        gen: WeightGen,
-        graph: &Graph,
-        inputs: &[Tensor],
-        output: NodeId,
-        pool: &ThreadPool,
-        sink: &dyn TraceSink,
-        fault: &FaultCtx,
-        reference: bool,
-    ) -> Result<Tensor, ExecError> {
-        let n = graph.len();
-        // The dispatch/reclamation counters come from the same metadata
-        // object vit-verify's exec-safety pass audits against the graph's
-        // edges, so what is proved offline is what schedules here.
-        let meta = SchedMeta::of(graph);
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pending: Vec<AtomicUsize> = Vec::with_capacity(n);
-        for (id, node) in graph.iter() {
-            pending.push(AtomicUsize::new(meta.indegree()[id.index()]));
-            for i in &node.inputs {
-                successors[i.index()].push(id.index());
-            }
-        }
-        let uses: Vec<AtomicUsize> = meta
-            .consumers()
-            .iter()
-            .map(|&c| AtomicUsize::new(c))
-            .collect();
-        // The output value must survive the run even when other nodes
-        // consume it, so it holds one extra use.
-        uses[output.index()].fetch_add(1, Ordering::Relaxed);
-        let mut input_pos: Vec<Option<usize>> = vec![None; n];
-        for (i, id) in graph.input_ids().iter().enumerate() {
-            input_pos[id.index()] = Some(i);
-        }
-        let trace = sink.enabled();
-        let wf = Wavefront {
-            gen,
-            graph,
-            cache: &self.cache,
-            bufs: &self.bufs,
-            pool,
-            inputs,
-            input_pos,
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            pending,
-            uses,
-            successors,
-            err: Mutex::new(None),
-            abort: AtomicBool::new(false),
-            fault,
-            flip_at: fault.flip_node(n),
-            node_guard: fault.node_guard(),
-            sink,
-            trace,
-            spawn_ns: (0..if trace { n } else { 0 })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            spawn_depth: (0..if trace { n } else { 0 })
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            ready: AtomicUsize::new(0),
-            reference,
-        };
-        pool.scope(|s| {
-            // Seed the wavefront with zero-input nodes; completions cascade
-            // by spawning each successor the moment its last input lands.
-            for (id, node) in graph.iter() {
-                if node.inputs.is_empty() {
-                    let wf = &wf;
-                    let idx = id.index();
-                    wf.note_spawn(idx);
-                    s.spawn(move |s| wf.exec_node(idx, s));
-                }
-            }
-        });
-        if let Some(e) = wf.err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(e);
-        }
-        let out = wf.slots[output.index()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("output computed");
-        Ok(Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()))
-    }
-}
-
-/// The wavefront scheduler's per-node counter metadata: how many inputs
-/// gate each node's dispatch (`indegree`) and how many readers gate each
-/// node's buffer reclamation (`consumers`, which counts the graph output
-/// as one extra reader so its buffer survives the run).
-///
-/// Correctness under *any* topological interleaving rests entirely on
-/// these two vectors: an indegree below the true input count lets a node
-/// dispatch before an input is ready (read-before-write), and a consumer
-/// count below the true reader count recycles a buffer while a reader is
-/// still pending (use-after-free into the buffer pool). [`SchedMeta::of`]
-/// derives both from the graph's edges — the only sound source — and the
-/// executor schedules from the same object, so vit-verify's exec-safety
-/// pass (`V054`/`V055`) can audit exactly what will run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedMeta {
-    indegree: Vec<usize>,
-    consumers: Vec<usize>,
-}
-
-impl SchedMeta {
-    /// Derives the metadata from `graph`'s edges (the sound construction).
-    pub fn of(graph: &Graph) -> Self {
-        SchedMeta {
-            indegree: graph.iter().map(|(_, n)| n.inputs.len()).collect(),
-            consumers: graph.consumer_counts(),
-        }
-    }
-
-    /// Builds metadata from explicit counter vectors **without checking
-    /// them against any graph** — the escape hatch vit-verify's tests use
-    /// to represent scheduler state that a sound constructor could never
-    /// produce. Executing a graph under metadata that disagrees with its
-    /// edges races; keep this out of execution paths.
-    pub fn from_raw_parts(indegree: Vec<usize>, consumers: Vec<usize>) -> Self {
-        SchedMeta {
-            indegree,
-            consumers,
-        }
-    }
-
-    /// Per-node count of inputs that must land before dispatch.
-    pub fn indegree(&self) -> &[usize] {
-        &self.indegree
-    }
-
-    /// Per-node count of readers that must retire before the node's
-    /// output buffer is recycled (the graph output counts as one).
-    pub fn consumers(&self) -> &[usize] {
-        &self.consumers
-    }
-}
-
-/// Shared state of one wavefront execution: per-node output slots,
-/// in-degree and consumer counters, and the first error (if any).
-struct Wavefront<'g> {
-    gen: WeightGen,
-    graph: &'g Graph,
-    cache: &'g HashMap<String, Arc<Vec<Tensor>>>,
-    bufs: &'g BufferPool,
-    pool: &'g ThreadPool,
-    inputs: &'g [Tensor],
-    input_pos: Vec<Option<usize>>,
-    slots: Vec<Mutex<Option<Arc<Tensor>>>>,
-    pending: Vec<AtomicUsize>,
-    uses: Vec<AtomicUsize>,
-    successors: Vec<Vec<usize>>,
-    err: Mutex<Option<ExecError>>,
-    abort: AtomicBool,
-    /// Fault scope of this run (for deterministic corruption).
-    fault: &'g FaultCtx,
-    /// Node whose output this run's injected bit-flip strikes, if any.
-    flip_at: Option<usize>,
-    /// Per-node output guard; `Some` only when injection is armed.
-    node_guard: Option<GuardConfig>,
-    sink: &'g dyn TraceSink,
-    /// `sink.enabled()`, hoisted: the one flag every per-node trace action
-    /// gates on.
-    trace: bool,
-    /// Per-node spawn stamp (ns) for [`EventKind::Sched`]; empty when
-    /// untraced.
-    spawn_ns: Vec<AtomicU64>,
-    /// Ready-set depth observed when each node was spawned; empty when
-    /// untraced.
-    spawn_depth: Vec<AtomicU64>,
-    /// Nodes spawned but not yet started (the scheduler's ready set).
-    ready: AtomicUsize,
-    /// Route kernels to the reference oracle (see
-    /// [`ExecOptions::with_reference_kernels`]).
-    reference: bool,
-}
-
-impl Wavefront<'_> {
-    fn slot(&self, i: usize) -> std::sync::MutexGuard<'_, Option<Arc<Tensor>>> {
-        self.slots[i].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Stamps spawn time and ready-set depth for node `idx`, immediately
-    /// before it is handed to the pool. No-op when untraced.
-    fn note_spawn(&self, idx: usize) {
-        if self.trace {
-            let depth = self.ready.fetch_add(1, Ordering::Relaxed) + 1;
-            self.spawn_ns[idx].store(now_ns(), Ordering::Relaxed);
-            self.spawn_depth[idx].store(depth as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Evaluates node `idx` (all of whose inputs are ready), then releases
-    /// dead inputs to the buffer pool and spawns every successor this
-    /// completion made ready. Node scheduling order cannot affect values:
-    /// each node's kernel is internally deterministic and weights are a
-    /// pure function of the generator.
-    fn exec_node<'env>(&'env self, idx: usize, scope: &Scope<'env>) {
-        if self.abort.load(Ordering::Acquire) {
-            return;
-        }
-        let node = self.graph.node(NodeId::from_index(idx));
-        let node_start = if self.trace {
-            let start = now_ns();
-            self.ready.fetch_sub(1, Ordering::Relaxed);
-            self.sink.record(EventKind::Sched {
-                node: node.name.clone(),
-                spawn_ns: self.spawn_ns[idx].load(Ordering::Relaxed),
-                start_ns: start,
-                ready_depth: self.spawn_depth[idx].load(Ordering::Relaxed),
-            });
-            start
-        } else {
-            0
-        };
-        let result = if matches!(node.op, Op::Input { .. }) {
-            let pos = self.input_pos[idx].expect("input node has a position");
-            Ok(self.inputs[pos].clone())
-        } else {
-            let ins: Vec<Arc<Tensor>> = node
-                .inputs
-                .iter()
-                .map(|i| Arc::clone(self.slot(i.index()).as_ref().expect("inputs ready")))
-                .collect();
-            let in_refs: Vec<&Tensor> = ins.iter().map(Arc::as_ref).collect();
-            let in_shapes: Vec<&[usize]> = node
-                .inputs
-                .iter()
-                .map(|i| self.graph.node(*i).shape.as_slice())
-                .collect();
-            let weights = self.node_weights(node, &in_shapes);
-            let ctx = ExecCtx {
-                pool: Some(self.pool),
-                bufs: Some(self.bufs),
-                sink: self.trace.then_some(self.sink),
-                reference: self.reference,
-            };
-            eval_node(node, weights.as_slice(), &in_refs, &ctx)
-        };
-        if self.trace {
-            self.sink.record(EventKind::Node {
-                name: node.name.clone(),
-                op: node.op.kind_name().to_string(),
-                start_ns: node_start,
-                end_ns: now_ns(),
-                flops: node.flops(self.graph),
-                bytes: node_trace_bytes(self.graph, node),
-            });
-        }
-        // Injection + node guard happen before the slot store, so a
-        // corrupted tensor can never become a downstream input unchecked.
-        let result = result.and_then(|mut out| {
-            if self.flip_at == Some(idx) {
-                self.fault.corrupt(out.data_mut());
-            }
-            if let Some(g) = self.node_guard {
-                check_node_guard(&node.name, &out, g)?;
-            }
-            Ok(out)
-        });
-        match result {
-            Ok(out) => {
-                debug_assert_eq!(
-                    out.shape(),
-                    node.shape.as_slice(),
-                    "shape inference disagrees with execution at `{}`",
-                    node.name
-                );
-                *self.slot(idx) = Some(Arc::new(out));
-            }
-            Err(e) => {
-                self.abort.store(true, Ordering::Release);
-                let mut err = self.err.lock().unwrap_or_else(|p| p.into_inner());
-                if err.is_none() {
-                    *err = Some(e);
-                }
-                return;
-            }
-        }
-        // Recycle inputs whose last consumer just finished.
-        for i in &node.inputs {
-            let ii = i.index();
-            if self.uses[ii].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if let Some(a) = self.slot(ii).take() {
-                    if let Ok(t) = Arc::try_unwrap(a) {
-                        self.bufs.recycle(t.into_vec());
-                    }
-                }
-            }
-        }
-        for &succ in &self.successors[idx] {
-            if self.pending[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.note_spawn(succ);
-                scope.spawn(move |s| self.exec_node(succ, s));
-            }
-        }
-    }
-
-    /// This node's weights: from the shared cache when the shapes match,
-    /// freshly generated otherwise (pure, so uncached generation is merely
-    /// slower, never different).
-    fn node_weights(&self, node: &crate::graph::Node, in_shapes: &[&[usize]]) -> Arc<Vec<Tensor>> {
-        let expected = ExecScratch::weight_shapes(&node.op, in_shapes);
-        if expected.is_empty() {
-            return Arc::new(Vec::new());
-        }
-        if let Some(w) = self.cache.get(node.name.as_str()) {
-            if ExecScratch::cache_entry_valid(w, &expected) {
-                return Arc::clone(w);
-            }
-        }
-        Arc::new(generate_node_weights(
-            self.gen, &node.name, &node.op, in_shapes,
-        ))
     }
 }
 
@@ -1470,26 +1114,6 @@ impl Executor {
     /// Panics when the graph has no output set.
     pub fn run(&mut self, graph: &Graph, inputs: &[Tensor]) -> Result<Tensor, ExecError> {
         self.scratch.run(self.gen, graph, inputs)
-    }
-
-    /// [`Executor::run`] with explicit [`ExecOptions`] (bit-identical to
-    /// `run` at any thread count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] when input count/shapes mismatch the graph or a
-    /// kernel fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph has no output set.
-    pub fn run_opts(
-        &mut self,
-        graph: &Graph,
-        inputs: &[Tensor],
-        opts: &ExecOptions,
-    ) -> Result<Tensor, ExecError> {
-        self.scratch.run_opts(self.gen, graph, inputs, opts)
     }
 
     /// [`Executor::run`] under a full [`RunContext`] (execution options +

@@ -2,10 +2,9 @@
 //! shapes.
 
 use crate::op::{GraphError, LayerRole, Op, OpClass};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within its [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -24,7 +23,7 @@ impl NodeId {
 }
 
 /// One layer in the graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Hierarchical dot-separated name, e.g.
     /// `encoder.stage0.block1.attn.sdpa`.
@@ -92,7 +91,7 @@ impl Node {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     /// Model name, e.g. `segformer-b2`.
     pub model: String,

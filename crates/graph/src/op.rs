@@ -1,13 +1,12 @@
 //! Operator definitions: every layer kind a vision-transformer graph can
 //! contain, with shape inference and analytical FLOPs/parameter counts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Structural classification of a layer, used to aggregate per-layer costs
 /// into the classes the paper's figures report (convolutions, matrix
 /// multiplications, attention, normalization, element-wise).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Standard, grouped, and depthwise 2-D convolutions.
     Conv,
@@ -40,7 +39,7 @@ impl fmt::Display for OpClass {
 /// Functional role of a layer within the application pipeline, matching the
 /// named layers of the paper (Figure 2): e.g. `Conv2DFuse`, the decoder
 /// linears, the FPN convolutions, the ResNet backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerRole {
     /// Overlap patch embedding convolutions in the encoder.
     PatchEmbed {
@@ -107,7 +106,7 @@ impl LayerRole {
 ///
 /// Input channel/feature counts are inferred from input shapes, so a node's
 /// operator never has to be rewritten when upstream layers are pruned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Graph input with a fixed shape.
     Input {

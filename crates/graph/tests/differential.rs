@@ -1,12 +1,12 @@
-//! Differential tests: the parallel wavefront executor must be
-//! *bit-identical* to the sequential interpreter on randomized graphs at
-//! every thread count. Equality is exact (`Tensor: PartialEq` compares raw
+//! Differential tests: the interpreter with its kernels tiled over a pool
+//! must be *bit-identical* to the sequential interpreter on randomized
+//! graphs at every thread count. Equality is exact (`Tensor: PartialEq` compares raw
 //! f32 bits via `==`), not approximate — the determinism contract is that
 //! every output element is produced by the exact same floating-point
 //! operation sequence regardless of how work is scheduled.
 
 use proptest::prelude::*;
-use vit_graph::{ExecOptions, Executor, Graph, LayerRole, Op};
+use vit_graph::{ExecOptions, Executor, Graph, LayerRole, Op, RunContext};
 use vit_tensor::Tensor;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -17,11 +17,19 @@ fn assert_bit_identical(g: &Graph, input: Tensor, seed: u64) {
     let mut exec = Executor::new(seed);
     let inputs = std::slice::from_ref(&input);
     let seq = exec
-        .run_opts(g, inputs, &ExecOptions::sequential())
+        .run_with(
+            g,
+            inputs,
+            &RunContext::default().with_exec(ExecOptions::sequential()),
+        )
         .unwrap();
     for threads in THREADS {
         let par = exec
-            .run_opts(g, inputs, &ExecOptions::threaded(threads))
+            .run_with(
+                g,
+                inputs,
+                &RunContext::default().with_exec(ExecOptions::threaded(threads)),
+            )
             .unwrap();
         assert_eq!(
             par, seq,
@@ -83,7 +91,7 @@ fn conv_residual_graph(
             )
             .unwrap();
         // Residual add creates a diamond: `prev` is consumed twice, which
-        // exercises the wavefront executor's per-edge reference counting.
+        // exercises the interpreter's per-edge buffer reclamation.
         prev = g
             .add(
                 &format!("res{i}"),
@@ -261,13 +269,25 @@ fn weight_cache_reuse_matches_fresh_executor() {
     let input = Tensor::rand_uniform(&shape, -1.0, 1.0, 11);
     let mut warm = Executor::new(7);
     let seq = warm
-        .run_opts(&g, std::slice::from_ref(&input), &ExecOptions::sequential())
+        .run_with(
+            &g,
+            std::slice::from_ref(&input),
+            &RunContext::default().with_exec(ExecOptions::sequential()),
+        )
         .unwrap();
     let warm_par = warm
-        .run_opts(&g, std::slice::from_ref(&input), &ExecOptions::threaded(4))
+        .run_with(
+            &g,
+            std::slice::from_ref(&input),
+            &RunContext::default().with_exec(ExecOptions::threaded(4)),
+        )
         .unwrap();
     let cold_par = Executor::new(7)
-        .run_opts(&g, std::slice::from_ref(&input), &ExecOptions::threaded(4))
+        .run_with(
+            &g,
+            std::slice::from_ref(&input),
+            &RunContext::default().with_exec(ExecOptions::threaded(4)),
+        )
         .unwrap();
     assert_eq!(seq, warm_par);
     assert_eq!(seq, cold_par);

@@ -4,16 +4,16 @@
 //! flat [`ExecPlan`] and replay it per inference.
 //!
 //! The interpreter in `vit-graph` walks the graph every run — hash-map
-//! weight lookups, buffer-pool allocation, and (threaded) atomic wavefront
-//! scheduling per node. Real ViT inference stacks (ViTA's edge
+//! weight lookups and buffer-pool allocation per node. It stays as the
+//! sequential reference oracle; plan replay is the production executor
+//! and the parallel one. Real ViT inference stacks (ViTA's edge
 //! accelerator, Vis-TOP's overlay processor) instead compile a model into
 //! a static schedule with fixed buffer placement and replay it. This crate
 //! is that substrate for the DRT reproduction:
 //!
 //! * **flat records** — topologically ordered [`PlanRecord`]s with
 //!   pre-resolved input/output offsets; replay is a tight loop, with no
-//!   per-node hash lookups, `Arc` slot graphs, or atomic wavefront
-//!   counters;
+//!   per-node hash lookups or buffer-pool traffic;
 //! * **static arena** — one buffer sized by exact liveness analysis at
 //!   compile time (free ranges are reused the moment their last consumer
 //!   retires), replacing the `BufferPool` best-fit heuristic on this path;

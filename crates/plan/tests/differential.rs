@@ -29,7 +29,11 @@ const THREADS: [usize; 3] = [1, 2, 8];
 fn assert_plan_bit_identical(g: &Graph, input: Tensor, seed: u64) {
     let inputs = std::slice::from_ref(&input);
     let seq = Executor::new(seed)
-        .run_opts(g, inputs, &ExecOptions::sequential())
+        .run_with(
+            g,
+            inputs,
+            &RunContext::default().with_exec(ExecOptions::sequential()),
+        )
         .unwrap();
     let plan = ExecPlan::compile(g, WeightGen::new(seed)).unwrap();
     let static_diags = vit_verify::verify_plan_exec(&plan);

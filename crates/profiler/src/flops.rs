@@ -1,7 +1,6 @@
 //! FLOPs/byte accounting and per-layer breakdowns — the reproduction's
 //! stand-in for torchprof / the PyTorch autograd profiler.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vit_graph::{Graph, LayerRole, Node, Op, OpClass};
 
@@ -22,7 +21,7 @@ pub fn node_io_bytes(graph: &Graph, node: &Node) -> u64 {
 }
 
 /// One row of a profile: the cost of a single layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCost {
     /// Node name.
     pub name: String,
@@ -43,7 +42,7 @@ pub struct LayerCost {
 }
 
 /// A full per-layer profile of a graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Model name.
     pub model: String,
@@ -144,7 +143,7 @@ impl Profile {
 }
 
 /// Aggregated cost of a set of layers.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostSummary {
     /// Total FLOPs.
     pub flops: u64,

@@ -14,11 +14,10 @@
 //! *shape* of these curves, which the calibration pins down.
 
 use crate::flops::node_io_bytes;
-use serde::{Deserialize, Serialize};
 use vit_graph::{Graph, Node, Op, OpClass};
 
 /// Tunable constants of the GPU model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuParams {
     /// Effective throughput of 1x1-kernel (GEMM-like) convolutions, in
     /// MACs/s.

@@ -1,11 +1,10 @@
 //! The paper's published dynamic-configuration points (Tables II and III)
 //! and the configuration spaces swept around them.
 
-use serde::{Deserialize, Serialize};
 use vit_models::{SegFormerDynamic, SegFormerVariant, SwinDynamic, SwinVariant};
 
 /// Which dataset/model pairing a point belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// SegFormer-B2 trained on ADE20K (512x512).
     SegFormerAde,

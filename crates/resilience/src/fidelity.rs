@@ -10,7 +10,7 @@
 //! reference.
 
 use vit_data::{mean_iou, Dataset, SceneGenerator};
-use vit_graph::{ExecError, ExecOptions, Executor, Graph};
+use vit_graph::{ExecError, ExecOptions, Executor, Graph, RunContext};
 use vit_models::{
     build_segformer, build_swin_upernet, ModelError, SegFormerConfig, SegFormerDynamic,
     SegFormerVariant, SwinConfig, SwinDynamic, SwinVariant,
@@ -134,14 +134,15 @@ pub fn segformer_kernel_tier_fidelity(
     let gen = SceneGenerator::new(Dataset::Ade20k, settings.seed);
     let mut exec_packed = Executor::new(settings.seed);
     let mut exec_oracle = Executor::new(settings.seed);
-    let packed = ExecOptions::sequential();
-    let oracle = ExecOptions::sequential().with_reference_kernels(true);
+    let packed = RunContext::default();
+    let oracle =
+        RunContext::default().with_exec(ExecOptions::sequential().with_reference_kernels(true));
     let mut total = 0.0;
     for i in 0..settings.samples {
         let scene = gen.sample_sized(i as u64, settings.image.0, settings.image.1);
         let inputs = std::slice::from_ref(&scene.image);
-        let p = exec_packed.run_opts(&full, inputs, &packed)?;
-        let o = exec_oracle.run_opts(&full, inputs, &oracle)?;
+        let p = exec_packed.run_with(&full, inputs, &packed)?;
+        let o = exec_oracle.run_with(&full, inputs, &oracle)?;
         let p_map = p.argmax_channels().expect("segmentation output is NCHW");
         let o_map = o.argmax_channels().expect("segmentation output is NCHW");
         total += mean_iou(&p_map, &o_map, classes);

@@ -4,7 +4,6 @@
 
 use crate::accuracy::AccuracyModel;
 use crate::config::Workload;
-use serde::{Deserialize, Serialize};
 use vit_models::{
     build_segformer, build_swin_upernet, SegFormerConfig, SegFormerDynamic, SegFormerVariant,
     SwinConfig, SwinDynamic, SwinVariant,
@@ -13,7 +12,7 @@ use vit_profiler::GpuModel;
 
 /// Which resource a sweep measures (the paper uses execution time as its
 /// running example of a dynamic constraint and reports energy alongside).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Modeled GPU latency in seconds.
     GpuTime,
@@ -141,17 +140,17 @@ where
     let chunk = items.len().div_ceil(threads.max(1));
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
-    crossbeam::scope(|scope| {
+    // A panicking worker propagates out of the scope, failing the sweep.
+    std::thread::scope(|scope| {
         for (slot_chunk, item_chunk) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (slot, item) in slot_chunk.iter_mut().zip(item_chunk.iter()) {
                     *slot = Some(f(item));
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     out.into_iter()
         .map(|v| v.expect("all slots filled"))
         .collect()

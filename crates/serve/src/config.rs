@@ -3,8 +3,7 @@
 //! [`ServerConfig`] groups the batching, fault-tolerance, and tenancy knobs
 //! into dedicated structs and is constructed through
 //! [`ServerConfig::builder`], which validates every field before a server
-//! can be started with it. The pre-redesign flat struct survives one
-//! release as the deprecated [`FlatServerConfig`] shim.
+//! can be started with it.
 
 use crate::policy::{RecoveryPolicy, SchedulePolicy};
 use crate::request::TenantId;
@@ -221,7 +220,7 @@ impl std::error::Error for ConfigError {}
 /// Server topology and scheduling configuration.
 ///
 /// Construct through [`ServerConfig::builder`]; `Default` is the valid
-/// baseline (4 workers, depth 64, no batching, single tenant).
+/// baseline (4 workers, depth 64, plan replay, no batching, single tenant).
 ///
 /// # Examples
 ///
@@ -254,10 +253,10 @@ pub struct ServerConfig {
     /// is shared so concurrent inferences cooperate on the machine's cores
     /// instead of oversubscribing them `workers ×`.
     pub exec_threads: usize,
-    /// Run inferences by replaying compiled execution plans instead of
-    /// interpreting graphs. Outputs are bit-identical either way; plans
-    /// trade a one-time per-config compilation (cached in the shared
-    /// engine core) for lower per-inference overhead.
+    /// Run inferences by replaying compiled execution plans (the default)
+    /// instead of interpreting graphs. Outputs are bit-identical either
+    /// way; plans trade a one-time per-config compilation (cached in the
+    /// shared engine core) for lower per-inference overhead.
     pub use_plans: bool,
     /// Cross-request batching knobs.
     pub batching: BatchConfig,
@@ -275,7 +274,7 @@ impl Default for ServerConfig {
             resource_kind: ResourceKind::GpuTime,
             policy: SchedulePolicy::DrtDynamic,
             exec_threads: 1,
-            use_plans: false,
+            use_plans: true,
             batching: BatchConfig::default(),
             fault_tolerance: FaultToleranceConfig::default(),
             tenancy: TenancyConfig::default(),
@@ -474,79 +473,6 @@ impl ServerConfigBuilder {
     }
 }
 
-/// The pre-redesign flat configuration struct, kept for one release so
-/// struct-literal call sites keep compiling. Converts losslessly into the
-/// nested [`ServerConfig`]; batching and tenancy (which did not exist in
-/// the flat era) take their defaults.
-#[deprecated(
-    since = "0.10.0",
-    note = "use ServerConfig::builder(); the flat field layout is frozen and will be removed"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct FlatServerConfig {
-    /// Worker threads sharing the engine core.
-    pub workers: usize,
-    /// Capacity of the dispatch queue.
-    pub queue_depth: usize,
-    /// The resource dimension deadlines are stated in.
-    pub resource_kind: ResourceKind,
-    /// How budgets are chosen.
-    pub policy: SchedulePolicy,
-    /// Threads of the shared intra-inference execution pool.
-    pub exec_threads: usize,
-    /// Serve by replaying compiled plans.
-    pub use_plans: bool,
-    /// Deterministic fault injection plan.
-    pub fault: Option<FaultPlan>,
-    /// What workers do when an attempt faults.
-    pub recovery: RecoveryPolicy,
-    /// Watchdog allowance multiple.
-    pub watchdog_grace: f64,
-    /// Consecutive failures that open a worker's circuit breaker.
-    pub breaker_threshold: usize,
-}
-
-#[allow(deprecated)]
-impl Default for FlatServerConfig {
-    fn default() -> Self {
-        let d = ServerConfig::default();
-        FlatServerConfig {
-            workers: d.workers,
-            queue_depth: d.queue_depth,
-            resource_kind: d.resource_kind,
-            policy: d.policy,
-            exec_threads: d.exec_threads,
-            use_plans: d.use_plans,
-            fault: d.fault_tolerance.fault,
-            recovery: d.fault_tolerance.recovery,
-            watchdog_grace: d.fault_tolerance.watchdog_grace,
-            breaker_threshold: d.fault_tolerance.breaker_threshold,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<FlatServerConfig> for ServerConfig {
-    fn from(flat: FlatServerConfig) -> Self {
-        ServerConfig {
-            workers: flat.workers,
-            queue_depth: flat.queue_depth,
-            resource_kind: flat.resource_kind,
-            policy: flat.policy,
-            exec_threads: flat.exec_threads,
-            use_plans: flat.use_plans,
-            batching: BatchConfig::default(),
-            fault_tolerance: FaultToleranceConfig {
-                fault: flat.fault,
-                recovery: flat.recovery,
-                watchdog_grace: flat.watchdog_grace,
-                breaker_threshold: flat.breaker_threshold,
-            },
-            tenancy: TenancyConfig::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,25 +554,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(e.to_string().contains("tenant3"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn flat_shim_converts_losslessly() {
-        let flat = FlatServerConfig {
-            workers: 2,
-            queue_depth: 8,
-            use_plans: true,
-            watchdog_grace: 2.5,
-            ..FlatServerConfig::default()
-        };
-        let nested: ServerConfig = flat.into();
-        assert_eq!(nested.workers, 2);
-        assert_eq!(nested.queue_depth, 8);
-        assert!(nested.use_plans);
-        assert_eq!(nested.fault_tolerance.watchdog_grace, 2.5);
-        assert!(!nested.batching.enabled());
-        assert!(nested.tenancy.tenants.is_empty());
-        assert!(nested.validate().is_ok());
     }
 }

@@ -5,8 +5,8 @@
 //! with the least *virtual work* dispatched so far (each dispatch charges
 //! `1 / weight`), then the earliest deadline within that lane — so a tenant
 //! with weight 2 is served twice as often as a tenant with weight 1 when
-//! both have work queued, and a single-tenant queue degenerates to exactly
-//! the pure-EDF order of [`crate::EdfQueue`]. Per-tenant quotas bound how
+//! both have work queued, and a single-tenant queue degenerates to pure
+//! earliest-deadline-first order (FIFO on ties). Per-tenant quotas bound how
 //! much of the queue one tenant may occupy, so a flooding tenant sheds on
 //! itself instead of starving the rest.
 //!
@@ -320,7 +320,7 @@ impl<K: Ord, T> DispatchQueue<K, T> {
 
 /// Thread-safe wrapper around [`DispatchQueue`] for the serving worker
 /// pool: blocking pop, timed conditional pop (the batch window), and
-/// close-and-drain semantics matching [`crate::EdfQueue`].
+/// close-and-drain semantics.
 pub struct SharedDispatchQueue<K: Ord, T> {
     inner: Mutex<DispatchQueue<K, T>>,
     not_empty: Condvar,

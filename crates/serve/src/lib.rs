@@ -71,8 +71,6 @@ pub mod scenario;
 pub mod server;
 pub mod sim;
 
-#[allow(deprecated)]
-pub use config::FlatServerConfig;
 pub use config::{
     BatchConfig, ConfigError, FaultToleranceConfig, ServerConfig, ServerConfigBuilder,
     TenancyConfig, TenantSpec,
@@ -80,7 +78,7 @@ pub use config::{
 pub use fair::{CoalescePop, DispatchPushError, DispatchQueue, SharedDispatchQueue};
 pub use metrics::{percentile, ServerMetrics, TenantMetrics};
 pub use policy::{admissible, budget_for, RecoveryPolicy, SchedulePolicy};
-pub use queue::{EdfQueue, PopResult, PushError};
+pub use queue::PopResult;
 pub use request::{
     FailureReason, FailureRecord, InferenceRequest, Outcome, RequestRecord, RequestTicket,
     ShedReason, ShedRecord, TenantId,

@@ -1,35 +1,9 @@
-//! A bounded, blocking earliest-deadline-first priority queue.
-//!
-//! `pop` always returns the queued item with the *earliest* deadline —
-//! the EDF discipline, which is optimal for meeting deadlines on a single
-//! resource. FIFO arrival order is kept only as a tie-break so equal
+//! The blocking-pop result of the serving dispatch queue
+//! ([`crate::SharedDispatchQueue`]), and the single-tenant EDF contract
+//! that queue keeps: `pop` returns the queued item with the *earliest*
+//! deadline — the EDF discipline, optimal for meeting deadlines on a
+//! single resource — with FIFO arrival order as the tie-break so equal
 //! deadlines stay fair.
-
-use parking_lot::{Condvar, Mutex};
-use std::collections::BinaryHeap;
-use std::fmt;
-use std::time::Duration;
-
-/// Error from a non-blocking push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PushError {
-    /// The queue is at capacity.
-    Full,
-    /// The queue has been closed.
-    Closed,
-}
-
-impl fmt::Display for PushError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PushError::Full => f.write_str("EDF queue is at capacity"),
-            PushError::Closed => f.write_str("EDF queue is closed"),
-        }
-    }
-}
-
-impl std::error::Error for PushError {}
 
 /// Result of a blocking pop.
 #[derive(Debug)]
@@ -40,193 +14,28 @@ pub enum PopResult<T> {
     Closed,
 }
 
-struct Entry<K: Ord, T> {
-    deadline: K,
-    seq: u64,
-    item: T,
-}
-
-// BinaryHeap is a max-heap; invert the comparison so the *earliest*
-// deadline (then lowest sequence number) is at the top.
-impl<K: Ord, T> Ord for Entry<K, T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .deadline
-            .cmp(&self.deadline)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<K: Ord, T> PartialOrd for Entry<K, T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, T> PartialEq for Entry<K, T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl<K: Ord, T> Eq for Entry<K, T> {}
-
-struct State<K: Ord, T> {
-    heap: BinaryHeap<Entry<K, T>>,
-    next_seq: u64,
-    closed: bool,
-}
-
-/// The shared EDF queue (cheaply clonable via `Arc` by callers; the queue
-/// itself is `Sync`).
-pub struct EdfQueue<K: Ord, T> {
-    state: Mutex<State<K, T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<K: Ord, T> EdfQueue<K, T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "EDF queue needs capacity >= 1");
-        EdfQueue {
-            state: Mutex::new(State {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Current number of queued items.
-    pub fn len(&self) -> usize {
-        self.state.lock().heap.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Inserts without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`EdfQueue::close`].
-    pub fn try_push(&self, deadline: K, item: T) -> Result<(), PushError> {
-        let mut s = self.state.lock();
-        if s.closed {
-            return Err(PushError::Closed);
-        }
-        if s.heap.len() >= self.capacity {
-            return Err(PushError::Full);
-        }
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.heap.push(Entry {
-            deadline,
-            seq,
-            item,
-        });
-        drop(s);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Inserts, blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Closed`] after [`EdfQueue::close`].
-    pub fn push(&self, deadline: K, item: T) -> Result<(), PushError> {
-        let mut s = self.state.lock();
-        while !s.closed && s.heap.len() >= self.capacity {
-            self.not_full.wait(&mut s);
-        }
-        if s.closed {
-            return Err(PushError::Closed);
-        }
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.heap.push(Entry {
-            deadline,
-            seq,
-            item,
-        });
-        drop(s);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Removes and returns the earliest-deadline item, blocking while the
-    /// queue is empty. Returns [`PopResult::Closed`] once the queue is
-    /// closed *and* drained — remaining items are always delivered.
-    pub fn pop(&self) -> PopResult<(K, T)> {
-        let mut s = self.state.lock();
-        loop {
-            if let Some(e) = s.heap.pop() {
-                drop(s);
-                self.not_full.notify_one();
-                return PopResult::Item((e.deadline, e.item));
-            }
-            if s.closed {
-                return PopResult::Closed;
-            }
-            self.not_empty.wait(&mut s);
-        }
-    }
-
-    /// Like [`EdfQueue::pop`] but gives up after `timeout` when neither an
-    /// item nor a close arrives.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<PopResult<(K, T)>> {
-        let mut s = self.state.lock();
-        loop {
-            if let Some(e) = s.heap.pop() {
-                drop(s);
-                self.not_full.notify_one();
-                return Some(PopResult::Item((e.deadline, e.item)));
-            }
-            if s.closed {
-                return Some(PopResult::Closed);
-            }
-            if self.not_empty.wait_for(&mut s, timeout).timed_out() {
-                return None;
-            }
-        }
-    }
-
-    /// Closes the queue: subsequent pushes fail, poppers drain the
-    /// remaining items and then observe [`PopResult::Closed`].
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DispatchPushError, SharedDispatchQueue, TenantId};
+
+    /// A single-tenant queue: what the server runs without tenancy config.
+    fn edf<T>(capacity: usize) -> SharedDispatchQueue<u64, T> {
+        SharedDispatchQueue::bounded(capacity, &[])
+    }
+
+    const T0: TenantId = TenantId(0);
 
     #[test]
     fn pops_in_deadline_order_with_fifo_tiebreak() {
-        let q: EdfQueue<u64, &str> = EdfQueue::bounded(8);
-        q.try_push(30, "late").unwrap();
-        q.try_push(10, "first-early").unwrap();
-        q.try_push(10, "second-early").unwrap();
-        q.try_push(20, "mid").unwrap();
+        let q = edf(8);
+        q.try_push(T0, 30, "late").unwrap();
+        q.try_push(T0, 10, "first-early").unwrap();
+        q.try_push(T0, 10, "second-early").unwrap();
+        q.try_push(T0, 20, "mid").unwrap();
         let order: Vec<&str> = (0..4)
             .map(|_| match q.pop() {
-                PopResult::Item((_, s)) => s,
+                PopResult::Item((_, _, s)) => s,
                 PopResult::Closed => unreachable!(),
             })
             .collect();
@@ -235,25 +44,25 @@ mod tests {
 
     #[test]
     fn bounded_capacity_rejects_then_accepts() {
-        let q: EdfQueue<u64, u32> = EdfQueue::bounded(2);
-        q.try_push(1, 1).unwrap();
-        q.try_push(2, 2).unwrap();
-        assert_eq!(q.try_push(3, 3), Err(PushError::Full));
+        let q = edf(2);
+        q.try_push(T0, 1, 1).unwrap();
+        q.try_push(T0, 2, 2).unwrap();
+        assert_eq!(q.try_push(T0, 3, 3), Err(DispatchPushError::Full));
         match q.pop() {
-            PopResult::Item((_, v)) => assert_eq!(v, 1),
+            PopResult::Item((_, _, v)) => assert_eq!(v, 1),
             PopResult::Closed => unreachable!(),
         }
-        q.try_push(3, 3).unwrap();
+        q.try_push(T0, 3, 3).unwrap();
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn close_drains_then_reports_closed() {
-        let q: EdfQueue<u64, u32> = EdfQueue::bounded(4);
-        q.try_push(5, 50).unwrap();
+        let q = edf(4);
+        q.try_push(T0, 5, 50).unwrap();
         q.close();
-        assert_eq!(q.try_push(6, 60), Err(PushError::Closed));
-        assert!(matches!(q.pop(), PopResult::Item((5, 50))));
+        assert_eq!(q.try_push(T0, 6, 60), Err(DispatchPushError::Closed));
+        assert!(matches!(q.pop(), PopResult::Item((_, 5, 50))));
         assert!(matches!(q.pop(), PopResult::Closed));
     }
 
@@ -261,14 +70,18 @@ mod tests {
     fn concurrent_producers_consumers_deliver_everything() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        let q: Arc<EdfQueue<u64, u64>> = Arc::new(EdfQueue::bounded(4));
+        let q: Arc<SharedDispatchQueue<u64, u64>> = Arc::new(edf(4));
         let sum = Arc::new(AtomicU64::new(0));
         std::thread::scope(|s| {
             for p in 0..3u64 {
                 let q = q.clone();
                 s.spawn(move || {
+                    // The shared queue never blocks a producer: retry a
+                    // full queue until a consumer makes room.
                     for i in 0..50 {
-                        q.push(p * 50 + i, p * 50 + i).unwrap();
+                        while q.try_push(T0, p * 50 + i, p * 50 + i).is_err() {
+                            std::thread::yield_now();
+                        }
                     }
                 });
             }
@@ -276,7 +89,7 @@ mod tests {
                 let q = q.clone();
                 let sum = sum.clone();
                 s.spawn(move || {
-                    while let PopResult::Item((_, v)) = q.pop() {
+                    while let PopResult::Item((_, _, v)) = q.pop() {
                         sum.fetch_add(v, Ordering::Relaxed);
                     }
                 });

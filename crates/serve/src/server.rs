@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vit_drt::{EngineCore, EngineError, LutEntry};
 use vit_fault::{FaultCtx, FaultError, GuardConfig};
-use vit_graph::{ExecBackend, ExecOptions, ExecScratch, RunContext};
+use vit_graph::{ExecBackend, ExecScratch, RunContext};
 use vit_tensor::Tensor;
 use vit_trace::{now_ns, EventKind, Phase as TracePhase, RecoveryAction};
 
@@ -239,36 +239,23 @@ pub struct Server {
 impl Server {
     /// Spawns the worker threads and starts serving, with the
     /// intra-inference execution pool sized by `config.exec_threads` and
-    /// tracing disabled. Accepts the nested [`ServerConfig`] or (during
-    /// the deprecation window) the flat
-    /// [`FlatServerConfig`](crate::FlatServerConfig) shim.
+    /// tracing disabled.
     ///
     /// # Panics
     ///
     /// Panics when the configuration fails [`ServerConfig::validate`] —
     /// configs built through [`ServerConfig::builder`] never do.
-    pub fn start(
-        core: Arc<EngineCore>,
-        calibration: Calibration,
-        config: impl Into<ServerConfig>,
-    ) -> Self {
-        let config: ServerConfig = config.into();
-        let backend = if config.use_plans {
-            ExecBackend::Plan
-        } else {
-            ExecBackend::Interpret
-        };
-        let ctx = RunContext::default()
-            .with_exec(ExecOptions::threaded(config.exec_threads).with_backend(backend));
+    pub fn start(core: Arc<EngineCore>, calibration: Calibration, config: ServerConfig) -> Self {
+        let ctx = RunContext::threaded(config.exec_threads);
         Self::start_with(core, calibration, config, ctx)
     }
 
     /// [`Server::start`] under an explicit [`RunContext`]: the context's
-    /// execution options replace `config.exec_threads` (cloning the
-    /// context clones the pool handle, so all workers still share one
-    /// pool), and its trace sink observes the serving path — queue-wait
-    /// spans, admission and shed markers, and every engine span the
-    /// workers' inferences emit.
+    /// execution pool replaces `config.exec_threads` (cloning the context
+    /// clones the pool handle, so all workers still share one pool), and
+    /// its trace sink observes the serving path — queue-wait spans,
+    /// admission and shed markers, and every engine span the workers'
+    /// inferences emit. `config.use_plans` selects the backend either way.
     ///
     /// # Panics
     ///
@@ -276,10 +263,16 @@ impl Server {
     pub fn start_with(
         core: Arc<EngineCore>,
         calibration: Calibration,
-        config: impl Into<ServerConfig>,
+        config: ServerConfig,
         ctx: RunContext,
     ) -> Self {
-        let config: ServerConfig = config.into();
+        let backend = if config.use_plans {
+            ExecBackend::Plan
+        } else {
+            ExecBackend::Interpret
+        };
+        let exec = ctx.exec.clone().with_backend(backend);
+        let ctx = ctx.with_exec(exec);
         config
             .validate()
             .expect("server started with an invalid configuration");

@@ -9,8 +9,8 @@ use vit_fault::FaultPlan;
 use vit_models::{SegFormerDynamic, SegFormerVariant};
 use vit_resilience::{DynConfig, TradeoffPoint};
 use vit_serve::{
-    admissible, simulate, EdfQueue, PopResult, RecoveryPolicy, SchedulePolicy, SimArrival,
-    SimConfig,
+    admissible, simulate, PopResult, RecoveryPolicy, SchedulePolicy, SharedDispatchQueue,
+    SimArrival, SimConfig, TenantId,
 };
 
 /// A synthetic core whose LUT costs 1/2/4 units.
@@ -40,19 +40,19 @@ fn tiny_core() -> EngineCore {
 }
 
 proptest! {
-    /// Whatever order deadlines are pushed in, pops come out in
-    /// nondecreasing deadline order, and equal deadlines come out in
-    /// arrival (FIFO) order.
+    /// Whatever order deadlines are pushed in, the server's single-tenant
+    /// dispatch queue pops them in nondecreasing deadline order, and equal
+    /// deadlines come out in arrival (FIFO) order.
     #[test]
     fn edf_pop_order_is_sorted_with_fifo_ties(deadlines in vec(0u64..16, 1..64)) {
-        let q: EdfQueue<u64, usize> = EdfQueue::bounded(64);
+        let q: SharedDispatchQueue<u64, usize> = SharedDispatchQueue::bounded(64, &[]);
         for (i, d) in deadlines.iter().enumerate() {
-            q.try_push(*d, i).unwrap();
+            q.try_push(TenantId::default(), *d, i).unwrap();
         }
         q.close();
         let mut popped = Vec::new();
-        while let PopResult::Item(it) = q.pop() {
-            popped.push(it);
+        while let PopResult::Item((_, d, i)) = q.pop() {
+            popped.push((d, i));
         }
         prop_assert_eq!(popped.len(), deadlines.len());
         for w in popped.windows(2) {
@@ -202,7 +202,7 @@ proptest! {
         share1 in 0.1f64..1.0,
         queue_depth in 2usize..10,
     ) {
-        use vit_serve::{TenantId, TenantSpec};
+        use vit_serve::TenantSpec;
 
         let core = tiny_core();
         let arrivals: Vec<SimArrival> = raw

@@ -19,11 +19,10 @@
 //! [`ThreadPool::new`]`(threads)` spawns `threads - 1` background workers;
 //! the thread that opens a [`ThreadPool::scope`] *helps* drain the shared
 //! queue while it waits, so total concurrency equals `threads`. Jobs may
-//! spawn further jobs into the same scope (the graph executor's wavefront
-//! does this as nodes become ready), and jobs may open nested scopes on
-//! the same pool (intra-kernel tiling inside a node job does this); the
-//! caller-helps rule makes both compose without deadlock — a blocked
-//! scope always makes progress by executing queued work itself.
+//! spawn further jobs into the same scope, and jobs may open nested
+//! scopes on the same pool; the caller-helps rule makes both compose
+//! without deadlock — a blocked scope always makes progress by executing
+//! queued work itself.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;

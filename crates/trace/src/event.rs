@@ -12,7 +12,7 @@ pub enum Phase {
     GraphBuild,
     /// Generating/caching the parameter tensors a graph needs.
     WeightMaterialize,
-    /// One full graph execution (sequential or wavefront).
+    /// One full graph execution.
     Run,
     /// A serving request's time from submission to worker dispatch.
     QueueWait,
@@ -84,20 +84,6 @@ pub enum EventKind {
         start_ns: u64,
         /// Span end, nanoseconds since the trace epoch.
         end_ns: u64,
-    },
-    /// A wavefront-scheduler observation for one node: the gap between the
-    /// moment the node became ready (spawned) and the moment a worker
-    /// started it.
-    Sched {
-        /// Graph node name.
-        node: String,
-        /// When the node was spawned into the ready set.
-        spawn_ns: u64,
-        /// When a worker began executing it.
-        start_ns: u64,
-        /// Ready-set depth observed at spawn time (nodes spawned but not
-        /// yet started, including this one).
-        ready_depth: u64,
     },
     /// A named monotonic counter sample (buffer-pool hits, cache misses…).
     Counter {
@@ -202,9 +188,6 @@ impl TraceEvent {
             | EventKind::Phase {
                 start_ns, end_ns, ..
             } => Some((*start_ns, *end_ns)),
-            EventKind::Sched {
-                spawn_ns, start_ns, ..
-            } => Some((*spawn_ns, *start_ns)),
             EventKind::Counter { .. } | EventKind::Instant { .. } | EventKind::Fault { .. } => None,
         }
     }
@@ -214,7 +197,6 @@ impl TraceEvent {
     pub fn at_ns(&self) -> u64 {
         match &self.kind {
             EventKind::Node { start_ns, .. } | EventKind::Phase { start_ns, .. } => *start_ns,
-            EventKind::Sched { spawn_ns, .. } => *spawn_ns,
             EventKind::Counter { at_ns, .. }
             | EventKind::Instant { at_ns, .. }
             | EventKind::Fault { at_ns, .. } => *at_ns,
@@ -292,9 +274,9 @@ pub fn validate(events: &[TraceEvent]) -> Result<(), TraceFormatError> {
     }
     // Per-thread nesting: Node/Phase spans recorded on one thread must form
     // a stack (each pair either disjoint or one containing the other).
-    // Cross-thread spans are excluded — `Sched` starts on the *spawning*
-    // thread, and `QueueWait` starts on the *submitting* thread, so both
-    // legitimately straddle the recording thread's span stack.
+    // Cross-thread spans are excluded — `QueueWait` starts on the
+    // *submitting* thread, so it legitimately straddles the recording
+    // thread's span stack.
     let mut threads: Vec<u64> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();
     threads.dedup();
@@ -406,17 +388,17 @@ mod tests {
     }
 
     #[test]
-    fn sched_spans_may_straddle_threads() {
+    fn queue_wait_spans_may_straddle_threads() {
         let events = vec![
             node(0, 0, 0, 50),
             TraceEvent {
                 seq: 1,
                 thread: 0,
-                kind: EventKind::Sched {
-                    node: "x".into(),
-                    spawn_ns: 10,
-                    start_ns: 60,
-                    ready_depth: 2,
+                kind: EventKind::Phase {
+                    phase: Phase::QueueWait,
+                    detail: String::new(),
+                    start_ns: 10,
+                    end_ns: 60,
                 },
             },
         ];

@@ -201,8 +201,7 @@ fn us(ns: u64) -> String {
 /// JSON document (`{"traceEvents": [...]}`).
 ///
 /// Mapping: [`EventKind::Node`] and [`EventKind::Phase`] become complete
-/// (`"ph":"X"`) duration events named by op kind / phase; [`EventKind::Sched`]
-/// becomes a `queued` duration event covering spawn→start;
+/// (`"ph":"X"`) duration events named by op kind / phase;
 /// [`EventKind::Counter`] becomes a counter (`"ph":"C"`) event;
 /// [`EventKind::Instant`] becomes an instant (`"ph":"i"`) event. Timestamps
 /// are microseconds since the trace epoch with nanosecond precision; `pid`
@@ -251,22 +250,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 us(end_ns.saturating_sub(*start_ns)),
                 e.thread,
                 esc(detail),
-                e.seq
-            ),
-            EventKind::Sched {
-                node,
-                spawn_ns,
-                start_ns,
-                ready_depth,
-            } => format!(
-                "{{\"name\": \"queued\", \"cat\": \"sched\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}, \"pid\": 1, \"tid\": {}, \"args\": {{\"node\": \"{}\", \
-                 \"ready_depth\": {}, \"seq\": {}}}}}",
-                us(*spawn_ns),
-                us(start_ns.saturating_sub(*spawn_ns)),
-                e.thread,
-                esc(node),
-                ready_depth,
                 e.seq
             ),
             EventKind::Counter { name, value, at_ns } => format!(

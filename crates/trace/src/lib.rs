@@ -1,8 +1,8 @@
 //! # vit-trace — zero-cost-when-disabled observability
 //!
 //! A std-only tracing layer for the DRT engine stack. Every layer of the
-//! repro (tensor buffer pool, wavefront executor, engine, server) records
-//! typed [`TraceEvent`]s into a pluggable [`TraceSink`]:
+//! repro (tensor buffer pool, interpreter, plan replay, engine, server)
+//! records typed [`TraceEvent`]s into a pluggable [`TraceSink`]:
 //!
 //! - [`EventKind::Node`] — one graph-node execution span: node name, op
 //!   kind, start/end nanoseconds, analytical FLOPs and first-order DRAM
@@ -11,8 +11,6 @@
 //! - [`EventKind::Phase`] — engine/server phases: LUT selection, graph
 //!   build, weight materialization, whole-graph runs, serve queue wait and
 //!   execution.
-//! - [`EventKind::Sched`] — wavefront scheduler observations: spawn→start
-//!   latency and ready-set depth per node.
 //! - [`EventKind::Counter`] / [`EventKind::Instant`] — buffer-pool
 //!   hit/miss/zeroing deltas, graph-cache hits/misses, admission and shed
 //!   markers.

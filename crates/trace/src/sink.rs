@@ -182,9 +182,6 @@ struct Stats {
     per_node: HashMap<String, Agg>,
     phases: HashMap<&'static str, Agg>,
     counters: HashMap<String, u64>,
-    sched_samples: u64,
-    sched_latency_ns: u64,
-    sched_max_ready_depth: u64,
 }
 
 /// An aggregating sink: folds every event into per-op-kind, per-node,
@@ -223,18 +220,6 @@ impl StatsSink {
     /// Current value of a named counter (0 when never sampled).
     pub fn counter(&self, name: &str) -> u64 {
         self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Mean wavefront spawn→start latency in nanoseconds, and the maximum
-    /// observed ready-set depth. Zeros when no scheduler events arrived.
-    pub fn sched_stats(&self) -> (f64, u64) {
-        let st = self.lock();
-        let mean = if st.sched_samples == 0 {
-            0.0
-        } else {
-            st.sched_latency_ns as f64 / st.sched_samples as f64
-        };
-        (mean, st.sched_max_ready_depth)
     }
 
     /// The aggregated flame summary: per-op-kind totals plus the `top_n`
@@ -277,16 +262,6 @@ impl TraceSink for StatsSink {
                     0,
                     0,
                 );
-            }
-            EventKind::Sched {
-                spawn_ns,
-                start_ns,
-                ready_depth,
-                ..
-            } => {
-                st.sched_samples += 1;
-                st.sched_latency_ns += start_ns.saturating_sub(spawn_ns);
-                st.sched_max_ready_depth = st.sched_max_ready_depth.max(ready_depth);
             }
             EventKind::Counter { name, value, .. } => {
                 *st.counters.entry(name).or_insert(0) += value;
@@ -389,17 +364,8 @@ mod tests {
             start_ns: 0,
             end_ns: 160,
         });
-        s.record(EventKind::Sched {
-            node: "n".into(),
-            spawn_ns: 5,
-            start_ns: 15,
-            ready_depth: 7,
-        });
         assert_eq!(s.counter("buffer_pool.hits"), 5);
-        assert_eq!(s.events_recorded(), 7);
-        let (mean_lat, depth) = s.sched_stats();
-        assert_eq!(mean_lat, 10.0);
-        assert_eq!(depth, 7);
+        assert_eq!(s.events_recorded(), 6);
         let summary = s.summary(10);
         let conv = summary.ops.iter().find(|o| o.name == "Conv2d").unwrap();
         assert_eq!(conv.count, 2);

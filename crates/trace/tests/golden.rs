@@ -8,8 +8,8 @@
 use vit_trace::{chrome_trace_json, validate, EventKind, Phase, TraceEvent};
 
 /// One event of every kind, with hand-picked stamps exercising ordering
-/// (the Sched span at 500 ns sorts between the Phase at 0 and the Node at
-/// 1000 even though its seq is higher than the Node's).
+/// (the queue-wait span at 500 ns sorts between the Phase at 0 and the
+/// Node at 1000 even though its seq is higher than the Node's).
 fn fixture() -> Vec<TraceEvent> {
     vec![
         TraceEvent {
@@ -37,11 +37,11 @@ fn fixture() -> Vec<TraceEvent> {
         TraceEvent {
             seq: 2,
             thread: 1,
-            kind: EventKind::Sched {
-                node: "enc.conv".to_string(),
-                spawn_ns: 500,
-                start_ns: 1000,
-                ready_depth: 3,
+            kind: EventKind::Phase {
+                phase: Phase::QueueWait,
+                detail: "req-7".to_string(),
+                start_ns: 500,
+                end_ns: 1000,
             },
         },
         TraceEvent {
@@ -68,7 +68,7 @@ fn fixture() -> Vec<TraceEvent> {
 const GOLDEN: &str = r#"{
   "traceEvents": [
     {"name": "run", "cat": "phase", "ph": "X", "ts": 0.000, "dur": 5.000, "pid": 1, "tid": 0, "args": {"detail": "segformer-b0", "seq": 0}},
-    {"name": "queued", "cat": "sched", "ph": "X", "ts": 0.500, "dur": 0.500, "pid": 1, "tid": 1, "args": {"node": "enc.conv", "ready_depth": 3, "seq": 2}},
+    {"name": "queue_wait", "cat": "phase", "ph": "X", "ts": 0.500, "dur": 0.500, "pid": 1, "tid": 1, "args": {"detail": "req-7", "seq": 2}},
     {"name": "Conv2d", "cat": "node", "ph": "X", "ts": 1.000, "dur": 1.500, "pid": 1, "tid": 1, "args": {"node": "enc.conv", "flops": 1234, "bytes": 4096, "seq": 1}},
     {"name": "buffer_pool.hits", "cat": "counter", "ph": "C", "ts": 4.000, "pid": 1, "tid": 0, "args": {"value": 7}},
     {"name": "shed", "cat": "instant", "ph": "i", "s": "t", "ts": 4.500, "pid": 1, "tid": 0, "args": {"detail": "queue_full", "seq": 4}}

@@ -105,9 +105,9 @@ proptest! {
     }
 }
 
-/// Cross-thread spans (sched latency, serving queue wait) may straddle a
-/// worker's span stack and must still validate — this is the shape the
-/// wavefront executor and the serving workers actually record.
+/// Cross-thread spans (serving queue wait) may straddle a worker's span
+/// stack and must still validate — this is the shape the serving workers
+/// actually record.
 #[test]
 fn cross_thread_spans_validate_inside_worker_spans() {
     let sink = RingBufferSink::new(64);
@@ -121,12 +121,6 @@ fn cross_thread_spans_validate_inside_worker_spans() {
         detail: String::new(),
         start_ns: submit_ns,
         end_ns: now_ns(),
-    });
-    sink.record(EventKind::Sched {
-        node: "n".to_string(),
-        spawn_ns: submit_ns,
-        start_ns: now_ns(),
-        ready_depth: 1,
     });
     sink.record(EventKind::Node {
         name: "n".to_string(),

@@ -94,15 +94,9 @@ pub enum Code {
     /// last reader, frees the plan output, or frees a range no earlier
     /// record owns: reclamation could re-issue live memory.
     PrematureFree,
-    /// `V054` — the wavefront scheduler's in-degree counter for a node
-    /// disagrees with the graph's edges: the node can dispatch before an
-    /// input is ready (read-before-write under some interleaving).
-    SchedIndegree,
-    /// `V055` — the wavefront scheduler's consumer counter for a node
-    /// disagrees with the graph's reader count (+1 for the output): a
-    /// buffer can be recycled while a reader is pending, or never
-    /// recycled at all.
-    SchedConsumers,
+    // `V054`/`V055` (wavefront scheduler in-degree/consumer counters)
+    // are retired with the scheduler they audited; the codes are not
+    // reused.
     /// `V056` — a record's decomposition declares FP reassociation, but
     /// its op maps to no kernel class with a registered tolerance bound
     /// (`vit_tensor::ops::reference::tolerance`): the record has left the
@@ -122,7 +116,7 @@ pub enum Code {
 
 impl Code {
     /// All codes, in code order (for documentation and exhaustive tests).
-    pub const ALL: [Code; 31] = [
+    pub const ALL: [Code; 29] = [
         Code::ShapeMismatch,
         Code::BadTopology,
         Code::InferFailure,
@@ -148,8 +142,6 @@ impl Code {
         Code::ChunkGap,
         Code::ExecAlias,
         Code::PrematureFree,
-        Code::SchedIndegree,
-        Code::SchedConsumers,
         Code::FpReassociation,
         Code::UndocumentedUnsafe,
         Code::UncheckedIndex,
@@ -184,8 +176,6 @@ impl Code {
             Code::ChunkGap => "V051",
             Code::ExecAlias => "V052",
             Code::PrematureFree => "V053",
-            Code::SchedIndegree => "V054",
-            Code::SchedConsumers => "V055",
             Code::FpReassociation => "V056",
             Code::UndocumentedUnsafe => "V057",
             Code::UncheckedIndex => "V058",
@@ -239,8 +229,6 @@ impl Code {
             Code::ChunkGap => "chunk decompositions partition the output range exactly",
             Code::ExecAlias => "a record's output range never overlaps its inputs",
             Code::PrematureFree => "a range is freed only after its last reader",
-            Code::SchedIndegree => "scheduler in-degrees equal the graph's input counts",
-            Code::SchedConsumers => "scheduler consumer counts equal reader counts plus output",
             Code::FpReassociation => {
                 "every reassociating decomposition maps to a registered tolerance class"
             }

@@ -5,9 +5,8 @@
 //! *in parallel*. It symbolically executes an [`ExecPlan`]'s record
 //! stream together with each record's declared write-decomposition
 //! ([`vit_plan::ExecContract`], resolved through the same
-//! `vit_tensor::row_chunks` oracle the kernels dispatch with) and the
-//! wavefront scheduler's counter metadata ([`vit_graph::SchedMeta`]),
-//! and checks four families of invariants:
+//! `vit_tensor::row_chunks` oracle the kernels dispatch with), and
+//! checks four families of invariants:
 //!
 //! * **write-disjointness** — every record's parallel chunks partition
 //!   its output range exactly, at every sampled worker count: no
@@ -17,10 +16,7 @@
 //! * **reclamation soundness** — the compile-time liveness decisions
 //!   recorded in [`PlanRecord::frees`] never free the plan output, a
 //!   range no record owns, or a range a later record still reads
-//!   un-redefined (`V053`); and the scheduler's in-degree/consumer
-//!   counters — which alone decide dispatch and buffer recycling under
-//!   *any* topological interleaving — equal the graph's edge counts
-//!   (`V054`, `V055`);
+//!   un-redefined (`V053`);
 //! * **FP-reassociation routing** — a decomposition that declares float
 //!   reassociation must map to a kernel class with a registered tolerance
 //!   bound (`vit_tensor::ops::reference::tolerance`); a reassociating
@@ -40,7 +36,6 @@
 use std::fmt;
 
 use crate::diag::{Code, Diagnostic, Span};
-use vit_graph::{Graph, SchedMeta};
 use vit_plan::{BufRange, ExecPlan, PlanRecord};
 
 /// Worker counts at which chunk decompositions are proved. Matches the
@@ -48,15 +43,13 @@ use vit_plan::{BufRange, ExecPlan, PlanRecord};
 /// checked at its own maximum chunk count (one worker per row).
 const WIDTHS: [usize; 3] = [1, 2, 8];
 
-/// Runs the exec-safety pass over `plan` (compiled from `graph`) and the
-/// scheduler metadata `sched` the wavefront executor would run it with.
+/// Runs the exec-safety pass over `plan`.
 ///
 /// Includes the shadow cross-validation ([`verify_shadow`]) at the
 /// sampled worker counts, so a clean return means the static verdict and
 /// the dynamic witness agree.
-pub fn verify_exec_safety(graph: &Graph, plan: &ExecPlan, sched: &SchedMeta) -> Vec<Diagnostic> {
+pub fn verify_exec_safety(plan: &ExecPlan) -> Vec<Diagnostic> {
     let mut diags = verify_plan_exec(plan);
-    diags.extend(verify_sched_meta(graph, sched));
     diags.extend(verify_shadow(plan, &diags, &WIDTHS));
     diags
 }
@@ -279,51 +272,6 @@ fn first_stale_reader(recs: &[PlanRecord], ri: usize, f: &BufRange) -> Option<(u
         }
     }
     None
-}
-
-/// The scheduler-metadata checks (`V054`, `V055`): the wavefront
-/// executor's dispatch and reclamation counters must equal the counts
-/// the graph's edges imply, or some topological interleaving reads
-/// before a write or recycles a live buffer.
-pub fn verify_sched_meta(graph: &Graph, sched: &SchedMeta) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let truth = SchedMeta::of(graph);
-    for (id, node) in graph.iter() {
-        let i = id.index();
-        let span = || Span::Node {
-            index: i,
-            name: node.name.clone(),
-        };
-        let claimed = sched.indegree().get(i).copied();
-        if claimed != Some(truth.indegree()[i]) {
-            diags.push(
-                Diagnostic::new(
-                    Code::SchedIndegree,
-                    span(),
-                    format!(
-                        "scheduler in-degree is {claimed:?}, the graph has {} input edges",
-                        truth.indegree()[i]
-                    ),
-                )
-                .with_help("an undercounted node dispatches before its inputs are written"),
-            );
-        }
-        let claimed = sched.consumers().get(i).copied();
-        if claimed != Some(truth.consumers()[i]) {
-            diags.push(
-                Diagnostic::new(
-                    Code::SchedConsumers,
-                    span(),
-                    format!(
-                        "scheduler consumer count is {claimed:?}, the graph implies {}",
-                        truth.consumers()[i]
-                    ),
-                )
-                .with_help("an undercounted buffer is recycled while a reader is pending"),
-            );
-        }
-    }
-    diags
 }
 
 /// The dynamic cross-check (`V059`): replays the plan against the debug

@@ -26,11 +26,10 @@
 //! * **pass 6, exec safety** ([`verify_exec_safety`]) — the plan must be
 //!   safe to run in parallel: every record's chunk decomposition
 //!   partitions its output range with no overlap, recorded liveness
-//!   never frees a range a reader still needs, the wavefront scheduler's
-//!   counters match the graph's edges under any interleaving, FP
-//!   reassociation is declared and tolerance-tiered, and hot-path
-//!   `unsafe`/unchecked indexing is audited ([`audit_sources`]); a debug
-//!   shadow-access replay cross-validates the static verdict.
+//!   never frees a range a reader still needs, FP reassociation is
+//!   declared and tolerance-tiered, and hot-path `unsafe`/unchecked
+//!   indexing is audited ([`audit_sources`]); a debug shadow-access
+//!   replay cross-validates the static verdict.
 //!
 //! Each finding is a [`Diagnostic`] with a stable [`Code`] (`V001`
 //! shape-mismatch, `V021` pareto-nonmonotone, ...), a severity, a span,
@@ -68,7 +67,7 @@ pub use cost_pass::verify_costs;
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use exec_pass::{
     audit_source, audit_sources, exec_safety_summary, verify_exec_safety, verify_plan_exec,
-    verify_sched_meta, verify_shadow, ExecSafetySummary,
+    verify_shadow, ExecSafetySummary,
 };
 pub use graph_pass::verify_graph;
 pub use lut_pass::{verify_lut, LutContext};

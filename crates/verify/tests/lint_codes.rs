@@ -6,16 +6,15 @@
 use std::sync::OnceLock;
 use vit_accel::AccelConfig;
 use vit_drt::{DrtEngine, EngineFamily, Lut};
+use vit_graph::WeightGen;
 use vit_graph::{Graph, LayerRole, NodeId, Op};
-use vit_graph::{SchedMeta, WeightGen};
 use vit_plan::{BufRange, ExecContract, ExecPlan, PlanRecord};
 use vit_profiler::Profile;
 use vit_resilience::{ResourceKind, Workload};
 use vit_serve::SchedulePolicy;
 use vit_verify::{
     audit_source, verify_accel_mapping, verify_costs, verify_exec_safety, verify_graph, verify_lut,
-    verify_plan_exec, verify_sched_meta, verify_shadow, Code, Diagnostic, LutContext, Severity,
-    VerifyOptions,
+    verify_plan_exec, verify_shadow, Code, Diagnostic, LutContext, Severity, VerifyOptions,
 };
 
 fn has(diags: &[Diagnostic], code: Code) -> bool {
@@ -465,45 +464,6 @@ fn v053_premature_free_fires_on_freed_range_with_pending_reader() {
 }
 
 #[test]
-fn v054_sched_indegree_fires_on_undercounted_dispatch() {
-    let g = small_graph();
-    let truth = SchedMeta::of(&g);
-    // The relu's in-degree drops to 0: it could dispatch before the conv.
-    let mut indegree = truth.indegree().to_vec();
-    indegree[2] = 0;
-    let broken = SchedMeta::from_raw_parts(indegree, truth.consumers().to_vec());
-    let diags = verify_sched_meta(&g, &broken);
-    assert_eq!(
-        diags
-            .iter()
-            .filter(|d| d.code == Code::SchedIndegree)
-            .count(),
-        1,
-        "{diags:?}"
-    );
-    assert!(verify_sched_meta(&g, &truth).is_empty());
-}
-
-#[test]
-fn v055_sched_consumers_fires_on_undercounted_reclamation() {
-    let g = small_graph();
-    let truth = SchedMeta::of(&g);
-    // The conv's buffer would be recycled while the relu still reads it.
-    let mut consumers = truth.consumers().to_vec();
-    consumers[1] = 0;
-    let broken = SchedMeta::from_raw_parts(truth.indegree().to_vec(), consumers);
-    let diags = verify_sched_meta(&g, &broken);
-    assert_eq!(
-        diags
-            .iter()
-            .filter(|d| d.code == Code::SchedConsumers)
-            .count(),
-        1,
-        "{diags:?}"
-    );
-}
-
-#[test]
 fn v056_fp_reassociation_fires_and_is_a_warning() {
     // A well-formed decomposition that declares reassociation on an op
     // with no registered tolerance class (Relu): the record has left the
@@ -615,8 +575,7 @@ fn v059_shadow_divergence_fires_when_runtime_contradicts_static() {
 fn exec_safety_pass_is_clean_on_a_compiled_plan() {
     let g = small_graph();
     let plan = ExecPlan::compile(&g, WeightGen::new(0)).expect("compiles");
-    let sched = SchedMeta::of(&g);
-    let diags = verify_exec_safety(&g, &plan, &sched);
+    let diags = verify_exec_safety(&plan);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -640,8 +599,7 @@ fn batch_n_plans_satisfy_the_same_exec_safety_contracts() {
         let plan = ExecPlan::compile(&g, WeightGen::new(0)).expect("batch-N plan compiles");
         let plan_diags = vit_verify::verify_plan(&g, &plan);
         assert!(plan_diags.is_empty(), "batch={batch}: {plan_diags:?}");
-        let sched = SchedMeta::of(&g);
-        let diags = verify_exec_safety(&g, &plan, &sched);
+        let diags = verify_exec_safety(&plan);
         assert!(
             diags.iter().all(|d| d.severity != Severity::Error),
             "batch={batch}: {diags:?}"

@@ -176,8 +176,9 @@ fn with_lut_rejects_empty() {
 
 /// Differential test of the observability layer: attaching an enabled
 /// ring-buffer sink must not change a single output bit relative to the
-/// disabled (NullSink) path, sequentially and at 8 wavefront threads —
-/// and the captured trace must be well-formed with LUT-exact FLOPs.
+/// disabled (NullSink) path, sequentially and with kernels tiled over 8
+/// threads — and the captured trace must be well-formed with LUT-exact
+/// FLOPs.
 #[test]
 fn tracing_never_changes_outputs() {
     use std::sync::Arc;

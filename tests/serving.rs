@@ -508,3 +508,68 @@ fn admission_tickets_reappear_on_terminal_records() {
         .collect();
     assert_eq!(seen, issued, "every ticket correlates with one record");
 }
+
+/// `ServerConfig::default()` serves by plan replay: the trace of a default
+/// server shows `PlanReplay` phases and no interpreter `Run` phase. Serving
+/// is bit-identical to an explicit `.use_plans(false)` server: both make
+/// the same decisions, and the contexts the two servers hand their
+/// workers produce the same output bits.
+#[test]
+fn default_server_serves_by_plan_replay_bit_identically() {
+    use vit_drt::RunContext;
+    use vit_trace::{null_sink, EventKind, Phase, RingBufferSink, TraceSink};
+
+    let core = shared_core();
+    let (min, max) = (core.min_resource(), core.max_resource());
+    let serve = |config: ServerConfig| {
+        let sink = Arc::new(RingBufferSink::new(1 << 16));
+        let srv = Server::start_with(
+            Arc::clone(&core),
+            Calibration::from_secs_per_unit(SPU),
+            config,
+            RunContext::default().with_sink(sink.clone() as Arc<dyn TraceSink>),
+        );
+        let ctx = srv.run_context().clone().with_sink(null_sink());
+        for units in [min * 1.5, (min + max) * 0.75, max * 20.0] {
+            assert!(srv
+                .submit(request(units))
+                .expect("resource kind matches")
+                .is_admitted());
+        }
+        let metrics = srv.shutdown();
+        let phase = |p: Phase| {
+            sink.events()
+                .iter()
+                .any(|e| matches!(&e.kind, EventKind::Phase { phase, .. } if *phase == p))
+        };
+        let replayed = phase(Phase::PlanReplay);
+        let interpreted = phase(Phase::Run);
+        let mut scratch = vit_graph::ExecScratch::new();
+        // The output bits of every configuration this server served.
+        let outputs: Vec<Tensor> = core
+            .lut()
+            .entries()
+            .iter()
+            .filter(|e| metrics.config_histogram.iter().any(|(c, _)| *c == e.config))
+            .map(|entry| {
+                core.run(&mut scratch, &image(), entry.clone(), true, &ctx)
+                    .expect("inference runs")
+                    .logits
+            })
+            .collect();
+        (metrics, replayed, interpreted, outputs)
+    };
+
+    let (plans, replayed, interpreted, plan_outputs) = serve(ServerConfig::default());
+    assert!(replayed, "the default server must serve by plan replay");
+    assert!(!interpreted, "the default server must not interpret graphs");
+
+    let (interp, replayed, interpreted, interp_outputs) =
+        serve(ServerConfig::builder().use_plans(false).build().unwrap());
+    assert!(interpreted && !replayed, "use_plans(false) interprets");
+
+    assert_eq!(plans.completed, 3);
+    assert_eq!(plans.completed, interp.completed);
+    assert_eq!(plans.config_histogram, interp.config_histogram);
+    assert_eq!(plan_outputs, interp_outputs, "plan replay is bit-identical");
+}
