@@ -26,13 +26,25 @@
 //! * **pre-packed weights** — parameter tensors are generated once at
 //!   compile time and packed contiguously
 //!   ([`vit_tensor::ops::PackedConv2d`]/[`PackedLinear`]), so replay
-//!   touches no weight cache.
+//!   touches no weight cache;
+//! * **arena-native memory ops** — bilinear resize (plane-tiled over the
+//!   pool), the `FlattenHw`/`UnflattenHw` transposes and channel concat
+//!   run straight on arena ranges through the slice kernels
+//!   [`vit_tensor::ops::bilinear_resize_into`],
+//!   [`vit_tensor::ops::transpose_into`] and
+//!   [`vit_tensor::ops::concat_channels_into`]; a same-size resize is a
+//!   copy. Only ops without a native step yet (norms, attention,
+//!   pooling, window and slicing ops) take the *fallback* record,
+//!   which copies its inputs out of the arena into tensors, dispatches
+//!   through [`vit_graph::eval_op`], and copies the result back
+//!   ([`PlanRecord::is_fallback`]).
 //!
 //! Replay is **bit-identical** to the interpreter at any thread count: the
-//! packed kernels share the interpreter's inner loops and epilogue
-//! scalars, fallback records dispatch through the same
-//! [`vit_graph::eval_op`], and threading happens only via intra-kernel
-//! output tiling (the `vit_tensor::par` determinism contract).
+//! packed and memory-op kernels are the very inner loops the interpreter's
+//! kernels call, epilogue scalars are shared, fallback records dispatch
+//! through the same [`vit_graph::eval_op`], and threading happens only via
+//! intra-kernel output tiling (the `vit_tensor::par` determinism
+//! contract).
 //!
 //! `vit-verify`'s plan pass proves plan↔graph equivalence offline:
 //! identical FLOP/param/byte totals, every node covered exactly once by a
@@ -86,7 +98,7 @@ use vit_fault::{check_guard, FaultCtx, FaultError};
 use vit_graph::ExecError;
 use vit_graph::{eval_op, generate_node_weights, Graph, Node, Op, RunContext, WeightGen};
 use vit_profiler::node_io_bytes;
-use vit_tensor::ops::{Conv2dParams, Epilogue, PackedConv2d, PackedLinear};
+use vit_tensor::ops::{self, Conv2dParams, Epilogue, PackedConv2d, PackedLinear};
 use vit_tensor::{BufferPool, ExecCtx, ShadowAccess, ShadowViolation, Tensor, TensorError};
 use vit_trace::{now_ns, EventKind, Phase, TraceSink};
 
@@ -117,7 +129,7 @@ impl BufRange {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecContract {
     /// One sequential pass over the whole output range (scalar loops,
-    /// copies, fallback dispatch). Never reassociates.
+    /// copies, transposes, concat, fallback dispatch). Never reassociates.
     Sequential,
     /// Row tiling through [`vit_tensor::row_chunks`]: the output splits
     /// into row-aligned chunks of whole `row_len`-element rows, each
@@ -126,7 +138,7 @@ pub enum ExecContract {
     /// `vit_tensor::par`).
     RowTiled {
         /// Elements per indivisible row: one output channel-plane for
-        /// convolution, one feature vector for linear.
+        /// convolution and resize, one feature vector for linear.
         row_len: usize,
         /// Whether the kernel may reorder FP accumulation relative to the
         /// reference oracle (`vit_tensor::ops::reference`). True routes
@@ -199,7 +211,8 @@ impl ExecContract {
     }
 }
 
-/// How one record computes its output range.
+/// How one record computes its output range. Every step but `Fallback`
+/// reads and writes arena ranges directly.
 #[derive(Debug, Clone)]
 enum Step {
     /// Copy graph input `pos` into the output range.
@@ -214,10 +227,24 @@ enum Step {
     Gelu,
     /// Elementwise sum of two equal-shape inputs.
     Add,
-    /// Byte copy (`Op::Identity`).
+    /// Byte copy (`Op::Identity`, and a same-size `Op::Resize`).
     Copy,
-    /// Any other op: materialize input tensors and dispatch through
-    /// [`vit_graph::eval_op`] with weights generated at compile time.
+    /// Separable bilinear resize of whole channel-planes, tiled over the
+    /// pool by output plane.
+    Resize {
+        in_hw: (usize, usize),
+        out_hw: (usize, usize),
+    },
+    /// Batched transpose `[n, rows, cols] -> [n, cols, rows]`
+    /// (`FlattenHw`, `UnflattenHw`).
+    Transpose { rows: usize, cols: usize },
+    /// Channel concatenation: each input's per-item segment is copied
+    /// into its channel offset of every batch item.
+    Concat { batch: usize },
+    /// Ops without a native step (norms, attention, window and slicing
+    /// ops): copy the inputs out of the arena into tensors, dispatch
+    /// through [`vit_graph::eval_op`] with weights generated at compile
+    /// time, and copy the result back.
     Fallback { weights: Vec<Tensor> },
 }
 
@@ -265,9 +292,10 @@ impl PlanRecord {
     /// [`ExecPlan::from_raw_parts`] that [`ExecPlan::compile`] could never
     /// produce (vit-verify's broken-artifact tests). The contract defaults
     /// to [`ExecContract::Sequential`] and `frees` to empty; both fields
-    /// are public, so adjust them after construction. Executing such a
-    /// record dispatches through the fallback path with no weights and
-    /// will fail for most ops.
+    /// are public, so adjust them after construction. The step is always
+    /// the fallback (whatever `op` is, so [`PlanRecord::is_fallback`]
+    /// holds) and carries no weights: executing such a record fails for
+    /// every op that needs weights.
     pub fn from_raw_parts(
         name: &str,
         op: Op,
@@ -293,6 +321,16 @@ impl PlanRecord {
                 weights: Vec::new(),
             },
         }
+    }
+}
+
+impl PlanRecord {
+    /// Whether this record replays through the generic fallback: its
+    /// inputs copied out of the arena into tensors, the op dispatched
+    /// through [`vit_graph::eval_op`], and the result copied back. Every
+    /// other record runs a native kernel straight on arena ranges.
+    pub fn is_fallback(&self) -> bool {
+        matches!(self.step, Step::Fallback { .. })
     }
 }
 
@@ -522,12 +560,13 @@ impl ExecPlan {
                 op => Self::lower_step(node, op, &in_shapes, epilogue, gen)?,
             };
             // The write-decomposition contract mirrors the kernels: packed
-            // conv tiles by output channel-plane, packed linear by feature
-            // vector; everything else on the replay path writes its range
-            // in one sequential pass. GEMM-backed steps declare FP
-            // reassociation (tolerance tier): packed linear always, conv
-            // only on its im2col path — the direct single-input-channel
-            // path is bit-identical to the reference oracle.
+            // conv and resize tile by output channel-plane, packed linear
+            // by feature vector; everything else on the replay path writes
+            // its range in one sequential pass. GEMM-backed steps declare
+            // FP reassociation (tolerance tier): packed linear always,
+            // conv only on its im2col path — the direct
+            // single-input-channel path is bit-identical to the reference
+            // oracle, and so is the separable resize.
             let contract = match &step {
                 Step::Conv(pc) => ExecContract::RowTiled {
                     row_len: node.shape.iter().skip(2).product(),
@@ -536,6 +575,10 @@ impl ExecPlan {
                 Step::Linear(_) => ExecContract::RowTiled {
                     row_len: node.shape.last().copied().unwrap_or(0),
                     reassociates: true,
+                },
+                Step::Resize { out_hw, .. } => ExecContract::RowTiled {
+                    row_len: out_hw.0 * out_hw.1,
+                    reassociates: false,
                 },
                 _ => ExecContract::Sequential,
             };
@@ -642,6 +685,28 @@ impl ExecPlan {
             Op::Gelu => Step::Gelu,
             Op::Add => Step::Add,
             Op::Identity => Step::Copy,
+            Op::Resize { out_h, out_w } => {
+                let in_hw = (in_shapes[0][2], in_shapes[0][3]);
+                if in_hw == (*out_h, *out_w) {
+                    Step::Copy
+                } else {
+                    Step::Resize {
+                        in_hw,
+                        out_hw: (*out_h, *out_w),
+                    }
+                }
+            }
+            Op::FlattenHw => Step::Transpose {
+                rows: in_shapes[0][1],
+                cols: in_shapes[0][2] * in_shapes[0][3],
+            },
+            Op::UnflattenHw { .. } => Step::Transpose {
+                rows: in_shapes[0][1],
+                cols: in_shapes[0][2],
+            },
+            Op::Concat => Step::Concat {
+                batch: node.shape[0],
+            },
             _ => Step::Fallback {
                 weights: generate_node_weights(gen, &node.name, op, &shape_refs),
             },
@@ -774,6 +839,21 @@ impl ExecPlan {
                     }
                 }
                 Step::Copy => out.copy_from_slice(input(&rec.inputs[0])),
+                Step::Resize { in_hw, out_hw } => {
+                    let src = input(&rec.inputs[0]);
+                    let (in_plane, out_plane) = (in_hw.0 * in_hw.1, out_hw.0 * out_hw.1);
+                    kctx.for_each_row_chunk(out, out_plane, |_, start, planes| {
+                        let first = start / out_plane * in_plane;
+                        ops::bilinear_resize_into(&src[first..], *in_hw, planes, *out_hw);
+                    });
+                }
+                Step::Transpose { rows, cols } => {
+                    ops::transpose_into(input(&rec.inputs[0]), *rows, *cols, out);
+                }
+                Step::Concat { batch } => {
+                    let parts: Vec<&[f32]> = rec.inputs.iter().map(input).collect();
+                    ops::concat_channels_into(&parts, *batch, out);
+                }
                 Step::Fallback { weights } => {
                     let ins: Vec<Tensor> = rec
                         .inputs

@@ -247,8 +247,99 @@ fn branchy_graph(cin: usize, hw: usize, keep: usize) -> (Graph, Vec<usize>) {
     (g, shape)
 }
 
+/// A SegFormer-decoder-shaped tail over a batch: tokens projected by a
+/// linear layer and folded back to planes (`FlattenHw` -> `Linear` ->
+/// `UnflattenHw`), a same-size `Resize` of that branch (lowered to a
+/// copy), a second branch resized away and back (up- or down-sampling,
+/// possibly non-square), the two concatenated along channels, and a 1x1
+/// fuse conv. Every memory op here replays on a native plan step.
+fn decoder_graph(
+    batch: usize,
+    (cin, dim): (usize, usize),
+    (h, w): (usize, usize),
+    (mid_h, mid_w): (usize, usize),
+) -> (Graph, Vec<usize>) {
+    let mut g = Graph::new("decoder");
+    let shape = vec![batch, cin, h, w];
+    let x = g.input("in", &shape).unwrap();
+    let f = g.add("flat", Op::FlattenHw, LayerRole::Head, &[x]).unwrap();
+    let l = g
+        .add(
+            "proj",
+            Op::Linear {
+                out_features: dim,
+                bias: true,
+            },
+            LayerRole::Head,
+            &[f],
+        )
+        .unwrap();
+    let u = g
+        .add("unflat", Op::UnflattenHw { h, w }, LayerRole::Head, &[l])
+        .unwrap();
+    let same = g
+        .add(
+            "proj.resize",
+            Op::Resize { out_h: h, out_w: w },
+            LayerRole::Head,
+            &[u],
+        )
+        .unwrap();
+    let mid = g
+        .add(
+            "side.resize",
+            Op::Resize {
+                out_h: mid_h,
+                out_w: mid_w,
+            },
+            LayerRole::Head,
+            &[x],
+        )
+        .unwrap();
+    let back = g
+        .add(
+            "side.upsample",
+            Op::Resize { out_h: h, out_w: w },
+            LayerRole::Head,
+            &[mid],
+        )
+        .unwrap();
+    let cat = g
+        .add("cat", Op::Concat, LayerRole::Head, &[same, back])
+        .unwrap();
+    let fuse = g
+        .add(
+            "fuse",
+            Op::Conv2d {
+                out_channels: 3,
+                kernel: (1, 1),
+                stride: (1, 1),
+                pad: (0, 0),
+                groups: 1,
+                bias: true,
+            },
+            LayerRole::Head,
+            &[cat],
+        )
+        .unwrap();
+    g.set_output(fuse);
+    (g, shape)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn decoder_plan_is_bit_identical(
+        batch in 1usize..=2,
+        (cin, dim) in (1usize..5, 1usize..6),
+        (h, w) in (1usize..7, 1usize..7),
+        (mid_h, mid_w) in (1usize..13, 1usize..13),
+        seed in any::<u64>(),
+    ) {
+        let (g, shape) = decoder_graph(batch, (cin, dim), (h, w), (mid_h, mid_w));
+        assert_plan_bit_identical(&g, Tensor::rand_uniform(&shape, -1.0, 1.0, seed), seed);
+    }
 
     #[test]
     fn conv_residual_plan_is_bit_identical(
@@ -302,6 +393,20 @@ fn segformer_b0_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 64);
+    assert_eq!(fallback_kinds(&plan), ["BatchNorm", "LayerNorm", "Sdpa"]);
+}
+
+/// The op kinds that still replay through the copy-in/copy-out fallback
+/// step. Memory ops (resize, flatten/unflatten, concat) have native steps;
+/// one showing up here means it was silently routed back.
+fn fallback_kinds(plan: &ExecPlan) -> Vec<&'static str> {
+    let kinds: std::collections::BTreeSet<&'static str> = plan
+        .records()
+        .iter()
+        .filter(|r| r.is_fallback())
+        .map(|r| r.op.kind_name())
+        .collect();
+    kinds.into_iter().collect()
 }
 
 /// Records whose contract routes them to the tolerance tier — the
@@ -330,4 +435,17 @@ fn swin_tiny_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 89);
+    assert_eq!(
+        fallback_kinds(&plan),
+        [
+            "AdaptiveAvgPool",
+            "BatchNorm",
+            "CyclicShift",
+            "LayerNorm",
+            "Sdpa",
+            "SpaceToDepth",
+            "WindowMerge",
+            "WindowPartition"
+        ]
+    );
 }

@@ -31,10 +31,16 @@
 //!   the sequential dot-product chain the packed kernels' register
 //!   accumulators compute — the exact-tier bitwise claims are provable
 //!   term-for-term instead of holding only up to an extra identity add.
+//!
+//! The memory-op oracles ([`bilinear_resize`], [`argmax_channels`]) are
+//! the original per-pixel loops, kept verbatim: their production kernels
+//! are restructured for locality (separable rows, channel-outer planes)
+//! but stay in the exact tier, bit-identical to these loops.
 
-use crate::error::Result;
+use crate::error::{invalid_shape, Result};
 use crate::ops::conv::{conv_geometry, ConvGeom};
 use crate::ops::fused::Epilogue;
+use crate::ops::resize::resize_dims;
 use crate::ops::Conv2dParams;
 use crate::tensor::Tensor;
 
@@ -323,6 +329,86 @@ pub fn conv2d(
         geom,
         Epilogue::None,
     );
+    Ok(out)
+}
+
+/// Reference bilinear resize (`align_corners = false`): the per-pixel
+/// loop that recomputes both source coordinates for every output element.
+/// [`crate::ops::bilinear_resize_into`] must match it bit for bit.
+///
+/// # Errors
+///
+/// Returns the same validation errors as [`crate::ops::bilinear_resize`].
+pub fn bilinear_resize(input: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor> {
+    let (n, c, h, w) = resize_dims(input, out_h, out_w)?;
+    if h == out_h && w == out_w {
+        return Ok(input.clone());
+    }
+    let mut out = Tensor::zeros(&[n, c, out_h, out_w]);
+    let xd = input.data();
+    let od = out.data_mut();
+    let scale_y = h as f32 / out_h as f32;
+    let scale_x = w as f32 / out_w as f32;
+    for p in 0..n * c {
+        let (base_in, base_out) = (p * h * w, p * out_h * out_w);
+        for oy in 0..out_h {
+            // align_corners = false source coordinate.
+            let sy = ((oy as f32 + 0.5) * scale_y - 0.5).max(0.0);
+            let y0 = (sy.floor() as usize).min(h - 1);
+            let y1 = (y0 + 1).min(h - 1);
+            let fy = sy - y0 as f32;
+            for ox in 0..out_w {
+                let sx = ((ox as f32 + 0.5) * scale_x - 0.5).max(0.0);
+                let x0 = (sx.floor() as usize).min(w - 1);
+                let x1 = (x0 + 1).min(w - 1);
+                let fx = sx - x0 as f32;
+                let v00 = xd[base_in + y0 * w + x0];
+                let v01 = xd[base_in + y0 * w + x1];
+                let v10 = xd[base_in + y1 * w + x0];
+                let v11 = xd[base_in + y1 * w + x1];
+                let top = v00 + (v01 - v00) * fx;
+                let bot = v10 + (v11 - v10) * fx;
+                od[base_out + oy * out_w + ox] = top + (bot - top) * fy;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Reference per-pixel argmax over the channel axis of an NCHW tensor:
+/// each pixel strides across every channel plane, keeping the first
+/// channel that is strictly greater than the running best (so ties go to
+/// the lowest channel and NaN never wins). [`Tensor::argmax_channels`]
+/// must match it exactly.
+///
+/// # Errors
+///
+/// Returns [`crate::TensorError::InvalidShape`] when the tensor is not
+/// rank 4.
+pub fn argmax_channels(x: &Tensor) -> Result<Tensor> {
+    if x.rank() != 4 {
+        return Err(invalid_shape(
+            "argmax_channels",
+            format!("expected NCHW rank-4 tensor, got {:?}", x.shape()),
+        ));
+    }
+    let s = x.shape();
+    let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+    let mut out = Tensor::zeros(&[n, h, w]);
+    for b in 0..n {
+        for px in 0..h * w {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_c = 0usize;
+            for ch in 0..c {
+                let v = x.data()[(b * c + ch) * h * w + px];
+                if v > best {
+                    best = v;
+                    best_c = ch;
+                }
+            }
+            out.data_mut()[b * h * w + px] = best_c as f32;
+        }
+    }
     Ok(out)
 }
 

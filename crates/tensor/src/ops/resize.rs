@@ -1,17 +1,19 @@
 //! Spatial resizing: bilinear interpolation and channel concatenation, the
 //! two glue operations of segmentation decoders.
+//!
+//! Both are built on slice-level kernels ([`bilinear_resize_into`],
+//! [`concat_channels_into`]) that the compiled plan also calls directly on
+//! its arena, so the interpreter and plan replay share one inner loop.
 
 use crate::error::{invalid_argument, invalid_shape, shape_mismatch, Result};
 use crate::tensor::Tensor;
 
-/// Bilinear interpolation of an NCHW tensor to an exact output size, using
-/// `align_corners = false` semantics (the convention used by SegFormer and
-/// UPerNet decoders).
-///
-/// # Errors
-///
-/// Returns an error for non-NCHW input or a zero target size.
-pub fn bilinear_resize(input: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor> {
+/// Validates a bilinear resize and returns the input's `(n, c, h, w)`.
+pub(crate) fn resize_dims(
+    input: &Tensor,
+    out_h: usize,
+    out_w: usize,
+) -> Result<(usize, usize, usize, usize)> {
     if input.rank() != 4 {
         return Err(invalid_shape(
             "bilinear_resize",
@@ -24,47 +26,112 @@ pub fn bilinear_resize(input: &Tensor, out_h: usize, out_w: usize) -> Result<Ten
             "output size must be nonzero".to_string(),
         ));
     }
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    if h == out_h && w == out_w {
-        return Ok(input.clone());
-    }
+    let s = input.shape();
+    Ok((s[0], s[1], s[2], s[3]))
+}
+
+/// The `align_corners = false` source coordinate of output index `o`:
+/// the lower neighbour, the upper neighbour (clamped to the edge), and
+/// the interpolation weight of the upper one.
+#[inline]
+fn source_coord(o: usize, scale: f32, len: usize) -> (usize, usize, f32) {
+    let s = ((o as f32 + 0.5) * scale - 0.5).max(0.0);
+    let i0 = (s.floor() as usize).min(len - 1);
+    let i1 = (i0 + 1).min(len - 1);
+    (i0, i1, s - i0 as f32)
+}
+
+/// Bilinear interpolation of an NCHW tensor to an exact output size, using
+/// `align_corners = false` semantics (the convention used by SegFormer and
+/// UPerNet decoders). A same-size resize is a copy.
+///
+/// # Errors
+///
+/// Returns an error for non-NCHW input or a zero target size.
+pub fn bilinear_resize(input: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor> {
+    let (n, c, h, w) = resize_dims(input, out_h, out_w)?;
     let mut out = Tensor::zeros(&[n, c, out_h, out_w]);
-    let xd = input.data();
-    let od = out.data_mut();
+    bilinear_resize_into(input.data(), (h, w), out.data_mut(), (out_h, out_w));
+    Ok(out)
+}
+
+/// Separable bilinear resize of whole `h×w` planes: `src` holds `k`
+/// contiguous input planes and `dst` the `k` matching `out_h×out_w`
+/// planes, with `k = dst.len() / (out_h * out_w)`. A same-size resize is
+/// a copy.
+///
+/// A column table `(x0, x1, fx)` is built once per call. Each source row
+/// a plane needs is interpolated horizontally at most once, into one of
+/// two row buffers, and each output row is then one vertical lerp of the
+/// two. Every output element is the per-pixel expression of
+/// [`crate::ops::reference::bilinear_resize`] evaluated on the same
+/// operands in the same order — `top = v00 + (v01 - v00) * fx`, likewise
+/// `bot`, then `top + (bot - top) * fy` — and Rust never contracts those
+/// into FMAs, so the result is bit-identical to the oracle. Planes are
+/// independent, so any split of `dst` into whole planes (the compiled
+/// plan's row tiling) computes the same bits.
+///
+/// # Panics
+///
+/// Panics when `src` holds fewer planes than `dst`, or when any input or
+/// output dimension is zero while `dst` is non-empty.
+pub fn bilinear_resize_into(
+    src: &[f32],
+    (h, w): (usize, usize),
+    dst: &mut [f32],
+    (out_h, out_w): (usize, usize),
+) {
+    if (h, w) == (out_h, out_w) {
+        dst.copy_from_slice(&src[..dst.len()]);
+        return;
+    }
+    let (in_plane, out_plane) = (h * w, out_h * out_w);
+    if dst.is_empty() {
+        return;
+    }
+    let src = &src[..dst.len() / out_plane * in_plane];
     let scale_y = h as f32 / out_h as f32;
     let scale_x = w as f32 / out_w as f32;
-    for b in 0..n {
-        for ch in 0..c {
-            let base_in = (b * c + ch) * h * w;
-            let base_out = (b * c + ch) * out_h * out_w;
-            for oy in 0..out_h {
-                // align_corners = false source coordinate.
-                let sy = ((oy as f32 + 0.5) * scale_y - 0.5).max(0.0);
-                let y0 = (sy.floor() as usize).min(h - 1);
-                let y1 = (y0 + 1).min(h - 1);
-                let fy = sy - y0 as f32;
-                for ox in 0..out_w {
-                    let sx = ((ox as f32 + 0.5) * scale_x - 0.5).max(0.0);
-                    let x0 = (sx.floor() as usize).min(w - 1);
-                    let x1 = (x0 + 1).min(w - 1);
-                    let fx = sx - x0 as f32;
-                    let v00 = xd[base_in + y0 * w + x0];
-                    let v01 = xd[base_in + y0 * w + x1];
-                    let v10 = xd[base_in + y1 * w + x0];
-                    let v11 = xd[base_in + y1 * w + x1];
-                    let top = v00 + (v01 - v00) * fx;
-                    let bot = v10 + (v11 - v10) * fx;
-                    od[base_out + oy * out_w + ox] = top + (bot - top) * fy;
-                }
+    let cols: Vec<(usize, usize, f32)> =
+        (0..out_w).map(|ox| source_coord(ox, scale_x, w)).collect();
+    let lerp_row = |row: &[f32], into: &mut [f32]| {
+        for (o, &(x0, x1, fx)) in into.iter_mut().zip(&cols) {
+            let (a, b) = (row[x0], row[x1]);
+            *o = a + (b - a) * fx;
+        }
+    };
+    // `rows[i]` holds the horizontal lerp of source row `held[i]`.
+    let mut rows = [vec![0.0f32; out_w], vec![0.0f32; out_w]];
+    for (plane, out) in src
+        .chunks_exact(in_plane)
+        .zip(dst.chunks_exact_mut(out_plane))
+    {
+        let mut held = [usize::MAX; 2];
+        for (oy, orow) in out.chunks_exact_mut(out_w).enumerate() {
+            let (y0, y1, fy) = source_coord(oy, scale_y, h);
+            // `y0` never decreases with `oy`, so last row's `y1` is the
+            // only buffer worth keeping as this row's `y0`.
+            if held[1] == y0 {
+                rows.swap(0, 1);
+                held.swap(0, 1);
+            }
+            if held[0] != y0 {
+                lerp_row(&plane[y0 * w..(y0 + 1) * w], &mut rows[0]);
+                held[0] = y0;
+            }
+            // At the clamped bottom edge `y1 == y0`: `bot` is the same
+            // row, bit for bit, so it is read from the same buffer.
+            if y1 != y0 && held[1] != y1 {
+                lerp_row(&plane[y1 * w..(y1 + 1) * w], &mut rows[1]);
+                held[1] = y1;
+            }
+            let top = &rows[0];
+            let bot = if y1 == y0 { &rows[0] } else { &rows[1] };
+            for ((o, &t), &b) in orow.iter_mut().zip(top).zip(bot) {
+                *o = t + (b - t) * fy;
             }
         }
     }
-    Ok(out)
 }
 
 /// Concatenates NCHW tensors along the channel dimension.
@@ -98,19 +165,29 @@ pub fn concat_channels(inputs: &[&Tensor]) -> Result<Tensor> {
         total_c += t.shape()[1];
     }
     let mut out = Tensor::zeros(&[n, total_c, h, w]);
-    let od = out.data_mut();
-    let plane = h * w;
-    for b in 0..n {
-        let mut c_off = 0;
-        for t in inputs {
-            let tc = t.shape()[1];
-            let src = &t.data()[b * tc * plane..(b + 1) * tc * plane];
-            let dst = &mut od[(b * total_c + c_off) * plane..(b * total_c + c_off + tc) * plane];
-            dst.copy_from_slice(src);
-            c_off += tc;
+    let parts: Vec<&[f32]> = inputs.iter().map(|t| t.data()).collect();
+    concat_channels_into(&parts, n, out.data_mut());
+    Ok(out)
+}
+
+/// Channel concatenation on raw NCHW buffers: `dst` holds `batch` items,
+/// and item `b` is each part's `b`-th per-item segment (`part.len() /
+/// batch` elements: its channels × plane) laid end to end in part order.
+///
+/// # Panics
+///
+/// Panics when the parts' lengths do not sum to `dst.len()` or are not
+/// divisible by `batch`.
+pub fn concat_channels_into(parts: &[&[f32]], batch: usize, dst: &mut [f32]) {
+    let per_item = dst.len() / batch.max(1);
+    for (b, item) in dst.chunks_exact_mut(per_item.max(1)).enumerate() {
+        let mut off = 0;
+        for part in parts {
+            let seg = part.len() / batch;
+            item[off..off + seg].copy_from_slice(&part[b * seg..(b + 1) * seg]);
+            off += seg;
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]

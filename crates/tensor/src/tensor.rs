@@ -270,6 +270,12 @@ impl Tensor {
         }
         let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
         let mut out = Tensor::zeros(&new_shape);
+        if perm == [0, 2, 1] {
+            // The batched transpose the token/plane reshuffles use: the
+            // same tiled kernel the compiled plan runs on its arena.
+            crate::ops::transpose_into(&self.data, self.shape[1], self.shape[2], &mut out.data);
+            return Ok(out);
+        }
         // Strides of the source tensor.
         let mut strides = vec![1usize; self.rank()];
         for i in (0..self.rank().saturating_sub(1)).rev() {
@@ -357,20 +363,26 @@ impl Tensor {
             ));
         }
         let (n, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
+        let plane = h * w;
         let mut out = Tensor::zeros(&[n, h, w]);
-        for b in 0..n {
-            for y in 0..h {
-                for x in 0..w {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_c = 0usize;
-                    for ch in 0..c {
-                        let v = self.data[((b * c + ch) * h + y) * w + x];
-                        if v > best {
-                            best = v;
-                            best_c = ch;
-                        }
-                    }
-                    out.data[(b * h + y) * w + x] = best_c as f32;
+        // Channel-outer: stream each contiguous class plane once against a
+        // running best per pixel, instead of striding every pixel across
+        // `c` planes a whole plane apart. Strict `>` keeps the first
+        // maximal channel, and a NaN never wins, as in the per-pixel form.
+        let mut best = vec![f32::NEG_INFINITY; plane];
+        for (item, labels) in self
+            .data
+            .chunks_exact((c * plane).max(1))
+            .zip(out.data.chunks_exact_mut(plane.max(1)))
+        {
+            best.fill(f32::NEG_INFINITY);
+            for (ch, channel) in item.chunks_exact(plane.max(1)).enumerate() {
+                let ch = ch as f32;
+                for ((b, l), &v) in best.iter_mut().zip(labels.iter_mut()).zip(channel) {
+                    // Branch-free selects, so the loop vectorizes.
+                    let wins = v > *b;
+                    *b = if wins { v } else { *b };
+                    *l = if wins { ch } else { *l };
                 }
             }
         }

@@ -3,8 +3,11 @@
 //! **Exact tier** — packed micro-kernels whose per-element accumulation
 //! replays the oracle's operation chain term-for-term must match the
 //! reference kernels *bitwise*, at every thread count: matmul/bmm/linear
-//! (panel packing reorders loops, never a single element's k-chain) and
-//! the direct depthwise conv path (same tap order as the oracle).
+//! (panel packing reorders loops, never a single element's k-chain), the
+//! direct depthwise conv path (same tap order as the oracle), and the
+//! memory ops — the separable resize against the per-pixel oracle, the
+//! channel-outer argmax against the per-pixel argmax, and the blocked
+//! transpose against the generic `permute` walk.
 //!
 //! **Tolerance tier** — kernels that legally reorder or extend per-element
 //! arithmetic are held to the per-op-class bound registered in
@@ -41,6 +44,40 @@ fn with_ctx<R>(threads: usize, f: impl FnOnce(&ExecCtx) -> R) -> R {
 /// remainders of the MR/NR register tile, and the KC cache-block edge.
 fn awkward_k() -> impl Strategy<Value = usize> {
     prop::sample::select((1..=2 * NR + 1).chain(KC - 1..=KC + 2).collect())
+}
+
+/// Bitwise equality, except that any NaN matches any NaN (the exact tier
+/// promises the same operations, not a particular NaN payload).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Overwrites a seeded handful of elements with ±inf, NaN and -0.0.
+fn sprinkle_specials(data: &mut [f32], seed: u64) {
+    const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+    let len = data.len() as u64;
+    for i in 0..(len / 7).max(1) {
+        let at = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(i * 1442695040888963407)
+            % len;
+        data[at as usize] = SPECIALS[(i % 4) as usize];
+    }
+}
+
+/// Logits drawn from a small integer grid (frequent ties) mixed with
+/// infinities, NaN and uniform values.
+fn logit() -> impl Strategy<Value = f32> {
+    (0u8..9, -3i8..=3, -2.0f32..2.0).prop_map(|(kind, grid, uniform)| match kind {
+        0..=3 => f32::from(grid),
+        4 | 5 => uniform,
+        6 => f32::NEG_INFINITY,
+        7 => f32::INFINITY,
+        _ => f32::NAN,
+    })
 }
 
 proptest! {
@@ -118,6 +155,91 @@ proptest! {
         }
     }
 
+    #[test]
+    fn separable_resize_is_bit_identical_to_reference(
+        (n, c) in (1usize..3, 1usize..4),
+        (h, w) in (1usize..12, 1usize..12),
+        (out_h, out_w) in (1usize..24, 1usize..24),
+        same_size in (0u8..6).prop_map(|v| v == 0),
+        specials in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (out_h, out_w) = if same_size { (h, w) } else { (out_h, out_w) };
+        let mut x = Tensor::rand_uniform(&[n, c, h, w], -2.0, 2.0, seed);
+        if specials {
+            sprinkle_specials(x.data_mut(), seed);
+        }
+        let want = reference::bilinear_resize(&x, out_h, out_w).unwrap();
+        let got = ops::bilinear_resize(&x, out_h, out_w).unwrap();
+        prop_assert!(same_bits(got.data(), want.data()), "whole-tensor resize diverged");
+        // The compiled plan tiles whole output planes over the pool; every
+        // split the tiling oracle can produce must compute the same bits.
+        let out_plane = out_h * out_w;
+        for threads in THREADS {
+            let mut tiled = vec![0.0f32; want.numel()];
+            for (start, len) in vit_tensor::row_chunks(tiled.len(), out_plane, threads) {
+                let first = start / out_plane * h * w;
+                ops::bilinear_resize_into(
+                    &x.data()[first..],
+                    (h, w),
+                    &mut tiled[start..start + len],
+                    (out_h, out_w),
+                );
+            }
+            prop_assert!(
+                same_bits(&tiled, want.data()),
+                "plane-tiled resize diverged at {} chunk(s)", threads
+            );
+        }
+    }
+
+    #[test]
+    fn channel_outer_argmax_matches_per_pixel_reference(
+        ((n, c, h, w), values, special_plane, plane_kind) in (1usize..3, 1usize..7, 1usize..6, 1usize..6)
+            .prop_flat_map(|(n, c, h, w)| (
+                Just((n, c, h, w)),
+                prop::collection::vec(logit(), n * c * h * w),
+                0..c,
+                0u8..3,
+            )),
+    ) {
+        let mut x = Tensor::from_vec(values, &[n, c, h, w]).unwrap();
+        // Whole planes of -inf or NaN: the running best must start below
+        // any finite logit, and a NaN plane must never win.
+        let plane = h * w;
+        let fill = [None, Some(f32::NEG_INFINITY), Some(f32::NAN)][plane_kind as usize];
+        if let Some(v) = fill {
+            for b in 0..n {
+                let at = (b * c + special_plane) * plane;
+                x.data_mut()[at..at + plane].fill(v);
+            }
+        }
+        let want = reference::argmax_channels(&x).unwrap();
+        let got = x.argmax_channels().unwrap();
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(got.data(), want.data());
+    }
+
+    #[test]
+    fn blocked_transpose_matches_generic_permute(
+        (n, a, b) in (1usize..3, 1usize..70, 1usize..70),
+        seed in any::<u64>(),
+    ) {
+        let x = Tensor::rand_uniform(&[n, a, b], -2.0, 2.0, seed);
+        // A trailing unit axis routes `permute` through its generic
+        // index walk rather than the transpose fast path.
+        let want = x
+            .reshape(&[n, a, b, 1])
+            .and_then(|t| t.permute(&[0, 2, 1, 3]))
+            .unwrap();
+        let mut got = vec![0.0f32; x.numel()];
+        ops::transpose_into(x.data(), a, b, &mut got);
+        prop_assert!(same_bits(&got, want.data()));
+        let fast = x.permute(&[0, 2, 1]).unwrap();
+        prop_assert_eq!(fast.shape(), &[n, b, a][..]);
+        prop_assert!(same_bits(fast.data(), want.data()));
+    }
+
     // ---- tolerance tier ---------------------------------------------
 
     #[test]
@@ -172,6 +294,23 @@ proptest! {
             for j in 0..cols {
                 prop_assert_eq!(got[j * rows + i].to_bits(), w.data()[i * cols + j].to_bits());
             }
+        }
+    }
+}
+
+/// Every small resize geometry, exhaustively: 1-pixel and non-square
+/// sources and targets, up- and down-sampling per axis, and the identity.
+#[test]
+fn separable_resize_matches_reference_on_every_small_geometry() {
+    for (h, w) in (1..=5).flat_map(|h| (1..=5).map(move |w| (h, w))) {
+        let x = Tensor::rand_uniform(&[2, 2, h, w], -2.0, 2.0, (h * 8 + w) as u64);
+        for (oh, ow) in (1..=7).flat_map(|oh| (1..=7).map(move |ow| (oh, ow))) {
+            let want = reference::bilinear_resize(&x, oh, ow).unwrap();
+            let got = ops::bilinear_resize(&x, oh, ow).unwrap();
+            assert!(
+                same_bits(got.data(), want.data()),
+                "{h}x{w} -> {oh}x{ow} diverged from the per-pixel oracle"
+            );
         }
     }
 }

@@ -24,8 +24,8 @@
 //!   no oracle to land on, and is flagged (`V056`);
 //! * **unsafe/indexing audit** — `unsafe` blocks without a `// SAFETY:`
 //!   justification (`V057`) and unchecked indexing (`V058`) in the
-//!   `vit-tensor`/`vit-plan` hot paths, including the packed GEMM and
-//!   reference-oracle kernel modules.
+//!   `vit-tensor`/`vit-plan` hot paths, including the packed GEMM,
+//!   memory-op (resize, layout) and reference-oracle kernel modules.
 //!
 //! [`verify_shadow`] is the dynamic cross-check: it drives the plan's
 //! debug shadow-access replay and reports `V059` when the runtime
@@ -322,10 +322,18 @@ pub fn verify_shadow(
 
 /// One audited hot-path source file, embedded at compile time so the
 /// audit runs anywhere the verifier runs.
-const AUDITED_SOURCES: [(&str, &str); 6] = [
+const AUDITED_SOURCES: [(&str, &str); 8] = [
     (
         "crates/tensor/src/par.rs",
         include_str!("../../tensor/src/par.rs"),
+    ),
+    (
+        "crates/tensor/src/ops/layout.rs",
+        include_str!("../../tensor/src/ops/layout.rs"),
+    ),
+    (
+        "crates/tensor/src/ops/resize.rs",
+        include_str!("../../tensor/src/ops/resize.rs"),
     ),
     (
         "crates/tensor/src/ops/conv.rs",
