@@ -62,7 +62,7 @@ fn sprinkle_specials(data: &mut [f32], seed: u64) {
     for i in 0..(len / 7).max(1) {
         let at = seed
             .wrapping_mul(6364136223846793005)
-            .wrapping_add(i * 1442695040888963407)
+            .wrapping_add(i.wrapping_mul(1442695040888963407))
             % len;
         data[at as usize] = SPECIALS[(i % 4) as usize];
     }
