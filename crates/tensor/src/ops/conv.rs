@@ -292,8 +292,19 @@ fn direct_plane_rows(
                     let iy = iy - g.p.pad_h;
                     let xrow = &chan[iy * g.w..(iy + 1) * g.w];
                     let orow_y = &mut orow[oy * g.ow..(oy + 1) * g.ow];
-                    for ox in ox_lo..ox_hi {
-                        orow_y[ox] += wv * xrow[ox * g.p.stride_w + sx - g.p.pad_w];
+                    if g.p.stride_w == 1 {
+                        // Unit stride: output column `ox` reads input
+                        // column `ox + sx - pad_w`, one contiguous run.
+                        if ox_lo < ox_hi {
+                            let xs = &xrow[ox_lo + sx - g.p.pad_w..ox_hi + sx - g.p.pad_w];
+                            for (o, &x) in orow_y[ox_lo..ox_hi].iter_mut().zip(xs) {
+                                *o += wv * x;
+                            }
+                        }
+                    } else {
+                        for ox in ox_lo..ox_hi {
+                            orow_y[ox] += wv * xrow[ox * g.p.stride_w + sx - g.p.pad_w];
+                        }
                     }
                 }
             }
@@ -320,6 +331,23 @@ fn direct_plane_rows(
 /// are explicit zeros.
 fn im2col_panels(xd: &[f32], b: usize, g_idx: usize, g: &ConvGeom, col: &mut [f32]) {
     let crs = g.c_per_g * g.r * g.s;
+    let p = g.p;
+    if (g.r, g.s, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (1, 1, 1, 1, 0, 0) {
+        // Pointwise conv: im2col row `ci` is input channel `ci` itself, so
+        // each panel row is one 16-float run copied whole; only the tail
+        // panel's unused lanes need zeros.
+        let plane = g.h * g.w;
+        for ci in 0..g.c_per_g {
+            let cin = g_idx * g.c_per_g + ci;
+            let chan = &xd[(b * g.c + cin) * plane..][..plane];
+            for (t, run) in chan.chunks(NR).enumerate() {
+                let dst = &mut col[(t * crs + ci) * NR..][..NR];
+                dst[..run.len()].copy_from_slice(run);
+                dst[run.len()..].fill(0.0);
+            }
+        }
+        return;
+    }
     col.fill(0.0);
     let mut kk = 0;
     for ci in 0..g.c_per_g {

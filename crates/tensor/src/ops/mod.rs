@@ -19,6 +19,6 @@ pub use fused::{Epilogue, PackedConv2d, PackedLinear};
 pub use layout::transpose_into;
 pub use matmul::{bmm, bmm_ctx, linear, linear_ctx, matmul, matmul_ctx};
 pub use norm::{batch_norm_inference, layer_norm};
-pub use pack::{PackedB, KC, MR, NR};
+pub use pack::{block_rows, PackedB, A_BLOCK_BYTES, MR, NR};
 pub use pool::{adaptive_avg_pool2d, global_avg_pool, max_pool2d};
 pub use resize::{bilinear_resize, bilinear_resize_into, concat_channels, concat_channels_into};

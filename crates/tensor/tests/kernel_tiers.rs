@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use vit_tensor::ops::reference::{self, max_ulp, tolerance, within_tolerance, KernelClass};
-use vit_tensor::ops::{self, Conv2dParams, PackedB, KC, MR, NR};
+use vit_tensor::ops::{self, block_rows, Conv2dParams, PackedB, MR, NR};
 use vit_tensor::{corrupt, ExecCtx, Tensor, ThreadPool};
 
 /// Thread counts every differential claim is proved at — the same sample
@@ -41,9 +41,23 @@ fn with_ctx<R>(threads: usize, f: impl FnOnce(&ExecCtx) -> R) -> R {
 }
 
 /// Inner dimensions that cross every blocking boundary: unit, non-unit
-/// remainders of the MR/NR register tile, and the KC cache-block edge.
+/// remainders of the MR/NR register tile, a few-hundred-deep k chain, and
+/// the A-block edge — around [`mc_edge_k`] one A block holds one or two
+/// `MR`-row sub-blocks, so the row ranges below span several blocks.
 fn awkward_k() -> impl Strategy<Value = usize> {
-    prop::sample::select((1..=2 * NR + 1).chain(KC - 1..=KC + 2).collect())
+    let edge = mc_edge_k();
+    prop::sample::select(
+        (1..=2 * NR + 1)
+            .chain(255..=258)
+            .chain(edge - 1..=edge + 2)
+            .collect(),
+    )
+}
+
+/// The smallest inner extent at which the GEMM packs A one `MR`-row
+/// sub-block at a time (`block_rows(k) == MR`).
+fn mc_edge_k() -> usize {
+    (1..).find(|&k| block_rows(k) == MR).unwrap()
 }
 
 /// Bitwise equality, except that any NaN matches any NaN (the exact tier
@@ -315,6 +329,47 @@ fn separable_resize_matches_reference_on_every_small_geometry() {
     }
 }
 
+/// Every small depthwise geometry, exhaustively: stride {1, 2} (unit
+/// stride takes the contiguous-run path, the rest the strided walk), pad
+/// {0, 1, 2}, square kernels {1, 3, 5}, odd widths and a non-square
+/// input, with bias, specials, and whole-plane tiling at every thread
+/// count.
+#[test]
+fn depthwise_conv_matches_reference_on_every_small_geometry() {
+    let c = 3;
+    for (stride, pad, kernel) in [1, 2]
+        .into_iter()
+        .flat_map(|st| [0, 1, 2].map(move |p| (st, p)))
+        .flat_map(|(st, p)| [1, 3, 5].map(move |r| (st, p, r)))
+    {
+        for (h, w) in [(1, 1), (3, 3), (5, 7), (4, 9), (7, 5), (6, 11)] {
+            if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                continue;
+            }
+            let seed = (stride * 1000 + pad * 100 + kernel * 10 + w) as u64;
+            let mut x = Tensor::rand_uniform(&[2, c, h, w], -2.0, 2.0, seed);
+            if w % 3 == 0 {
+                sprinkle_specials(x.data_mut(), seed);
+            }
+            let k = Tensor::rand_uniform(&[c, 1, kernel, kernel], -2.0, 2.0, seed + 1);
+            let bias = Tensor::rand_uniform(&[c], -1.0, 1.0, seed + 2);
+            let p = Conv2dParams::new().pad(pad).stride(stride).groups(c);
+            for b in [None, Some(&bias)] {
+                let want = reference::conv2d(&x, &k, b, p).unwrap();
+                for threads in THREADS {
+                    let got = with_ctx(threads, |ctx| ops::conv2d_ctx(&x, &k, b, p, ctx).unwrap());
+                    assert!(
+                        same_bits(got.data(), want.data()),
+                        "depthwise {h}x{w} kernel {kernel} stride {stride} pad {pad} \
+                         bias {} diverged at {threads} thread(s)",
+                        b.is_some()
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---- golden pins ----------------------------------------------------
 
 /// The measured max-ULP error of each kernel class against its oracle on
@@ -332,8 +387,8 @@ const GOLDEN_MAX_ULP_CONV: u32 = 0;
 // survive a future nonzero pin unchanged.
 #[allow(clippy::absurd_extreme_comparisons)]
 fn golden_ulp_pin_gemm_class() {
-    let a = Tensor::rand_uniform(&[13, KC + 7], -2.0, 2.0, 11);
-    let b = Tensor::rand_uniform(&[KC + 7, 3 * NR + 5], -2.0, 2.0, 12);
+    let a = Tensor::rand_uniform(&[13, 263], -2.0, 2.0, 11);
+    let b = Tensor::rand_uniform(&[263, 3 * NR + 5], -2.0, 2.0, 12);
     let got = ops::matmul_ctx(&a, &b, &ExecCtx::default()).unwrap();
     let want = reference::matmul(&a, &b).unwrap();
     let measured = max_ulp(got.data(), want.data());
