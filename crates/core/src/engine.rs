@@ -452,6 +452,41 @@ impl EngineCore {
         met_budget: bool,
         ctx: &RunContext,
     ) -> Result<Inference, EngineError> {
+        let mut one =
+            self.run_batch(scratch, std::slice::from_ref(image), entry, met_budget, ctx)?;
+        Ok(one.pop().expect("one inference per image"))
+    }
+
+    /// Runs one LUT entry over a coalesced batch of single-sample images in
+    /// a single batch-N execution, returning one [`Inference`] per input in
+    /// order.
+    ///
+    /// The images are stacked along the leading axis, executed through the
+    /// batch-N graph (or compiled plan, under [`ExecBackend::Plan`]) cached
+    /// for `(config, N)`, and the logits split back per sample. Batch-N
+    /// kernels tile conv over per-sample channel planes and linear/attention
+    /// over per-row/per-batch-entry chunks, so each sample's FP op order is
+    /// identical to its own batch-1 run — per-request outputs are
+    /// bit-identical to running the N requests sequentially (the
+    /// batch-differential tests pin this).
+    ///
+    /// A batch of one is exactly [`EngineCore::run`]: nothing is stacked or
+    /// split, and the trace details carry no batch suffix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError`] when `images` is empty, or when graph
+    /// construction, plan lowering, or execution fails. A guard trip
+    /// anywhere in the batched logits fails the whole batch (callers
+    /// re-serve the members individually to isolate the fault).
+    pub fn run_batch(
+        &self,
+        scratch: &mut ExecScratch,
+        images: &[Tensor],
+        entry: LutEntry,
+        met_budget: bool,
+        ctx: &RunContext,
+    ) -> Result<Vec<Inference>, EngineError> {
         let sink = ctx.sink.as_ref();
         let enabled = sink.enabled();
         // Injected hard failures (crash; poisoned plan replay under the Plan
@@ -462,77 +497,74 @@ impl EngineCore {
         {
             return Err(EngineError::Fault(f));
         }
+        let batch = images.len();
+        let stacked;
+        let input = if batch == 1 {
+            images
+        } else {
+            stacked = [Tensor::stack_batch(images).map_err(|e| {
+                EngineError::Exec(ExecError::Kernel {
+                    node: "batch_stack".to_string(),
+                    source: e,
+                })
+            })?];
+            &stacked[..]
+        };
+        let with_batch = |detail: String| {
+            if batch == 1 {
+                detail
+            } else {
+                format!("{detail} batch={batch}")
+            }
+        };
+        // The cache counter, plus a build span on a miss.
+        let record_build = |cache: &str, hit: bool, phase: TracePhase, start_ns: u64| {
+            if !enabled {
+                return;
+            }
+            let at_ns = now_ns();
+            let outcome = if hit { "hits" } else { "misses" };
+            sink.record(EventKind::Counter {
+                name: format!("{cache}.{outcome}"),
+                value: 1,
+                at_ns,
+            });
+            if !hit {
+                sink.record(EventKind::Phase {
+                    phase,
+                    detail: with_batch(format!("{:?}", entry.config)),
+                    start_ns,
+                    end_ns: at_ns,
+                });
+            }
+        };
+        let record_execute = |model: &str, start_ns: u64| {
+            if enabled {
+                sink.record(EventKind::Phase {
+                    phase: TracePhase::Execute,
+                    detail: with_batch(model.to_string()),
+                    start_ns,
+                    end_ns: now_ns(),
+                });
+            }
+        };
         let exec_began = std::time::Instant::now();
+        let build_start = sink.timestamp();
         let logits = match ctx.exec.backend() {
             ExecBackend::Interpret => {
-                let build_start = sink.timestamp();
-                let (graph, cache_hit) = self.graph_for(entry.config, 1)?;
-                if enabled {
-                    let at_ns = now_ns();
-                    sink.record(EventKind::Counter {
-                        name: if cache_hit {
-                            "graph_cache.hits".to_string()
-                        } else {
-                            "graph_cache.misses".to_string()
-                        },
-                        value: 1,
-                        at_ns,
-                    });
-                    if !cache_hit {
-                        sink.record(EventKind::Phase {
-                            phase: TracePhase::GraphBuild,
-                            detail: format!("{:?}", entry.config),
-                            start_ns: build_start,
-                            end_ns: at_ns,
-                        });
-                    }
-                }
+                let (graph, hit) = self.graph_for(entry.config, batch)?;
+                record_build("graph_cache", hit, TracePhase::GraphBuild, build_start);
                 let exec_start = sink.timestamp();
-                let logits =
-                    scratch.run_with(self.weight_gen, &graph, std::slice::from_ref(image), ctx)?;
-                if enabled {
-                    sink.record(EventKind::Phase {
-                        phase: TracePhase::Execute,
-                        detail: graph.model.clone(),
-                        start_ns: exec_start,
-                        end_ns: now_ns(),
-                    });
-                }
+                let logits = scratch.run_with(self.weight_gen, &graph, input, ctx)?;
+                record_execute(&graph.model, exec_start);
                 logits
             }
             ExecBackend::Plan => {
-                let build_start = sink.timestamp();
-                let (plan, cache_hit) = self.plan_for(entry.config, 1)?;
-                if enabled {
-                    let at_ns = now_ns();
-                    sink.record(EventKind::Counter {
-                        name: if cache_hit {
-                            "plan_cache.hits".to_string()
-                        } else {
-                            "plan_cache.misses".to_string()
-                        },
-                        value: 1,
-                        at_ns,
-                    });
-                    if !cache_hit {
-                        sink.record(EventKind::Phase {
-                            phase: TracePhase::PlanBuild,
-                            detail: format!("{:?}", entry.config),
-                            start_ns: build_start,
-                            end_ns: at_ns,
-                        });
-                    }
-                }
+                let (plan, hit) = self.plan_for(entry.config, batch)?;
+                record_build("plan_cache", hit, TracePhase::PlanBuild, build_start);
                 let exec_start = sink.timestamp();
-                let logits = plan.execute(std::slice::from_ref(image), ctx)?;
-                if enabled {
-                    sink.record(EventKind::Phase {
-                        phase: TracePhase::Execute,
-                        detail: plan.model().to_string(),
-                        start_ns: exec_start,
-                        end_ns: now_ns(),
-                    });
-                }
+                let logits = plan.execute(input, ctx)?;
+                record_execute(plan.model(), exec_start);
                 logits
             }
         };
@@ -553,168 +585,23 @@ impl EngineCore {
         let label_map = logits
             .argmax_channels()
             .expect("segmentation output is NCHW");
-        Ok(Inference {
+        let inference = |logits, label_map| Inference {
             logits,
             label_map,
             config: entry.config,
             norm_miou_estimate: entry.norm_miou,
             resource_estimate: entry.resource,
             met_budget,
-        })
-    }
-
-    /// Runs one LUT entry over a coalesced batch of single-sample images in
-    /// a single batch-N execution, returning one [`Inference`] per input in
-    /// order.
-    ///
-    /// The images are stacked along the leading axis, executed through the
-    /// batch-N graph (or compiled plan, under [`ExecBackend::Plan`]) cached
-    /// for `(config, N)`, and the logits split back per sample. Batch-N
-    /// kernels tile conv over per-sample channel planes and linear/attention
-    /// over per-row/per-batch-entry chunks, so each sample's FP op order is
-    /// identical to its own batch-1 run — per-request outputs are
-    /// bit-identical to running the N requests sequentially (the
-    /// batch-differential tests pin this).
-    ///
-    /// A batch of one delegates to [`EngineCore::run`] and is exactly the
-    /// unbatched path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] when `images` is empty, or when graph
-    /// construction, plan lowering, or execution fails. A guard trip
-    /// anywhere in the batched logits fails the whole batch (callers
-    /// re-serve the members individually to isolate the fault).
-    pub fn run_batch(
-        &self,
-        scratch: &mut ExecScratch,
-        images: &[Tensor],
-        entry: LutEntry,
-        met_budget: bool,
-        ctx: &RunContext,
-    ) -> Result<Vec<Inference>, EngineError> {
-        if images.len() == 1 {
-            return Ok(vec![self.run(scratch, &images[0], entry, met_budget, ctx)?]);
-        }
-        let batch = images.len();
-        let batched = Tensor::stack_batch(images).map_err(|e| {
-            EngineError::Exec(ExecError::Kernel {
-                node: "batch_stack".to_string(),
-                source: e,
-            })
-        })?;
-        let sink = ctx.sink.as_ref();
-        let enabled = sink.enabled();
-        if let Some(f) = ctx
-            .fault
-            .injected_failure(ctx.exec.backend() == ExecBackend::Plan)
-        {
-            return Err(EngineError::Fault(f));
-        }
-        let exec_began = std::time::Instant::now();
-        let logits = match ctx.exec.backend() {
-            ExecBackend::Interpret => {
-                let build_start = sink.timestamp();
-                let (graph, cache_hit) = self.graph_for(entry.config, batch)?;
-                if enabled {
-                    let at_ns = now_ns();
-                    sink.record(EventKind::Counter {
-                        name: if cache_hit {
-                            "graph_cache.hits".to_string()
-                        } else {
-                            "graph_cache.misses".to_string()
-                        },
-                        value: 1,
-                        at_ns,
-                    });
-                    if !cache_hit {
-                        sink.record(EventKind::Phase {
-                            phase: TracePhase::GraphBuild,
-                            detail: format!("{:?} batch={batch}", entry.config),
-                            start_ns: build_start,
-                            end_ns: at_ns,
-                        });
-                    }
-                }
-                let exec_start = sink.timestamp();
-                let logits = scratch.run_with(
-                    self.weight_gen,
-                    &graph,
-                    std::slice::from_ref(&batched),
-                    ctx,
-                )?;
-                if enabled {
-                    sink.record(EventKind::Phase {
-                        phase: TracePhase::Execute,
-                        detail: format!("{} batch={batch}", graph.model),
-                        start_ns: exec_start,
-                        end_ns: now_ns(),
-                    });
-                }
-                logits
-            }
-            ExecBackend::Plan => {
-                let build_start = sink.timestamp();
-                let (plan, cache_hit) = self.plan_for(entry.config, batch)?;
-                if enabled {
-                    let at_ns = now_ns();
-                    sink.record(EventKind::Counter {
-                        name: if cache_hit {
-                            "plan_cache.hits".to_string()
-                        } else {
-                            "plan_cache.misses".to_string()
-                        },
-                        value: 1,
-                        at_ns,
-                    });
-                    if !cache_hit {
-                        sink.record(EventKind::Phase {
-                            phase: TracePhase::PlanBuild,
-                            detail: format!("{:?} batch={batch}", entry.config),
-                            start_ns: build_start,
-                            end_ns: at_ns,
-                        });
-                    }
-                }
-                let exec_start = sink.timestamp();
-                let logits = plan.execute(std::slice::from_ref(&batched), ctx)?;
-                if enabled {
-                    sink.record(EventKind::Phase {
-                        phase: TracePhase::Execute,
-                        detail: format!("{} batch={batch}", plan.model()),
-                        start_ns: exec_start,
-                        end_ns: now_ns(),
-                    });
-                }
-                logits
-            }
         };
-        if let Some(g) = ctx.fault.output_guard() {
-            check_node_guard("logits", &logits, g)?;
+        if batch == 1 {
+            return Ok(vec![inference(logits, label_map)]);
         }
-        if let Some(m) = ctx.fault.stall_multiplier() {
-            let extra = exec_began.elapsed().mul_f64(m - 1.0);
-            if !extra.is_zero() {
-                std::thread::sleep(extra);
-            }
-        }
-        let label_maps = logits
-            .argmax_channels()
-            .expect("segmentation output is NCHW")
-            .split_batch()
-            .expect("label map has a batch axis");
+        let label_maps = label_map.split_batch().expect("label map has a batch axis");
         let per_sample = logits.split_batch().expect("logits have a batch axis");
         Ok(per_sample
             .into_iter()
             .zip(label_maps)
-            .map(|(logits, label_map)| Inference {
-                logits,
-                label_map,
-                config: entry.config,
-                norm_miou_estimate: entry.norm_miou,
-                resource_estimate: entry.resource,
-                met_budget,
-            })
+            .map(|(logits, label_map)| inference(logits, label_map))
             .collect())
     }
 }

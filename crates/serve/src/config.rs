@@ -37,13 +37,6 @@ impl Default for BatchConfig {
     }
 }
 
-impl BatchConfig {
-    /// Whether this configuration ever coalesces.
-    pub fn enabled(&self) -> bool {
-        self.max_batch > 1
-    }
-}
-
 /// Fault injection, recovery, and health knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultToleranceConfig {
@@ -130,17 +123,6 @@ pub struct TenancyConfig {
     pub tenants: Vec<TenantSpec>,
 }
 
-impl TenancyConfig {
-    /// The spec for `tenant`, falling back to the even default.
-    pub fn spec_for(&self, tenant: TenantId) -> TenantSpec {
-        self.tenants
-            .iter()
-            .find(|t| t.id == tenant)
-            .copied()
-            .unwrap_or_else(|| TenantSpec::new(tenant))
-    }
-}
-
 /// A rejected [`ServerConfigBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -225,16 +207,17 @@ impl std::error::Error for ConfigError {}
 /// # Examples
 ///
 /// ```
-/// use vit_serve::{BatchConfig, ServerConfig};
+/// use vit_serve::ServerConfig;
 ///
 /// let config = ServerConfig::builder()
 ///     .workers(2)
 ///     .queue_depth(32)
-///     .batching(BatchConfig { max_batch: 8, window: 0.002 })
+///     .max_batch(8)
+///     .batch_window(0.002)
 ///     .build()
 ///     .expect("valid config");
 /// assert_eq!(config.workers, 2);
-/// assert!(config.batching.enabled());
+/// assert_eq!(config.batching.max_batch, 8);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -392,13 +375,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Replaces the whole batching group.
-    #[must_use]
-    pub fn batching(mut self, batching: BatchConfig) -> Self {
-        self.config.batching = batching;
-        self
-    }
-
     /// Largest number of requests one engine pass may serve.
     #[must_use]
     pub fn max_batch(mut self, max_batch: usize) -> Self {
@@ -410,13 +386,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn batch_window(mut self, window: f64) -> Self {
         self.config.batching.window = window;
-        self
-    }
-
-    /// Replaces the whole fault-tolerance group.
-    #[must_use]
-    pub fn fault_tolerance(mut self, ft: FaultToleranceConfig) -> Self {
-        self.config.fault_tolerance = ft;
         self
     }
 
@@ -445,13 +414,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn breaker_threshold(mut self, threshold: usize) -> Self {
         self.config.fault_tolerance.breaker_threshold = threshold;
-        self
-    }
-
-    /// Replaces the whole tenancy group.
-    #[must_use]
-    pub fn tenancy(mut self, tenancy: TenancyConfig) -> Self {
-        self.config.tenancy = tenancy;
         self
     }
 

@@ -20,6 +20,7 @@
 //! mutex + condvars for the threaded server.
 
 use crate::config::TenantSpec;
+use crate::queue::PopResult;
 use crate::request::TenantId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::BinaryHeap;
@@ -144,14 +145,6 @@ impl<K: Ord, T> DispatchQueue<K, T> {
         self.len == 0
     }
 
-    /// Queued items of one tenant.
-    pub fn tenant_len(&self, tenant: TenantId) -> usize {
-        self.lanes
-            .iter()
-            .find(|l| l.tenant == tenant)
-            .map_or(0, |l| l.heap.len())
-    }
-
     fn lane_index(&mut self, tenant: TenantId) -> usize {
         if let Some(i) = self.lanes.iter().position(|l| l.tenant == tenant) {
             return i;
@@ -166,21 +159,13 @@ impl<K: Ord, T> DispatchQueue<K, T> {
         // at all can always hold one request.
         let quota =
             ((spec.max_queue_share * self.capacity as f64).ceil() as usize).clamp(1, self.capacity);
-        // A lane born (or woken) behind the pack would get a priority
-        // burst worth its whole idle period; start it at the busiest
-        // lane's virtual time instead.
-        let vwork = self
-            .lanes
-            .iter()
-            .filter(|l| !l.heap.is_empty())
-            .map(|l| l.vwork)
-            .fold(0.0f64, f64::max);
+        // Born empty: `try_push` starts its virtual time at the pack's.
         self.lanes.push(Lane {
             tenant,
             weight: spec.weight,
             quota,
             heap: BinaryHeap::new(),
-            vwork,
+            vwork: 0.0,
         });
         self.lanes.len() - 1
     }
@@ -209,8 +194,9 @@ impl<K: Ord, T> DispatchQueue<K, T> {
         if self.lanes[idx].heap.len() >= self.lanes[idx].quota {
             return Err(DispatchPushError::OverQuota);
         }
-        // An idle lane re-enters at the busiest lane's virtual time so it
-        // cannot spend its idle period as a priority burst.
+        // A lane born or woken behind the pack would get a priority burst
+        // worth its whole idle period; it re-enters at the busiest lane's
+        // virtual time instead.
         if self.lanes[idx].heap.is_empty() {
             let floor = self
                 .lanes
@@ -235,45 +221,24 @@ impl<K: Ord, T> DispatchQueue<K, T> {
     /// The lane `pop` would serve next: least virtual work, breaking ties
     /// by earliest head deadline, then lowest head sequence number.
     fn next_lane(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let head = match lane.heap.peek() {
-                Some(h) => h,
-                None => continue,
-            };
-            best = match best {
-                None => Some(i),
-                Some(j) => {
-                    let cur = self.lanes[j].heap.peek().expect("best lane is non-empty");
-                    let better = match lane.vwork.total_cmp(&self.lanes[j].vwork) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Greater => false,
-                        std::cmp::Ordering::Equal => match head.deadline.cmp(&cur.deadline) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => head.seq < cur.seq,
-                        },
-                    };
-                    if better {
-                        Some(i)
-                    } else {
-                        Some(j)
-                    }
-                }
-            };
-        }
-        best
+        let heads = self.lanes.iter().enumerate();
+        let heads = heads.filter_map(|(i, l)| Some((i, l.vwork, l.heap.peek()?)));
+        heads
+            .min_by(|(_, va, a), (_, vb, b)| {
+                // Entry order is reversed for the max-heap: `b.cmp(a)` puts
+                // the earlier deadline, then the lower sequence, first.
+                va.total_cmp(vb).then_with(|| b.cmp(a))
+            })
+            .map(|(i, _, _)| i)
     }
 
     /// Removes and returns the next item under the weighted-fair-EDF
     /// discipline, with the owning tenant. `None` when empty.
     pub fn pop(&mut self) -> Option<(TenantId, K, T)> {
-        let idx = self.next_lane()?;
-        let lane = &mut self.lanes[idx];
-        let e = lane.heap.pop().expect("selected lane is non-empty");
-        lane.vwork += 1.0 / lane.weight;
-        self.len -= 1;
-        Some((lane.tenant, e.deadline, e.item))
+        match self.pop_if(|_| true) {
+            CoalescePop::Item(it) => Some(it),
+            _ => None,
+        }
     }
 
     /// Pops the item [`DispatchQueue::pop`] would return next, but only
@@ -326,9 +291,6 @@ pub struct SharedDispatchQueue<K: Ord, T> {
     not_empty: Condvar,
 }
 
-/// Result of a blocking pop on the shared queue.
-pub type SharedPop<K, T> = crate::queue::PopResult<(TenantId, K, T)>;
-
 impl<K: Ord, T> SharedDispatchQueue<K, T> {
     /// Creates a shared queue; see [`DispatchQueue::bounded`].
     ///
@@ -371,14 +333,14 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
     /// Removes and returns the next weighted-fair-EDF item, blocking while
     /// the queue is empty. Returns `Closed` once the queue is closed *and*
     /// drained.
-    pub fn pop(&self) -> SharedPop<K, T> {
+    pub fn pop(&self) -> PopResult<(TenantId, K, T)> {
         let mut q = self.inner.lock();
         loop {
             if let Some(it) = q.pop() {
-                return crate::queue::PopResult::Item(it);
+                return PopResult::Item(it);
             }
             if q.is_closed() {
-                return crate::queue::PopResult::Closed;
+                return PopResult::Closed;
             }
             self.not_empty.wait(&mut q);
         }

@@ -15,13 +15,16 @@
 //! missing deadlines — the serving-time generalization of the paper's
 //! per-frame budget traces.
 //!
-//! Two execution substrates share the same scheduling semantics:
+//! Two execution substrates run the same dispatch code — one private
+//! dispatch core makes the admission, coalescing and recovery decisions
+//! and builds every [`Outcome`]; a substrate supplies only its clock,
+//! queue and executor:
 //!
 //! * [`Server`] — real threads over one `Arc<EngineCore>`, wall-clock
 //!   deadlines, actual tensor execution ([`server`]).
 //! * [`simulate`] — a deterministic discrete-event simulator with a
-//!   virtual clock for reproducible fleet-scale load-sweep experiments
-//!   ([`sim`]).
+//!   virtual clock and a modeled executor, for reproducible fleet-scale
+//!   load-sweep experiments ([`sim`]).
 //!
 //! # Example
 //!
@@ -62,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod dispatch;
 pub mod fair;
 pub mod metrics;
 pub mod policy;

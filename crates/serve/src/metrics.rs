@@ -1,6 +1,7 @@
 //! Aggregate serving metrics.
 
 use crate::request::{FailureReason, Outcome, RequestRecord, ShedReason, TenantId};
+use std::collections::BTreeMap;
 use vit_drt::LutConfig;
 
 /// Nearest-rank percentile (`p` in `[0, 100]`) of an unsorted sample.
@@ -19,7 +20,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 /// tenant's submissions: `goodput + miss_rate + shed_rate == 1` (up to
 /// float rounding), where a *miss* is a late completion or a fault
 /// failure and a *shed* never executed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantMetrics {
     /// Requests this tenant offered.
     pub submitted: usize,
@@ -153,14 +154,7 @@ impl ServerMetrics {
             })
             .collect();
         let fault_failures = failures.len();
-        let mut failure_histogram: Vec<(FailureReason, usize)> = Vec::new();
-        for f in &failures {
-            match failure_histogram.iter_mut().find(|(r, _)| *r == f.reason) {
-                Some((_, n)) => *n += 1,
-                None => failure_histogram.push((f.reason, 1)),
-            }
-        }
-        failure_histogram.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        let failure_histogram = histogram(failures.iter().map(|f| f.reason));
         let faults_seen = records
             .iter()
             .map(|r| r.faults_seen as usize)
@@ -194,15 +188,6 @@ impl ServerMetrics {
             queue_waits.iter().sum::<f64>() / queue_waits.len() as f64
         };
         let delivered: f64 = records.iter().map(|r| r.delivered_accuracy()).sum();
-
-        let mut histogram: Vec<(LutConfig, usize)> = Vec::new();
-        for r in &records {
-            match histogram.iter_mut().find(|(c, _)| *c == r.config) {
-                Some((_, n)) => *n += 1,
-                None => histogram.push((r.config, 1)),
-            }
-        }
-        histogram.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
 
         let per_tenant = tenant_breakdown(outcomes);
 
@@ -245,7 +230,7 @@ impl ServerMetrics {
             } else {
                 delivered / submitted as f64
             },
-            config_histogram: histogram,
+            config_histogram: histogram(records.iter().map(|r| r.config)),
             per_tenant,
         }
     }
@@ -271,62 +256,49 @@ impl ServerMetrics {
     }
 }
 
+/// Tallies `items` by value, most common first (ties in first-seen order).
+fn histogram<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<(T, usize)> {
+    let mut tally: Vec<(T, usize)> = Vec::new();
+    for item in items {
+        match tally.iter_mut().find(|(t, _)| *t == item) {
+            Some((_, n)) => *n += 1,
+            None => tally.push((item, 1)),
+        }
+    }
+    tally.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    tally
+}
+
 /// Splits outcomes by tenant and computes each tenant's partition rates.
 fn tenant_breakdown(outcomes: &[Outcome]) -> Vec<(TenantId, TenantMetrics)> {
-    let mut tenants: Vec<TenantId> = outcomes
-        .iter()
-        .map(|o| match o {
+    let mut per: BTreeMap<TenantId, TenantMetrics> = BTreeMap::new();
+    for o in outcomes {
+        let tenant = match o {
             Outcome::Completed(r) => r.tenant,
             Outcome::Shed(s) => s.tenant,
             Outcome::Failed(f) => f.tenant,
-        })
-        .collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    tenants
-        .into_iter()
-        .map(|tenant| {
-            let mut m = TenantMetrics {
-                submitted: 0,
-                completed: 0,
-                on_time: 0,
-                shed: 0,
-                shed_over_quota: 0,
-                fault_failures: 0,
-                goodput: 0.0,
-                miss_rate: 0.0,
-                shed_rate: 0.0,
-            };
-            for o in outcomes {
-                match o {
-                    Outcome::Completed(r) if r.tenant == tenant => {
-                        m.submitted += 1;
-                        m.completed += 1;
-                        if r.met_deadline {
-                            m.on_time += 1;
-                        }
-                    }
-                    Outcome::Shed(s) if s.tenant == tenant => {
-                        m.submitted += 1;
-                        m.shed += 1;
-                        if s.reason == ShedReason::OverQuota {
-                            m.shed_over_quota += 1;
-                        }
-                    }
-                    Outcome::Failed(f) if f.tenant == tenant => {
-                        m.submitted += 1;
-                        m.fault_failures += 1;
-                    }
-                    _ => {}
-                }
+        };
+        let m = per.entry(tenant).or_default();
+        m.submitted += 1;
+        match o {
+            Outcome::Completed(r) => {
+                m.completed += 1;
+                m.on_time += usize::from(r.met_deadline);
             }
-            if m.submitted > 0 {
-                let n = m.submitted as f64;
-                let late = m.completed - m.on_time;
-                m.goodput = m.on_time as f64 / n;
-                m.miss_rate = (late + m.fault_failures) as f64 / n;
-                m.shed_rate = m.shed as f64 / n;
+            Outcome::Shed(s) => {
+                m.shed += 1;
+                m.shed_over_quota += usize::from(s.reason == ShedReason::OverQuota);
             }
+            Outcome::Failed(_) => m.fault_failures += 1,
+        }
+    }
+    per.into_iter()
+        .map(|(tenant, mut m)| {
+            let n = m.submitted as f64;
+            let late = m.completed - m.on_time;
+            m.goodput = m.on_time as f64 / n;
+            m.miss_rate = (late + m.fault_failures) as f64 / n;
+            m.shed_rate = m.shed as f64 / n;
             (tenant, m)
         })
         .collect()

@@ -57,16 +57,6 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_then_reports_closed() {
-        let q = edf(4);
-        q.try_push(T0, 5, 50).unwrap();
-        q.close();
-        assert_eq!(q.try_push(T0, 6, 60), Err(DispatchPushError::Closed));
-        assert!(matches!(q.pop(), PopResult::Item((_, 5, 50))));
-        assert!(matches!(q.pop(), PopResult::Closed));
-    }
-
-    #[test]
     fn concurrent_producers_consumers_deliver_everything() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;

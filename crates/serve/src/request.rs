@@ -217,9 +217,7 @@ impl RequestRecord {
             0.0
         }
     }
-}
 
-impl RequestRecord {
     /// Whether fault recovery degraded this request to a retry attempt.
     pub fn is_degraded(&self) -> bool {
         self.retries > 0

@@ -176,19 +176,17 @@ fn fault_to_json(plan: &FaultPlan) -> Json {
 }
 
 fn fault_from_json(j: &Json) -> Result<FaultPlan, ScenarioError> {
+    let num = |k: &str| need_f64(j, k).map_err(|_| malformed(&format!("config.fault.{k}")));
     Ok(FaultPlan {
         seed: json_to_u64(
             need(j, "seed").map_err(|_| malformed("config.fault.seed"))?,
             "config.fault.seed",
         )?,
-        crash_rate: need_f64(j, "crash_rate").map_err(|_| malformed("config.fault.crash_rate"))?,
-        bitflip_rate: need_f64(j, "bitflip_rate")
-            .map_err(|_| malformed("config.fault.bitflip_rate"))?,
-        stall_rate: need_f64(j, "stall_rate").map_err(|_| malformed("config.fault.stall_rate"))?,
-        stall_factor: need_f64(j, "stall_factor")
-            .map_err(|_| malformed("config.fault.stall_factor"))?,
-        replay_rate: need_f64(j, "replay_rate")
-            .map_err(|_| malformed("config.fault.replay_rate"))?,
+        crash_rate: num("crash_rate")?,
+        bitflip_rate: num("bitflip_rate")?,
+        stall_rate: num("stall_rate")?,
+        stall_factor: num("stall_factor")?,
+        replay_rate: num("replay_rate")?,
     })
 }
 
@@ -485,46 +483,94 @@ mod tests {
 #[cfg(test)]
 mod fixture {
     use super::*;
-    use crate::sim::simulate;
-    use vit_drt::{EngineCore, EngineFamily, Lut};
-    use vit_models::{SegFormerDynamic, SegFormerVariant};
-    use vit_resilience::{DynConfig, TradeoffPoint};
+    use crate::dispatch::tiny_core;
+    use crate::metrics::ServerMetrics;
+    use crate::request::{Outcome, RequestTicket};
+    use crate::sim::{simulate, simulate_outcomes};
+    use vit_drt::EngineCore;
 
     /// The committed chaos regression scenario: 40 bursty arrivals, mixed
     /// slacks, all four fault kinds armed (seed 2024).
     const FIXTURE: &str = include_str!("../fixtures/chaos_scenario.json");
 
-    /// Same synthetic 3-row LUT as the simulator tests (costs 1/2/4,
-    /// accuracies 0.6/0.85/1.0).
-    fn tiny_core() -> EngineCore {
-        let point = |r: f64, a: f64| TradeoffPoint {
-            label: String::new(),
-            config: DynConfig::SegFormer(SegFormerDynamic::with_depths_and_fuse(
-                &SegFormerVariant::b0(),
-                [1, 1, 1, 1],
-                ((r * 64.0) as usize).max(4),
-            )),
-            resource: r,
-            norm_resource: r / 4.0,
-            norm_miou: a,
-        };
-        let lut = Lut::from_points(
-            "fixture",
-            &[point(1.0, 0.6), point(2.0, 0.85), point(4.0, 1.0)],
+    /// One line per outcome, in order: kind, ticket, LUT row of the config,
+    /// latency bits and batch size (completions), or the reason (sheds and
+    /// failures).
+    fn render(core: &EngineCore, outcomes: &[Outcome]) -> Vec<String> {
+        let ticket = |t: Option<RequestTicket>| t.map_or(-1, |t| t.0 as i64);
+        outcomes
+            .iter()
+            .map(|o| match o {
+                Outcome::Completed(r) => format!(
+                    "done {} row{} {:016x} x{} r{}",
+                    ticket(r.ticket),
+                    core.lut()
+                        .entries()
+                        .iter()
+                        .position(|e| e.config == r.config)
+                        .expect("config comes from the LUT"),
+                    r.latency.to_bits(),
+                    r.batch_size,
+                    r.retries,
+                ),
+                Outcome::Shed(s) => format!("shed {} {}", ticket(s.ticket), s.reason),
+                Outcome::Failed(f) => {
+                    format!("fail {} {} r{}", ticket(f.ticket), f.reason, f.retries)
+                }
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the rendered outcome lines.
+    fn digest(lines: &[String]) -> u64 {
+        lines.iter().fold(0xcbf2_9ce4_8422_2325, |h, line| {
+            line.bytes()
+                .chain(std::iter::once(b'\n'))
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// Pins the full outcome sequence `simulate_outcomes` returns.
+    fn assert_sequence(core: &EngineCore, outcomes: &[Outcome], len: usize, pinned: u64) {
+        let lines = render(core, outcomes);
+        assert_eq!(lines.len(), len, "{lines:#?}");
+        assert_eq!(
+            digest(&lines),
+            pinned,
+            "outcome sequence drifted: {lines:#?}"
         );
-        EngineCore::new(
-            EngineFamily::SegFormer(SegFormerVariant::b0()),
-            150,
-            (64, 64),
-            lut,
-        )
-        .unwrap()
+    }
+
+    /// A batched two-tenant burst list: bursts of six simultaneous
+    /// arrivals every 5 s, alternating tenants, mixed slacks, so that
+    /// coalescing, config mismatches, quota sheds, admission sheds and
+    /// in-queue slack exhaustion all occur.
+    fn burst_scenario() -> (SimConfig, Vec<SimArrival>) {
+        let config = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
+            .with_batching(4)
+            .with_tenants(vec![
+                TenantSpec::new(TenantId(1))
+                    .with_weight(2.0)
+                    .with_queue_share(0.5),
+                TenantSpec::new(TenantId(2)).with_queue_share(0.5),
+            ]);
+        let slacks = [12.0, 6.0, 3.0, 0.5, 9.0, 4.5];
+        let arrivals = (0..8)
+            .flat_map(|burst| {
+                slacks.iter().enumerate().map(move |(i, &slack)| {
+                    SimArrival::new(f64::from(burst) * 5.0, slack)
+                        .with_tenant(TenantId(1 + (i as u32 + burst) % 2))
+                })
+            })
+            .collect();
+        (config, arrivals)
     }
 
     /// The committed fixture decodes, re-encodes to the identical bytes,
     /// and replays to the exact counters pinned when it was committed —
     /// any drift in fault draws, scheduling, or recovery semantics fails
-    /// here first.
+    /// here first. The full outcome sequences of the fixture and of a
+    /// batched two-tenant burst list are pinned too.
     #[test]
     fn committed_fixture_replays_identically() {
         let s = ChaosScenario::from_json(FIXTURE).expect("fixture decodes");
@@ -532,6 +578,19 @@ mod fixture {
         assert_eq!(s.to_json(), FIXTURE, "encoding is byte-stable");
 
         let core = tiny_core();
+        assert_sequence(
+            &core,
+            &simulate_outcomes(&core, &s.config, &s.arrivals),
+            40,
+            13_121_082_162_105_303_750,
+        );
+        let (burst, arrivals) = burst_scenario();
+        let outcomes = simulate_outcomes(&core, &burst, &arrivals);
+        let bm = ServerMetrics::from_outcomes(&outcomes);
+        assert!(bm.batched_completions > 0 && bm.shed_over_quota > 0);
+        assert!(bm.shed_no_slack > 0 && bm.config_histogram.len() > 1);
+        assert_sequence(&core, &outcomes, 48, 11_634_831_602_728_298_105);
+
         let m = simulate(&core, &s.config, &s.arrivals);
         assert!(m.accounts_for_all_submissions());
         assert_eq!(m.submitted, 40);

@@ -2,16 +2,14 @@
 //! continuous batching, worker pool over one shared [`EngineCore`].
 
 use crate::config::ServerConfig;
-use crate::fair::{CoalescePop, DispatchPushError, SharedDispatchQueue};
+use crate::dispatch::{shed_event, DispatchEnv, Dispatcher, Job, OrdF64};
+use crate::fair::{CoalescePop, SharedDispatchQueue};
 use crate::metrics::ServerMetrics;
-use crate::policy::{admissible, budget_for};
 use crate::queue::PopResult;
-use crate::request::{
-    FailureReason, FailureRecord, InferenceRequest, Outcome, RequestRecord, RequestTicket,
-    ShedReason, ShedRecord, TenantId,
-};
+use crate::request::{FailureReason, InferenceRequest, Outcome, RequestTicket, ShedReason};
 use parking_lot::Mutex;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -130,7 +128,7 @@ impl Calibration {
 /// Error from [`Server::submit`] for requests the server cannot interpret
 /// (as opposed to load shedding, which is a recorded outcome, not an
 /// error).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SubmitError {
     /// The request's resource kind does not match the server's LUT.
@@ -139,6 +137,14 @@ pub enum SubmitError {
         expected: vit_resilience::ResourceKind,
         /// Kind the request carried.
         got: vit_resilience::ResourceKind,
+    },
+    /// The request's image is not one `[1, 3, h, w]` image at the
+    /// engine's input size.
+    WrongImageShape {
+        /// The shape the engine accepts.
+        expected: [usize; 4],
+        /// The shape the request carried.
+        got: Vec<usize>,
     },
     /// Every worker's circuit breaker is open: the server is refusing new
     /// work until at least one worker completes a request cleanly.
@@ -154,6 +160,10 @@ impl fmt::Display for SubmitError {
             SubmitError::WrongResourceKind { expected, got } => write!(
                 f,
                 "request resource kind {got:?} does not match server LUT kind {expected:?}"
+            ),
+            SubmitError::WrongImageShape { expected, got } => write!(
+                f,
+                "request image shape {got:?} does not match engine input {expected:?}"
             ),
             SubmitError::AllWorkersUnhealthy { workers } => write!(
                 f,
@@ -195,23 +205,93 @@ impl Admission {
     }
 }
 
-struct Submitted {
+/// What a queued request carries for the worker that serves it.
+struct Payload {
     image: Tensor,
-    deadline: Instant,
-    submitted_at: Instant,
-    /// Trace-epoch stamp of the submission, for queue-wait spans. Zero
-    /// when tracing is disabled (never recorded in that case).
+    /// Trace-epoch stamp of the submission, for the queue-wait span.
     submitted_ns: u64,
-    /// Submission sequence number — the deterministic `run` identity for
-    /// fault draws, independent of which worker dispatches the request.
-    /// Doubles as the [`RequestTicket`] value.
-    seq: u64,
-    tenant: TenantId,
 }
 
-impl Submitted {
-    fn ticket(&self) -> RequestTicket {
-        RequestTicket(self.seq)
+/// One engine pass over queued requests: [`engine_pass`], or a test fake.
+type EnginePass = fn(
+    &EngineCore,
+    &mut ExecScratch,
+    &[Job<Payload>],
+    &LutEntry,
+    &RunContext,
+) -> Result<(), EngineError>;
+
+/// Runs one request through [`EngineCore::run`], or a coalesced batch
+/// through one [`EngineCore::run_batch`]. The server reports outcomes, not
+/// tensors, so the outputs are dropped.
+fn engine_pass(
+    core: &EngineCore,
+    scratch: &mut ExecScratch,
+    members: &[Job<Payload>],
+    entry: &LutEntry,
+    ctx: &RunContext,
+) -> Result<(), EngineError> {
+    if let [one] = members {
+        return core
+            .run(scratch, &one.payload.image, entry.clone(), true, ctx)
+            .map(drop);
+    }
+    let images: Vec<Tensor> = members.iter().map(|m| m.payload.image.clone()).collect();
+    core.run_batch(scratch, &images, entry.clone(), true, ctx)
+        .map(drop)
+}
+
+/// Everything the submitting threads and the workers share.
+struct Shared {
+    queue: SharedDispatchQueue<OrdF64, Job<Payload>>,
+    outcomes: Mutex<Vec<Outcome>>,
+    core: Arc<EngineCore>,
+    calibration: Calibration,
+    config: ServerConfig,
+    ctx: RunContext,
+    open_breakers: AtomicUsize,
+    /// The dispatch core's clock counts seconds from here.
+    epoch: Instant,
+}
+
+impl Shared {
+    fn secs(&self, t: Instant) -> f64 {
+        t.saturating_duration_since(self.epoch).as_secs_f64()
+    }
+
+    fn dispatcher(&self) -> Dispatcher<'_> {
+        let config = &self.config;
+        // No batching while a fault plan is armed: draws are keyed per
+        // (request, attempt), and a shared pass would entangle the
+        // members' draw histories — chaos replay stays per-request.
+        let armed = config.fault_tolerance.fault.is_some();
+        Dispatcher {
+            core: &self.core,
+            policy: config.policy,
+            recovery: config.fault_tolerance.recovery,
+            secs_per_unit: self.calibration.secs_per_unit,
+            max_batch: if armed { 1 } else { config.batching.max_batch },
+            window: config.batching.window,
+            // Linear in members: batch-N replay costs about N single runs
+            // on this CPU substrate.
+            marginal: 1.0,
+        }
+    }
+
+    fn trace(&self, event: impl FnOnce() -> EventKind) {
+        if self.ctx.trace_enabled() {
+            self.ctx.sink.record(event());
+        }
+    }
+
+    /// Records the queue-wait span of a freshly popped request.
+    fn popped(&self, job: &Job<Payload>) {
+        self.trace(|| EventKind::Phase {
+            phase: TracePhase::QueueWait,
+            detail: String::new(),
+            start_ns: job.payload.submitted_ns,
+            end_ns: now_ns(),
+        });
     }
 }
 
@@ -225,15 +305,9 @@ impl Submitted {
 /// LUT configuration into single batch-N engine passes when
 /// `config.batching` enables it.
 pub struct Server {
-    queue: Arc<SharedDispatchQueue<Instant, Submitted>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    outcomes: Arc<Mutex<Vec<Outcome>>>,
-    core: Arc<EngineCore>,
-    calibration: Calibration,
-    config: ServerConfig,
-    ctx: RunContext,
     next_seq: AtomicU64,
-    open_breakers: Arc<AtomicUsize>,
 }
 
 impl Server {
@@ -266,76 +340,73 @@ impl Server {
         config: ServerConfig,
         ctx: RunContext,
     ) -> Self {
+        Self::spawn(core, calibration, config, ctx, engine_pass)
+    }
+
+    fn spawn(
+        core: Arc<EngineCore>,
+        calibration: Calibration,
+        config: ServerConfig,
+        ctx: RunContext,
+        pass: EnginePass,
+    ) -> Self {
+        config
+            .validate()
+            .expect("server started with an invalid configuration");
         let backend = if config.use_plans {
             ExecBackend::Plan
         } else {
             ExecBackend::Interpret
         };
         let exec = ctx.exec.clone().with_backend(backend);
-        let ctx = ctx.with_exec(exec);
-        config
-            .validate()
-            .expect("server started with an invalid configuration");
-        let queue: Arc<SharedDispatchQueue<Instant, Submitted>> = Arc::new(
-            SharedDispatchQueue::bounded(config.queue_depth, &config.tenancy.tenants),
-        );
-        let outcomes: Arc<Mutex<Vec<Outcome>>> = Arc::new(Mutex::new(Vec::new()));
-
-        // One execution pool shared (via `Arc`) by every worker: cloning
-        // the `RunContext` clones the pool handle and the sink handle, not
-        // the threads or the sink's buffer.
-        let open_breakers: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
-        let workers = (0..config.workers)
-            .map(|_| {
-                let queue = queue.clone();
-                let outcomes = outcomes.clone();
-                let core = core.clone();
-                let spu = calibration.secs_per_unit;
-                let ctx = ctx.clone();
-                let config = config.clone();
-                let open_breakers = open_breakers.clone();
-                std::thread::spawn(move || {
-                    worker_loop(&queue, &outcomes, &core, &ctx, &config, &open_breakers, spu)
-                })
-            })
-            .collect();
-
-        Server {
-            queue,
-            workers,
-            outcomes,
+        let shared = Arc::new(Shared {
+            queue: SharedDispatchQueue::bounded(config.queue_depth, &config.tenancy.tenants),
+            outcomes: Mutex::new(Vec::new()),
             core,
             calibration,
+            // Every worker clones this context: the pool and sink handles,
+            // not the threads or the sink's buffer.
+            ctx: ctx.with_exec(exec),
             config,
-            ctx,
+            open_breakers: AtomicUsize::new(0),
+            epoch: Instant::now(),
+        });
+        let workers = (0..shared.config.workers)
+            .map(|_| {
+                let shared = shared.clone();
+                std::thread::spawn(move || worker_loop(&shared, pass))
+            })
+            .collect();
+        Server {
+            shared,
+            workers,
             next_seq: AtomicU64::new(0),
-            open_breakers,
         }
     }
 
     /// The shared engine core this server runs on.
     pub fn core(&self) -> &Arc<EngineCore> {
-        &self.core
+        &self.shared.core
     }
 
     /// How many workers currently have an open circuit breaker.
     pub fn open_breakers(&self) -> usize {
-        self.open_breakers.load(Ordering::Relaxed)
+        self.shared.open_breakers.load(Ordering::Relaxed)
     }
 
     /// The wall-clock calibration in use.
     pub fn calibration(&self) -> Calibration {
-        self.calibration
+        self.shared.calibration
     }
 
     /// The server's configuration.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The execution context (options + trace sink) the workers run with.
     pub fn run_context(&self) -> &RunContext {
-        &self.ctx
+        &self.shared.ctx
     }
 
     /// Offers a request. Returns the typed [`Admission`] decision:
@@ -346,246 +417,242 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`SubmitError`] for a request the server cannot interpret
-    /// (wrong resource kind, or every worker unhealthy); such a request is
-    /// *not* counted as shed.
+    /// (wrong resource kind or image shape, or every worker unhealthy);
+    /// such a request is *not* counted as shed.
     pub fn submit(&self, request: InferenceRequest) -> Result<Admission, SubmitError> {
-        if request.resource_kind != self.config.resource_kind {
+        let shared = &*self.shared;
+        let config = &shared.config;
+        if request.resource_kind != config.resource_kind {
             return Err(SubmitError::WrongResourceKind {
-                expected: self.config.resource_kind,
+                expected: config.resource_kind,
                 got: request.resource_kind,
             });
         }
-        if self.open_breakers.load(Ordering::Relaxed) >= self.config.workers {
-            return Err(SubmitError::AllWorkersUnhealthy {
-                workers: self.config.workers,
+        let (h, w) = shared.core.image_size();
+        if request.image.shape() != [1, 3, h, w] {
+            return Err(SubmitError::WrongImageShape {
+                expected: [1, 3, h, w],
+                got: request.image.shape().to_vec(),
             });
         }
-        let now = Instant::now();
-        let traced = self.ctx.trace_enabled();
+        if shared.open_breakers.load(Ordering::Relaxed) >= config.workers {
+            return Err(SubmitError::AllWorkersUnhealthy {
+                workers: config.workers,
+            });
+        }
+        let now = shared.secs(Instant::now());
+        let deadline = shared.secs(request.deadline);
         let tenant = request.tenant;
-        let shed = |reason: ShedReason| {
-            if traced {
-                self.ctx.sink.record(EventKind::Instant {
-                    name: "shed".to_string(),
-                    detail: reason.name().to_string(),
+        let mut ticket = RequestTicket(0);
+        let admitted = shared.dispatcher().admit(deadline - now, tenant, || {
+            // Submission order is the request's fault-draw identity,
+            // whichever worker dispatches it.
+            ticket = RequestTicket(self.next_seq.fetch_add(1, Ordering::Relaxed));
+            let payload = Payload {
+                image: request.image,
+                submitted_ns: shared.ctx.sink.timestamp(),
+            };
+            let job = Job {
+                seq: ticket.0,
+                tenant,
+                arrival: now,
+                deadline,
+                queue_wait: 0.0,
+                payload,
+            };
+            shared.queue.try_push(tenant, OrdF64(deadline), job)
+        });
+        match admitted {
+            Ok(()) => {
+                shared.trace(|| EventKind::Instant {
+                    name: "admission".to_string(),
+                    detail: format!(
+                        "slack_units={:.3}",
+                        shared.calibration.units(deadline - now)
+                    ),
                     at_ns: now_ns(),
                 });
-            }
-            self.outcomes
-                .lock()
-                .push(Outcome::Shed(ShedRecord::at_admission(reason, tenant)));
-            Ok(Admission::Shed(reason))
-        };
-        let slack_secs = request
-            .deadline
-            .saturating_duration_since(now)
-            .as_secs_f64();
-        let slack_units = self.calibration.units(slack_secs);
-        if !admissible(slack_units, self.core.min_resource()) {
-            return shed(ShedReason::SlackBelowCheapest);
-        }
-        let sub = Submitted {
-            image: request.image,
-            deadline: request.deadline,
-            submitted_at: now,
-            submitted_ns: self.ctx.sink.timestamp(),
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            tenant,
-        };
-        let ticket = sub.ticket();
-        match self.queue.try_push(tenant, sub.deadline, sub) {
-            Ok(()) => {
-                if traced {
-                    self.ctx.sink.record(EventKind::Instant {
-                        name: "admission".to_string(),
-                        detail: format!("slack_units={slack_units:.3}"),
-                        at_ns: now_ns(),
-                    });
-                }
                 Ok(Admission::Admitted { ticket })
             }
-            Err(DispatchPushError::OverQuota) => shed(ShedReason::OverQuota),
-            Err(DispatchPushError::Full | DispatchPushError::Closed) => shed(ShedReason::QueueFull),
+            Err(shed) => {
+                let reason = shed.reason;
+                shared.trace(|| shed_event(reason));
+                shared.outcomes.lock().push(Outcome::Shed(shed));
+                Ok(Admission::Shed(reason))
+            }
         }
     }
 
     /// Stops accepting requests, drains everything already queued, joins
     /// all threads, and returns the aggregated metrics.
-    pub fn shutdown(mut self) -> ServerMetrics {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            w.join().expect("worker thread panicked");
-        }
-        let outcomes = self.outcomes.lock();
-        ServerMetrics::from_outcomes(&outcomes)
+    pub fn shutdown(self) -> ServerMetrics {
+        self.shutdown_outcomes().0
     }
 
     /// Like [`Server::shutdown`], but also returns the raw per-request
     /// [`Outcome`]s — the threaded counterpart of
     /// [`crate::simulate_outcomes`], for callers that correlate admission
     /// tickets or need distributions the aggregate metrics do not carry.
-    pub fn shutdown_outcomes(mut self) -> (ServerMetrics, Vec<Outcome>) {
-        self.queue.close();
-        for w in self.workers.drain(..) {
-            w.join().expect("worker thread panicked");
+    pub fn shutdown_outcomes(self) -> (ServerMetrics, Vec<Outcome>) {
+        self.shared.queue.close();
+        for w in self.workers {
+            // Workers contain engine panics; one escaping is a serving bug.
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
-        let outcomes = std::mem::take(&mut *self.outcomes.lock());
+        let outcomes = std::mem::take(&mut *self.shared.outcomes.lock());
         (ServerMetrics::from_outcomes(&outcomes), outcomes)
     }
 }
 
-/// Signed remaining slack in seconds: negative once past due.
-fn signed_slack(deadline: Instant, now: Instant) -> f64 {
-    if deadline >= now {
-        deadline.duration_since(now).as_secs_f64()
-    } else {
-        -now.duration_since(deadline).as_secs_f64()
+/// One worker thread's substrate for the dispatch core: wall-clock time,
+/// the shared queue, and guarded engine passes, with this worker's circuit
+/// breaker and observational watchdog.
+struct Worker<'a> {
+    shared: &'a Shared,
+    pass: EnginePass,
+    scratch: ExecScratch,
+    consecutive_failures: usize,
+    breaker_open: bool,
+}
+
+impl DispatchEnv for Worker<'_> {
+    type Payload = Payload;
+
+    fn now(&self) -> f64 {
+        self.shared.secs(Instant::now())
     }
-}
 
-/// One dequeued request plus its dispatch-time bookkeeping.
-struct Dispatched {
-    deadline: Instant,
-    sub: Submitted,
-    queue_wait: f64,
-}
-
-/// The worker thread body: pop under the weighted-fair EDF discipline,
-/// coalesce same-config admissible requests into a batch when batching is
-/// enabled, execute, record outcomes. Per-worker health (consecutive
-/// failures, circuit breaker) lives here.
-fn worker_loop(
-    queue: &SharedDispatchQueue<Instant, Submitted>,
-    outcomes: &Mutex<Vec<Outcome>>,
-    core: &Arc<EngineCore>,
-    ctx: &RunContext,
-    config: &ServerConfig,
-    open_breakers: &AtomicUsize,
-    spu: f64,
-) {
-    let mut scratch = ExecScratch::new();
-    let mut consecutive_failures: usize = 0;
-    let mut breaker_open = false;
-    // Batching is disabled while a fault plan is armed: fault draws are
-    // keyed per (request, attempt), and a shared batched pass would
-    // entangle the members' draw histories — chaos replay stays
-    // per-request and byte-identical.
-    let batching = config.batching.enabled() && config.fault_tolerance.fault.is_none();
-    while let PopResult::Item((_, deadline, sub)) = queue.pop() {
-        let leader = dispatched(ctx, deadline, sub);
-        if !batching {
-            serve_request(
-                core,
-                ctx,
-                config,
-                &mut scratch,
-                outcomes,
-                open_breakers,
-                &mut consecutive_failures,
-                &mut breaker_open,
-                spu,
-                &leader,
-            );
-            continue;
-        }
-        // Leader resolves its configuration now; followers join only
-        // while they resolve to the same one.
-        let now = Instant::now();
-        let slack_units = signed_slack(leader.deadline, now) / spu;
-        if !admissible(slack_units, core.min_resource()) {
-            // Hopeless leader: the per-request path sheds or fails it.
-            serve_request(
-                core,
-                ctx,
-                config,
-                &mut scratch,
-                outcomes,
-                open_breakers,
-                &mut consecutive_failures,
-                &mut breaker_open,
-                spu,
-                &leader,
-            );
-            continue;
-        }
-        let budget = budget_for(config.policy, core, slack_units);
-        let (entry, _) = core.select(budget);
-        let window_end = now + Duration::from_secs_f64(config.batching.window);
-        let mut batch = vec![leader];
-        let mut earliest = deadline;
-        while batch.len() < config.batching.max_batch {
-            // A batch must never turn a met deadline into a miss: every
-            // member finishes with the shared pass, so the batch only
-            // grows while the projected finish — conservatively linear in
-            // members on this substrate — still meets the earliest
-            // deadline on board, and the candidate's own.
-            let grown = Duration::from_secs_f64((batch.len() + 1) as f64 * entry.resource * spu);
-            let now = Instant::now();
-            let projected = now + grown;
-            if projected > earliest {
-                break;
+    fn pop_follower(
+        &mut self,
+        window_end: f64,
+        accept: &mut dyn FnMut(f64, f64) -> bool,
+    ) -> Option<Job<Payload>> {
+        let shared = self.shared;
+        loop {
+            let remaining = Duration::from_secs_f64((window_end - self.now()).max(0.0));
+            let pred = |job: &Job<Payload>| accept(job.deadline, shared.secs(Instant::now()));
+            match shared.queue.pop_if_timeout(remaining, pred) {
+                CoalescePop::Item((_, _, job)) => {
+                    shared.popped(&job);
+                    return Some(job);
+                }
+                CoalescePop::Empty if window_end > self.now() => {}
+                _ => return None,
             }
-            let remaining = window_end.saturating_duration_since(now);
-            let picked = queue.pop_if_timeout(remaining, |cand| {
-                let cand_slack = signed_slack(cand.deadline, Instant::now()) / spu;
-                projected <= cand.deadline
-                    && admissible(cand_slack, core.min_resource())
-                    && core
-                        .select(budget_for(config.policy, core, cand_slack))
-                        .0
-                        .config
-                        == entry.config
+        }
+    }
+
+    /// One engine pass under the output guard, fault injection armed per
+    /// `(request, attempt)`, on the interpreter while the breaker is open
+    /// or after a replay failure. A panic inside the pass is contained: it
+    /// becomes an [`FailureReason::Engine`] failure, and the worker goes on
+    /// with a fresh scratch.
+    fn run(
+        &mut self,
+        members: &[Job<Payload>],
+        entry: &LutEntry,
+        attempt: u32,
+        interpret: bool,
+    ) -> Result<(), FailureReason> {
+        let shared = self.shared;
+        let ft = &shared.config.fault_tolerance;
+        let mut ctx = shared.ctx.clone();
+        if self.breaker_open || interpret {
+            let exec = ctx.exec.clone().with_backend(ExecBackend::Interpret);
+            ctx = ctx.with_exec(exec);
+        }
+        let mut fault = FaultCtx::new().with_guard(GuardConfig::default());
+        if let Some(plan) = ft.fault {
+            fault = fault.armed(plan, members[0].seq, attempt);
+        }
+        let ctx = ctx.with_fault(fault);
+        let began = self.now();
+        let (pass, scratch) = (self.pass, &mut self.scratch);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pass(&shared.core, scratch, members, entry, &ctx)
+        }));
+        let fault_event = |action, detail| {
+            shared.trace(|| EventKind::Fault {
+                action,
+                detail,
+                at_ns: now_ns(),
             });
-            match picked {
-                CoalescePop::Item((_, d, s)) => {
-                    earliest = earliest.min(d);
-                    batch.push(dispatched(ctx, d, s));
+        };
+        let (reason, detail) = match result {
+            Ok(Ok(())) => {
+                // The server cannot abort a running pass, so its watchdog
+                // only observes an overrun (the simulator models the abort).
+                let elapsed = self.now() - began;
+                let earliest = members.iter().map(|m| m.deadline).fold(f64::MAX, f64::min);
+                let expected = entry.resource * shared.calibration.secs_per_unit;
+                let allowance = (earliest - began)
+                    .max(0.0)
+                    .min(ft.watchdog_grace * expected * members.len() as f64);
+                if elapsed > allowance {
+                    let detail = format!("watchdog: ran {elapsed:.6}s, allowance {allowance:.6}s");
+                    fault_event(RecoveryAction::Detected, detail);
                 }
-                CoalescePop::Mismatch | CoalescePop::Closed => break,
-                CoalescePop::Empty => {
-                    if window_end <= Instant::now() {
-                        break;
-                    }
+                if self.breaker_open {
+                    self.breaker_open = false;
+                    shared.open_breakers.fetch_sub(1, Ordering::Relaxed);
+                    fault_event(RecoveryAction::CircuitClose, String::new());
                 }
+                self.consecutive_failures = 0;
+                return Ok(());
             }
+            Ok(Err(err)) => (failure_reason(&err), err.to_string()),
+            Err(panic) => {
+                self.scratch = ExecScratch::new();
+                let msg = (panic.downcast_ref::<String>().map(String::as_str))
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                (
+                    FailureReason::Engine,
+                    format!("engine pass panicked: {msg}"),
+                )
+            }
+        };
+        self.consecutive_failures += 1;
+        fault_event(RecoveryAction::Detected, format!("{reason}: {detail}"));
+        if self.consecutive_failures >= ft.breaker_threshold && !self.breaker_open {
+            self.breaker_open = true;
+            shared.open_breakers.fetch_add(1, Ordering::Relaxed);
+            let detail = format!("{} consecutive failures", self.consecutive_failures);
+            fault_event(RecoveryAction::CircuitOpen, detail);
         }
-        serve_batch(
-            core,
-            ctx,
-            config,
-            &mut scratch,
-            outcomes,
-            open_breakers,
-            &mut consecutive_failures,
-            &mut breaker_open,
-            spu,
-            batch,
-            entry.clone(),
-        );
+        Err(reason)
     }
-    // A worker that exits with its breaker open must not leave the
-    // shared count pinned.
-    if breaker_open {
-        open_breakers.fetch_sub(1, Ordering::Relaxed);
+
+    fn record(&mut self, outcome: Outcome) {
+        self.shared.outcomes.lock().push(outcome);
+    }
+
+    fn trace(&self, event: impl FnOnce() -> EventKind) {
+        self.shared.trace(event);
     }
 }
 
-/// Stamps a freshly-popped request with its queue wait (and trace span).
-fn dispatched(ctx: &RunContext, deadline: Instant, sub: Submitted) -> Dispatched {
-    let now = Instant::now();
-    if ctx.trace_enabled() {
-        ctx.sink.record(EventKind::Phase {
-            phase: TracePhase::QueueWait,
-            detail: String::new(),
-            start_ns: sub.submitted_ns,
-            end_ns: now_ns(),
-        });
+/// The worker thread body: pop under the weighted-fair EDF discipline and
+/// hand each request to the dispatch core until the queue closes.
+fn worker_loop(shared: &Shared, pass: EnginePass) {
+    let dispatcher = shared.dispatcher();
+    let mut worker = Worker {
+        shared,
+        pass,
+        scratch: ExecScratch::new(),
+        consecutive_failures: 0,
+        breaker_open: false,
+    };
+    while let PopResult::Item((_, _, job)) = shared.queue.pop() {
+        shared.popped(&job);
+        dispatcher.dispatch(&mut worker, job);
     }
-    let queue_wait = now.duration_since(sub.submitted_at).as_secs_f64();
-    Dispatched {
-        deadline,
-        sub,
-        queue_wait,
+    // A worker that exits with its breaker open must not leave the shared
+    // count pinned.
+    if worker.breaker_open {
+        shared.open_breakers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -600,272 +667,10 @@ fn failure_reason(err: &EngineError) -> FailureReason {
     }
 }
 
-/// Runs one coalesced batch through a single batch-N engine pass and
-/// records one [`Outcome`] per member. Falls back to the per-request
-/// serving path (which owns retries, breakers, and shed accounting) when
-/// the batched pass fails — a batch is an optimization, never a new way
-/// to lose requests.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch(
-    core: &Arc<EngineCore>,
-    ctx: &RunContext,
-    config: &ServerConfig,
-    scratch: &mut ExecScratch,
-    outcomes: &Mutex<Vec<Outcome>>,
-    open_breakers: &AtomicUsize,
-    consecutive_failures: &mut usize,
-    breaker_open: &mut bool,
-    spu: f64,
-    batch: Vec<Dispatched>,
-    entry: LutEntry,
-) {
-    if batch.len() == 1 {
-        // Window expired with a lone request: exactly the unbatched path.
-        let only = &batch[0];
-        serve_request(
-            core,
-            ctx,
-            config,
-            scratch,
-            outcomes,
-            open_breakers,
-            consecutive_failures,
-            breaker_open,
-            spu,
-            only,
-        );
-        return;
-    }
-    let mut actx = ctx.clone();
-    if *breaker_open && actx.exec.backend() == ExecBackend::Plan {
-        let exec = actx.exec.clone().with_backend(ExecBackend::Interpret);
-        actx = actx.with_exec(exec);
-    }
-    let actx = actx.with_fault(FaultCtx::new().with_guard(GuardConfig::default()));
-    let images: Vec<Tensor> = batch.iter().map(|d| d.sub.image.clone()).collect();
-    match core.run_batch(scratch, &images, entry, true, &actx) {
-        Ok(inferences) => {
-            let finish = Instant::now();
-            if *breaker_open {
-                *breaker_open = false;
-                open_breakers.fetch_sub(1, Ordering::Relaxed);
-            }
-            *consecutive_failures = 0;
-            let n = batch.len() as u32;
-            let mut out = outcomes.lock();
-            for (d, inf) in batch.iter().zip(inferences) {
-                out.push(Outcome::Completed(RequestRecord {
-                    latency: finish.duration_since(d.sub.submitted_at).as_secs_f64(),
-                    queue_wait: d.queue_wait,
-                    met_deadline: finish <= d.deadline,
-                    accuracy: inf.norm_miou_estimate,
-                    config: inf.config,
-                    retries: 0,
-                    faults_seen: 0,
-                    tenant: d.sub.tenant,
-                    ticket: Some(d.sub.ticket()),
-                    batch_size: n,
-                }));
-            }
-        }
-        Err(err) => {
-            // Batched pass failed (e.g. a guard trip somewhere in the
-            // batch): isolate by re-serving each member individually.
-            if ctx.trace_enabled() {
-                ctx.sink.record(EventKind::Fault {
-                    action: RecoveryAction::Retry,
-                    detail: format!("batch of {} failed ({err}); serving singly", batch.len()),
-                    at_ns: now_ns(),
-                });
-            }
-            for d in &batch {
-                serve_request(
-                    core,
-                    ctx,
-                    config,
-                    scratch,
-                    outcomes,
-                    open_breakers,
-                    consecutive_failures,
-                    breaker_open,
-                    spu,
-                    d,
-                );
-            }
-        }
-    }
-}
-
-/// Serves one dequeued request to its terminal [`Outcome`]: the
-/// per-attempt loop that arms fault injection, re-checks admissibility and
-/// re-derives a (tighter) budget before each attempt, runs the engine
-/// under the output guard, observes watchdog overruns, and maintains this
-/// worker's circuit breaker. Pushes exactly one outcome.
-#[allow(clippy::too_many_arguments)]
-fn serve_request(
-    core: &Arc<EngineCore>,
-    ctx: &RunContext,
-    config: &ServerConfig,
-    scratch: &mut ExecScratch,
-    outcomes: &Mutex<Vec<Outcome>>,
-    open_breakers: &AtomicUsize,
-    consecutive_failures: &mut usize,
-    breaker_open: &mut bool,
-    spu: f64,
-    d: &Dispatched,
-) {
-    let ft = &config.fault_tolerance;
-    let sub = &d.sub;
-    let deadline = d.deadline;
-    let traced = ctx.trace_enabled();
-    let fault_event = |action: RecoveryAction, detail: String| {
-        if traced {
-            ctx.sink.record(EventKind::Fault {
-                action,
-                detail,
-                at_ns: now_ns(),
-            });
-        }
-    };
-    let mut attempt: u32 = 0;
-    let mut faults_seen: u32 = 0;
-    let mut interpret_fallback = false;
-    let mut last_reason = FailureReason::Engine;
-    loop {
-        let now = Instant::now();
-        // Signed remaining slack: negative once past due. Re-derived per
-        // attempt, so a retry sees only what the fault left it — the LUT
-        // then degrades the retry to a cheaper configuration by itself.
-        let slack_secs = signed_slack(deadline, now);
-        let slack_units = slack_secs / spu;
-        if !admissible(slack_units, core.min_resource()) {
-            if attempt == 0 {
-                if traced {
-                    ctx.sink.record(EventKind::Instant {
-                        name: "shed".to_string(),
-                        detail: ShedReason::SlackExhausted.name().to_string(),
-                        at_ns: now_ns(),
-                    });
-                }
-                outcomes.lock().push(Outcome::Shed(ShedRecord {
-                    reason: ShedReason::SlackExhausted,
-                    tenant: sub.tenant,
-                    ticket: Some(sub.ticket()),
-                }));
-            } else {
-                // Slack ran out while recovering: the fault, not the
-                // queue, cost this request its deadline.
-                fault_event(
-                    RecoveryAction::FailFast,
-                    format!("slack exhausted recovering from {last_reason}"),
-                );
-                outcomes.lock().push(Outcome::Failed(FailureRecord {
-                    reason: last_reason,
-                    retries: attempt,
-                    faults_seen,
-                    tenant: sub.tenant,
-                    ticket: Some(sub.ticket()),
-                }));
-            }
-            return;
-        }
-        let budget = budget_for(config.policy, core, slack_units);
-        let (entry, _fits) = core.select(budget);
-        let expected_secs = entry.resource * spu;
-
-        let mut actx = ctx.clone();
-        if (*breaker_open || interpret_fallback) && actx.exec.backend() == ExecBackend::Plan {
-            let exec = actx.exec.clone().with_backend(ExecBackend::Interpret);
-            actx = actx.with_exec(exec);
-        }
-        let mut fctx = FaultCtx::new().with_guard(GuardConfig::default());
-        if let Some(plan) = ft.fault {
-            fctx = fctx.armed(plan, sub.seq, attempt);
-        }
-        let actx = actx.with_fault(fctx);
-
-        let began = Instant::now();
-        match core.run(scratch, &sub.image, entry, true, &actx) {
-            Ok(inference) => {
-                let finish = Instant::now();
-                let elapsed = finish.duration_since(began).as_secs_f64();
-                // The threaded server cannot abort a running inference, so
-                // the watchdog is observational here: an attempt that
-                // overran its allowance is recorded as a detection (the
-                // simulator models the true abort).
-                let allowance = slack_secs.max(0.0).min(ft.watchdog_grace * expected_secs);
-                if elapsed > allowance {
-                    fault_event(
-                        RecoveryAction::Detected,
-                        format!("watchdog: ran {elapsed:.6}s, allowance {allowance:.6}s"),
-                    );
-                }
-                if *breaker_open {
-                    *breaker_open = false;
-                    open_breakers.fetch_sub(1, Ordering::Relaxed);
-                    fault_event(RecoveryAction::CircuitClose, String::new());
-                }
-                *consecutive_failures = 0;
-                if attempt > 0 {
-                    fault_event(RecoveryAction::Degraded, format!("retries={attempt}"));
-                }
-                outcomes.lock().push(Outcome::Completed(RequestRecord {
-                    latency: finish.duration_since(sub.submitted_at).as_secs_f64(),
-                    queue_wait: d.queue_wait,
-                    met_deadline: finish <= deadline,
-                    accuracy: inference.norm_miou_estimate,
-                    config: inference.config,
-                    retries: attempt,
-                    faults_seen,
-                    tenant: sub.tenant,
-                    ticket: Some(sub.ticket()),
-                    batch_size: 1,
-                }));
-                return;
-            }
-            Err(err) => {
-                faults_seen += 1;
-                *consecutive_failures += 1;
-                let reason = failure_reason(&err);
-                last_reason = reason;
-                fault_event(RecoveryAction::Detected, format!("{reason}: {err}"));
-                if *consecutive_failures >= ft.breaker_threshold && !*breaker_open {
-                    *breaker_open = true;
-                    open_breakers.fetch_add(1, Ordering::Relaxed);
-                    fault_event(
-                        RecoveryAction::CircuitOpen,
-                        format!("{} consecutive failures", *consecutive_failures),
-                    );
-                }
-                if attempt >= ft.recovery.max_retries() {
-                    fault_event(RecoveryAction::FailFast, reason.name().to_string());
-                    outcomes.lock().push(Outcome::Failed(FailureRecord {
-                        reason,
-                        retries: attempt,
-                        faults_seen,
-                        tenant: sub.tenant,
-                        ticket: Some(sub.ticket()),
-                    }));
-                    return;
-                }
-                if reason == FailureReason::PlanReplay && !interpret_fallback {
-                    interpret_fallback = true;
-                    fault_event(
-                        RecoveryAction::BackendFallback,
-                        "plan -> interpret".to_string(),
-                    );
-                } else {
-                    fault_event(RecoveryAction::Retry, reason.name().to_string());
-                }
-                attempt += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vit_resilience::ResourceKind;
 
     #[test]
     fn calibration_averages_all_timed_runs() {
@@ -906,6 +711,69 @@ mod tests {
         let cal =
             Calibration::from_timed_runs::<()>(&mut || Ok(0.0), CALIBRATION_RUNS, 2.0).unwrap();
         assert!(cal.secs_per_unit > 0.0, "rate stays positive");
+    }
+
+    /// A fake engine pass with kernel bugs: it panics on every batch and
+    /// on every even ticket, and succeeds on odd tickets served alone.
+    fn panicking_pass(
+        _: &EngineCore,
+        _: &mut ExecScratch,
+        members: &[Job<Payload>],
+        _: &LutEntry,
+        _: &RunContext,
+    ) -> Result<(), EngineError> {
+        if members.len() > 1 || members[0].seq.is_multiple_of(2) {
+            panic!("kernel bug on ticket {}", members[0].seq);
+        }
+        Ok(())
+    }
+
+    /// The threaded workers contain panicking engine passes: each panic is
+    /// a typed `Engine` failure that goes through the shared recovery
+    /// path, a panicking batch is re-served one member at a time, every
+    /// request is conserved, and shutdown returns.
+    #[test]
+    fn worker_contains_engine_panics() {
+        use crate::request::FailureReason;
+        use vit_trace::{RingBufferSink, TraceSink};
+        let core = Arc::new(crate::dispatch::tiny_core());
+        // Unbatched on two workers; batched on one, whose long window
+        // fills every batch.
+        for (workers, max_batch) in [(2, 1), (1, 4)] {
+            let config = ServerConfig::builder()
+                .workers(workers)
+                .max_batch(max_batch)
+                .batch_window(30.0)
+                .breaker_threshold(usize::MAX)
+                .build()
+                .unwrap();
+            let sink = Arc::new(RingBufferSink::new(1 << 12));
+            let ctx = RunContext::default().with_sink(sink.clone() as Arc<dyn TraceSink>);
+            let server = Server::spawn(
+                core.clone(),
+                Calibration::from_secs_per_unit(1.0),
+                config,
+                ctx,
+                panicking_pass,
+            );
+            for _ in 0..8 {
+                let image = Tensor::zeros(&[1, 3, 64, 64]);
+                let deadline = Instant::now() + Duration::from_secs(3600);
+                let request = InferenceRequest::new(image, deadline, ResourceKind::GpuTime);
+                assert!(server.submit(request).unwrap().is_admitted());
+            }
+            let m = server.shutdown();
+            assert_eq!(m.submitted, 8);
+            assert!(m.accounts_for_all_submissions());
+            assert_eq!(m.completed, 4, "odd tickets complete");
+            assert_eq!(m.batched_completions, 0, "every batch panicked");
+            assert_eq!(m.fault_failures, 4, "even tickets fail every attempt");
+            assert_eq!(m.failure_histogram, vec![(FailureReason::Engine, 4)]);
+            let failed_batches = (sink.events().iter())
+                .filter(|e| matches!(&e.kind, EventKind::Fault { action: RecoveryAction::Retry, detail, .. } if detail.starts_with("batch of")))
+                .count();
+            assert_eq!(failed_batches > 0, max_batch > 1);
+        }
     }
 
     #[test]

@@ -1,30 +1,30 @@
 //! Deterministic discrete-event simulation of the serving loop.
 //!
-//! Shares the scheduling semantics of the threaded [`crate::Server`] —
-//! weighted-fair multi-tenant EDF dispatch, admission control at arrival
-//! and at dispatch, a bounded queue, continuous batching — but advances a
-//! *virtual* clock, so a load sweep is exactly reproducible under a fixed
-//! seed and independent of the host machine. Service times are the LUT's
-//! resource estimates scaled by a fixed seconds-per-unit rate; inference
-//! outputs are not materialized (the metrics only need the selected
-//! configuration and its accuracy estimate), which keeps sweeping millions
-//! of requests over hundreds of operating points cheap.
+//! Runs the dispatch core the threaded [`crate::Server`] runs
+//! (`dispatch.rs`): weighted-fair multi-tenant EDF dispatch,
+//! admission control at arrival and at dispatch, a bounded queue,
+//! continuous batching, degraded retry. What it replaces is the substrate:
+//! a *virtual* clock per worker, so a load sweep is exactly reproducible
+//! under a fixed seed and independent of the host machine, and a modeled
+//! executor. Service times are the LUT's resource estimates scaled by a
+//! fixed seconds-per-unit rate; inference outputs are not materialized
+//! (the metrics only need the selected configuration and its accuracy
+//! estimate), which keeps sweeping millions of requests over hundreds of
+//! operating points cheap.
 //!
 //! Fleet scale: `replicas` simulates that many identical worker groups,
 //! each with its own queue and `workers` workers; arrivals are routed
 //! round-robin (by arrival order), modeling a stateless load balancer.
 
 use crate::config::TenantSpec;
-use crate::fair::{CoalescePop, DispatchPushError, DispatchQueue};
+use crate::dispatch::{batch_secs, DispatchEnv, Dispatcher, Job, OrdF64};
+use crate::fair::{CoalescePop, DispatchQueue};
 use crate::metrics::ServerMetrics;
-use crate::policy::{admissible, budget_for, RecoveryPolicy, SchedulePolicy};
-use crate::request::{
-    FailureReason, FailureRecord, Outcome, RequestRecord, RequestTicket, ShedReason, ShedRecord,
-    TenantId,
-};
+use crate::policy::{RecoveryPolicy, SchedulePolicy};
+use crate::request::{FailureReason, Outcome, TenantId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use vit_drt::EngineCore;
+use vit_drt::{EngineCore, LutEntry};
 use vit_fault::{FaultKind, FaultPlan};
 
 /// One request arrival in virtual time.
@@ -171,31 +171,6 @@ const CRASH_BURN: f64 = 0.5;
 /// before the executor reports it (replay validation fails fast).
 const REPLAY_BURN: f64 = 0.05;
 
-/// Totally ordered f64 for use as a heap key (virtual times are finite).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueuedReq {
-    arrival: f64,
-    deadline: f64,
-    tenant: TenantId,
-}
-
 /// Runs the simulation over `arrivals` (any order; sorted internally by
 /// arrival time, stably) and returns aggregate metrics in virtual seconds.
 ///
@@ -237,330 +212,186 @@ pub fn simulate_outcomes(
     let mut sorted: Vec<SimArrival> = arrivals.to_vec();
     sorted.sort_by(|a, b| a.time.total_cmp(&b.time));
 
-    if config.replicas == 1 {
-        return simulate_replica(core, config, &sorted);
-    }
     // Round-robin load balancing over identical replicas: arrival i (in
     // time order) goes to replica i mod replicas. Each replica is an
     // independent queue + worker group; outcomes concatenate (aggregate
     // metrics are order-insensitive).
-    let mut outcomes = Vec::with_capacity(sorted.len());
-    for r in 0..config.replicas {
-        let share: Vec<SimArrival> = sorted
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % config.replicas == r)
-            .map(|(_, a)| *a)
-            .collect();
-        outcomes.extend(simulate_replica(core, config, &share));
+    (0..config.replicas)
+        .flat_map(|r| {
+            let share: Vec<SimArrival> = sorted
+                .iter()
+                .skip(r)
+                .step_by(config.replicas)
+                .copied()
+                .collect();
+            simulate_replica(core, config, &share)
+        })
+        .collect()
+}
+
+/// One simulated replica: its queue, its outcomes, and the virtual clock
+/// of the worker currently dispatching.
+struct Replica<'a> {
+    config: &'a SimConfig,
+    /// The armed fault plan, if any draws can fire.
+    fault: Option<FaultPlan>,
+    queue: DispatchQueue<OrdF64, Job<()>>,
+    outcomes: Vec<Outcome>,
+    /// The dispatching worker's clock: its start of service, advanced by
+    /// every modeled pass.
+    now: f64,
+    /// When the dispatching worker is free again; a dispatch that runs
+    /// nothing (a shed) leaves it unchanged.
+    free_at: f64,
+}
+
+impl DispatchEnv for Replica<'_> {
+    type Payload = ();
+
+    fn now(&self) -> f64 {
+        self.now
     }
-    outcomes
+
+    /// Virtual time stands still while a batch forms: the window is
+    /// zero-cost and covers exactly what is already queued.
+    fn pop_follower(
+        &mut self,
+        _window_end: f64,
+        accept: &mut dyn FnMut(f64, f64) -> bool,
+    ) -> Option<Job<()>> {
+        let now = self.now;
+        match self.queue.pop_if(|job| accept(job.deadline, now)) {
+            CoalescePop::Item((_, _, job)) => Some(job),
+            _ => None,
+        }
+    }
+
+    /// The cost and fault model: a clean pass takes the LUT's resource
+    /// estimate (batch-scaled by `batch_marginal`); a drawn fault burns
+    /// part of it, or, for a stall past the watchdog allowance, exactly the
+    /// allowance, when the watchdog aborts it.
+    fn run(
+        &mut self,
+        members: &[Job<()>],
+        entry: &LutEntry,
+        attempt: u32,
+        interpret: bool,
+    ) -> Result<(), FailureReason> {
+        let expected = entry.resource * self.config.secs_per_unit;
+        let drawn = match self.fault.and_then(|p| p.decide(members[0].seq, attempt)) {
+            // Replay faults stop arising once recovery fell back to the
+            // interpreting backend.
+            Some(FaultKind::PlanReplay) if interpret => None,
+            d => d,
+        };
+        let (burned, result) = match drawn {
+            Some(FaultKind::Crash) => (CRASH_BURN * expected, Err(FailureReason::Crash)),
+            // Corruption runs to completion; the output guard catches it
+            // there, so a full service time is burned.
+            Some(FaultKind::BitFlip) => (expected, Err(FailureReason::GuardTripped)),
+            Some(FaultKind::Stall) => {
+                let factor = self.fault.expect("drawn implies a plan").stall_factor;
+                let actual = expected * factor.max(1.0);
+                let allowance = expected * self.config.watchdog_grace;
+                if actual > allowance {
+                    (allowance, Err(FailureReason::Watchdog))
+                } else {
+                    (actual, Ok(()))
+                }
+            }
+            Some(FaultKind::PlanReplay) => (REPLAY_BURN * expected, Err(FailureReason::PlanReplay)),
+            // No fault (or an unknown future kind): clean service.
+            _ => (
+                batch_secs(expected, members.len(), self.config.batch_marginal),
+                Ok(()),
+            ),
+        };
+        self.now += burned;
+        self.free_at = self.now;
+        result
+    }
+
+    fn record(&mut self, outcome: Outcome) {
+        self.outcomes.push(outcome);
+    }
 }
 
 /// Simulates one replica over its (time-sorted) share of the arrivals.
 fn simulate_replica(core: &EngineCore, config: &SimConfig, sorted: &[SimArrival]) -> Vec<Outcome> {
-    let spu = config.secs_per_unit;
-    let min_cost = core.min_resource();
-    let fault_plan = config.fault.filter(|p| p.is_active());
-    // As in the threaded server: batching never mixes with an armed fault
-    // plan, keeping per-request fault draws replayable.
-    let batching = config.max_batch > 1 && fault_plan.is_none();
-
-    // Weighted-fair multi-tenant EDF queue of admitted, not-yet-dispatched
-    // requests — the same discipline the threaded server dispatches with.
-    // Items are indices into `queued`; the index doubles as the request's
-    // deterministic fault-draw identity and ticket.
-    let mut queue: DispatchQueue<OrdF64, u64> =
-        DispatchQueue::bounded(config.queue_depth, &config.tenants);
-    let mut queued: Vec<QueuedReq> = Vec::new();
+    let fault = config.fault.filter(|p| p.is_active());
+    let dispatcher = Dispatcher {
+        core,
+        policy: config.policy,
+        recovery: config.recovery,
+        secs_per_unit: config.secs_per_unit,
+        // As in the threaded server: batching never mixes with an armed
+        // fault plan, keeping per-request fault draws replayable.
+        max_batch: if fault.is_some() { 1 } else { config.max_batch },
+        window: 0.0,
+        marginal: config.batch_marginal,
+    };
+    let mut env = Replica {
+        config,
+        fault,
+        queue: DispatchQueue::bounded(config.queue_depth, &config.tenants),
+        outcomes: Vec::with_capacity(sorted.len()),
+        now: 0.0,
+        free_at: 0.0,
+    };
     // When each worker becomes free, as a min-heap.
-    let mut workers: BinaryHeap<Reverse<OrdF64>> = BinaryHeap::new();
-    for _ in 0..config.workers {
-        workers.push(Reverse(OrdF64(0.0)));
-    }
-
-    let mut outcomes: Vec<Outcome> = Vec::with_capacity(sorted.len());
-    let mut next_arrival = 0usize;
-
-    // Admission control at arrival time: slack below the cheapest path, a
-    // full queue, or an exhausted tenant quota sheds immediately.
-    let admit = |a: &SimArrival,
-                 queue: &mut DispatchQueue<OrdF64, u64>,
-                 queued: &mut Vec<QueuedReq>,
-                 outcomes: &mut Vec<Outcome>| {
-        if !admissible(a.slack / spu, min_cost) {
-            outcomes.push(Outcome::Shed(ShedRecord::at_admission(
-                ShedReason::SlackBelowCheapest,
-                a.tenant,
-            )));
-            return;
-        }
-        let seq = queued.len() as u64;
-        let deadline = a.time + a.slack;
-        match queue.try_push(a.tenant, OrdF64(deadline), seq) {
-            Ok(()) => queued.push(QueuedReq {
-                arrival: a.time,
-                deadline,
-                tenant: a.tenant,
-            }),
-            Err(e) => {
-                let reason = match e {
-                    DispatchPushError::OverQuota => ShedReason::OverQuota,
-                    DispatchPushError::Full | DispatchPushError::Closed => ShedReason::QueueFull,
-                };
-                // `queued` was not extended, so the seq is re-used by the
-                // next admitted request — sheds never consume fault-draw
-                // identities, exactly as before tenancy existed.
-                outcomes.push(Outcome::Shed(ShedRecord::at_admission(reason, a.tenant)));
-            }
+    let mut workers: BinaryHeap<Reverse<OrdF64>> =
+        (0..config.workers).map(|_| Reverse(OrdF64(0.0))).collect();
+    // Sheds never consume a sequence number, so the admitted requests'
+    // fault-draw identities do not depend on what was shed around them.
+    let mut next_seq = 0u64;
+    let mut admit = |a: &SimArrival, env: &mut Replica| {
+        let job = Job {
+            seq: next_seq,
+            tenant: a.tenant,
+            arrival: a.time,
+            deadline: a.time + a.slack,
+            queue_wait: 0.0,
+            payload: (),
+        };
+        let key = OrdF64(job.deadline);
+        match dispatcher.admit(a.slack, a.tenant, || env.queue.try_push(a.tenant, key, job)) {
+            Ok(()) => next_seq += 1,
+            Err(shed) => env.outcomes.push(Outcome::Shed(shed)),
         }
     };
 
+    let mut arrivals = sorted.iter().peekable();
     loop {
         let free_at = workers.peek().expect("worker heap never empties").0 .0;
         // Everything that has arrived by the time a worker frees must be
         // visible to that dispatch decision (EDF is over *queued* work).
-        while next_arrival < sorted.len() && sorted[next_arrival].time <= free_at {
-            admit(
-                &sorted[next_arrival],
-                &mut queue,
-                &mut queued,
-                &mut outcomes,
-            );
-            next_arrival += 1;
+        while let Some(a) = arrivals.next_if(|a| a.time <= free_at) {
+            admit(a, &mut env);
         }
-        if queue.is_empty() {
-            if next_arrival >= sorted.len() {
-                break; // drained
+        let Some((_, _, leader)) = env.queue.pop() else {
+            // Idle: jump to the next arrival, or stop once drained.
+            match arrivals.next() {
+                Some(a) => {
+                    admit(a, &mut env);
+                    continue;
+                }
+                None => break,
             }
-            // Idle: jump to the next arrival.
-            admit(
-                &sorted[next_arrival],
-                &mut queue,
-                &mut queued,
-                &mut outcomes,
-            );
-            next_arrival += 1;
-            continue;
-        }
-
+        };
         // Dispatch the weighted-fair-EDF head on the earliest free worker.
-        let (_, _, seq) = queue.pop().expect("checked non-empty");
-        let req = queued[seq as usize];
         workers.pop();
-        let start = free_at.max(req.arrival);
-
-        if batching {
-            let slack_units = (req.deadline - start) / spu;
-            if admissible(slack_units, min_cost) {
-                // Coalesce: followers join while the next-up request (in
-                // fair-EDF order — never skipped over) is admissible and
-                // resolves to the leader's configuration. Virtual time
-                // does not advance while the batch forms (a zero-cost
-                // batch window over everything already queued).
-                let budget = budget_for(config.policy, core, slack_units);
-                let (entry, _fits) = core.select(budget);
-                let mut members: Vec<u64> = vec![seq];
-                let mut earliest = req.deadline;
-                while members.len() < config.max_batch {
-                    // Service time if one more member joins. A batch must
-                    // never turn a met deadline into a miss: everyone
-                    // shares the batch finish instant, so the batch only
-                    // grows while that projected finish still meets the
-                    // earliest deadline on board — and the candidate's own.
-                    let grown =
-                        entry.resource * spu * (1.0 + members.len() as f64 * config.batch_marginal);
-                    if start + grown > earliest {
-                        break;
-                    }
-                    let picked = queue.pop_if(|&s| {
-                        let cand = queued[s as usize];
-                        let su = (cand.deadline - start) / spu;
-                        start + grown <= cand.deadline
-                            && admissible(su, min_cost)
-                            && core.select(budget_for(config.policy, core, su)).0.config
-                                == entry.config
-                    });
-                    match picked {
-                        CoalescePop::Item((_, _, s)) => {
-                            earliest = earliest.min(queued[s as usize].deadline);
-                            members.push(s);
-                        }
-                        _ => break,
-                    }
-                }
-                let n = members.len();
-                let service =
-                    entry.resource * spu * (1.0 + (n as f64 - 1.0) * config.batch_marginal);
-                let finish = start + service;
-                workers.push(Reverse(OrdF64(finish)));
-                for &s in &members {
-                    let m = queued[s as usize];
-                    outcomes.push(Outcome::Completed(RequestRecord {
-                        latency: finish - m.arrival,
-                        queue_wait: start - m.arrival,
-                        met_deadline: finish <= m.deadline,
-                        accuracy: entry.norm_miou,
-                        config: entry.config,
-                        retries: 0,
-                        faults_seen: 0,
-                        tenant: m.tenant,
-                        ticket: Some(RequestTicket(s)),
-                        batch_size: n as u32,
-                    }));
-                }
-                continue;
-            }
-            // Hopeless leader: fall through to the per-request loop, which
-            // sheds it at dispatch.
-        }
-
-        // Per-attempt recovery loop mirroring the threaded worker: each
-        // attempt re-checks admissibility against the time already burned
-        // and re-selects against the *remaining* slack, so a retry
-        // degrades to a cheaper configuration by construction.
-        let mut t = start;
-        let mut attempt: u32 = 0;
-        let mut faults_seen: u32 = 0;
-        let mut interpret_fallback = false;
-        let mut last_reason = FailureReason::Engine;
-        loop {
-            let slack_units = (req.deadline - t) / spu;
-            if !admissible(slack_units, min_cost) {
-                if attempt == 0 {
-                    // Slack expired while waiting: shed at dispatch,
-                    // worker stays free at the same instant.
-                    workers.push(Reverse(OrdF64(free_at)));
-                    outcomes.push(Outcome::Shed(ShedRecord {
-                        reason: ShedReason::SlackExhausted,
-                        tenant: req.tenant,
-                        ticket: Some(RequestTicket(seq)),
-                    }));
-                } else {
-                    // Slack ran out mid-recovery: the fault cost this
-                    // request its deadline, and the worker its time.
-                    workers.push(Reverse(OrdF64(t)));
-                    outcomes.push(Outcome::Failed(FailureRecord {
-                        reason: last_reason,
-                        retries: attempt,
-                        faults_seen,
-                        tenant: req.tenant,
-                        ticket: Some(RequestTicket(seq)),
-                    }));
-                }
-                break;
-            }
-            let budget = budget_for(config.policy, core, slack_units);
-            let (entry, _fits) = core.select(budget);
-            let expected = entry.resource * spu;
-
-            let drawn = match fault_plan.and_then(|p| p.decide(seq, attempt)) {
-                // Replay faults stop arising once recovery fell back to
-                // the interpreting backend.
-                Some(FaultKind::PlanReplay) if interpret_fallback => None,
-                d => d,
-            };
-            let (burned, result) = match drawn {
-                Some(FaultKind::Crash) => (CRASH_BURN * expected, Err(FailureReason::Crash)),
-                // Corruption runs to completion; the output guard catches
-                // it there, so a full service time is burned.
-                Some(FaultKind::BitFlip) => (expected, Err(FailureReason::GuardTripped)),
-                Some(FaultKind::Stall) => {
-                    let factor = fault_plan.expect("drawn implies a plan").stall_factor;
-                    let actual = expected * factor.max(1.0);
-                    let allowance = expected * config.watchdog_grace;
-                    if actual > allowance {
-                        // The watchdog aborts the stalled attempt at its
-                        // allowance instead of letting it run out.
-                        (allowance, Err(FailureReason::Watchdog))
-                    } else {
-                        (actual, Ok(()))
-                    }
-                }
-                Some(FaultKind::PlanReplay) => {
-                    (REPLAY_BURN * expected, Err(FailureReason::PlanReplay))
-                }
-                // No fault (or an unknown future kind): clean service.
-                _ => (expected, Ok(())),
-            };
-            match result {
-                Ok(()) => {
-                    let finish = t + burned;
-                    workers.push(Reverse(OrdF64(finish)));
-                    outcomes.push(Outcome::Completed(RequestRecord {
-                        latency: finish - req.arrival,
-                        queue_wait: start - req.arrival,
-                        met_deadline: finish <= req.deadline,
-                        accuracy: entry.norm_miou,
-                        config: entry.config,
-                        retries: attempt,
-                        faults_seen,
-                        tenant: req.tenant,
-                        ticket: Some(RequestTicket(seq)),
-                        batch_size: 1,
-                    }));
-                    break;
-                }
-                Err(reason) => {
-                    t += burned;
-                    faults_seen += 1;
-                    last_reason = reason;
-                    if reason == FailureReason::PlanReplay {
-                        interpret_fallback = true;
-                    }
-                    if attempt >= config.recovery.max_retries() {
-                        workers.push(Reverse(OrdF64(t)));
-                        outcomes.push(Outcome::Failed(FailureRecord {
-                            reason,
-                            retries: attempt,
-                            faults_seen,
-                            tenant: req.tenant,
-                            ticket: Some(RequestTicket(seq)),
-                        }));
-                        break;
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+        env.free_at = free_at;
+        env.now = free_at.max(leader.arrival);
+        dispatcher.dispatch(&mut env, leader);
+        workers.push(Reverse(OrdF64(env.free_at)));
     }
-
-    outcomes
+    env.outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vit_drt::{EngineCore, EngineFamily, Lut};
-    use vit_models::{SegFormerDynamic, SegFormerVariant};
-    use vit_resilience::{DynConfig, TradeoffPoint};
-
-    /// A tiny synthetic 3-row LUT: costs 1/2/4 units, accuracies
-    /// 0.6/0.85/1.0.
-    fn test_core() -> EngineCore {
-        let point = |r: f64, a: f64| TradeoffPoint {
-            label: String::new(),
-            config: DynConfig::SegFormer(SegFormerDynamic::with_depths_and_fuse(
-                &SegFormerVariant::b0(),
-                [1, 1, 1, 1],
-                ((r * 64.0) as usize).max(4),
-            )),
-            resource: r,
-            norm_resource: r / 4.0,
-            norm_miou: a,
-        };
-        let lut = Lut::from_points(
-            "sim test",
-            &[point(1.0, 0.6), point(2.0, 0.85), point(4.0, 1.0)],
-        );
-        EngineCore::new(
-            EngineFamily::SegFormer(SegFormerVariant::b0()),
-            150,
-            (64, 64),
-            lut,
-        )
-        .unwrap()
-    }
+    use crate::dispatch::tiny_core;
 
     fn uniform_arrivals(n: usize, gap: f64, slack: f64) -> Vec<SimArrival> {
         (0..n)
@@ -570,7 +401,7 @@ mod tests {
 
     #[test]
     fn underload_runs_full_model_on_time() {
-        let core = test_core();
+        let core = tiny_core();
         let m = simulate(
             &core,
             &SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0),
@@ -587,7 +418,7 @@ mod tests {
 
     #[test]
     fn overload_degrades_accuracy_instead_of_missing() {
-        let core = test_core();
+        let core = tiny_core();
         let cfg = |policy| SimConfig::new(1, 8, policy, 1.0);
         // Offered load 2x capacity of the full model (arrival every 2s,
         // full service 4s), with slack that fits the full model only when
@@ -610,7 +441,7 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic() {
-        let core = test_core();
+        let core = tiny_core();
         let cfg = SimConfig::new(3, 8, SchedulePolicy::DrtDynamic, 0.01);
         let arrivals = uniform_arrivals(100, 0.013, 0.07);
         let a = simulate(&core, &cfg, &arrivals);
@@ -624,7 +455,7 @@ mod tests {
 
     #[test]
     fn chaos_is_deterministic_and_conserves_requests() {
-        let core = test_core();
+        let core = tiny_core();
         let plan = FaultPlan {
             seed: 7,
             crash_rate: 0.1,
@@ -649,7 +480,7 @@ mod tests {
 
     #[test]
     fn degraded_retry_beats_fail_fast_on_goodput_under_faults() {
-        let core = test_core();
+        let core = tiny_core();
         let plan = FaultPlan {
             seed: 11,
             crash_rate: 0.15,
@@ -684,7 +515,7 @@ mod tests {
 
     #[test]
     fn watchdog_aborts_hopeless_stalls() {
-        let core = test_core();
+        let core = tiny_core();
         // Every request stalls 10x; grace 4x means every first attempt is
         // aborted by the watchdog at 4x expected.
         let plan = FaultPlan {
@@ -706,7 +537,7 @@ mod tests {
 
     #[test]
     fn replay_failure_falls_back_to_interpreter() {
-        let core = test_core();
+        let core = tiny_core();
         // Replay always fails; the fallback must land every request on a
         // successful (interpreted) retry.
         let plan = FaultPlan {
@@ -727,7 +558,7 @@ mod tests {
 
     #[test]
     fn impossible_slack_is_shed_at_admission() {
-        let core = test_core();
+        let core = tiny_core();
         let m = simulate(
             &core,
             &SimConfig::new(1, 4, SchedulePolicy::DrtDynamic, 1.0),
@@ -741,7 +572,7 @@ mod tests {
 
     #[test]
     fn batching_strictly_improves_goodput_at_overload() {
-        let core = test_core();
+        let core = tiny_core();
         // Bursts of 8 simultaneous same-slack requests: one worker serving
         // them one-by-one (4s each at full) exhausts the later requests'
         // slack, while one batch-8 pass (4 × (1 + 7×0.25) = 11s) lands the
@@ -771,7 +602,7 @@ mod tests {
 
     #[test]
     fn batch_of_requests_share_config_and_finish_time() {
-        let core = test_core();
+        let core = tiny_core();
         // Two workers idle at t=0; 4 identical-slack arrivals at t=0: the
         // first worker batches what is queued when it dispatches.
         let arrivals: Vec<SimArrival> = (0..4).map(|_| SimArrival::new(0.0, 20.0)).collect();
@@ -795,7 +626,7 @@ mod tests {
 
     #[test]
     fn mixed_config_queue_never_coalesces_across_configs() {
-        let core = test_core();
+        let core = tiny_core();
         // Both arrive together and both are admissible, but their slacks
         // resolve to different LUT rows: 3 units buys the mid (2-unit)
         // path, 30 units the full (4-unit) path. The coalescing predicate
@@ -827,7 +658,7 @@ mod tests {
 
     #[test]
     fn chaos_disables_batching_for_replay_determinism() {
-        let core = test_core();
+        let core = tiny_core();
         let plan = FaultPlan {
             seed: 9,
             crash_rate: 0.2,
@@ -852,7 +683,7 @@ mod tests {
 
     #[test]
     fn replicas_scale_capacity_and_stay_deterministic() {
-        let core = test_core();
+        let core = tiny_core();
         let arrivals = uniform_arrivals(400, 0.7, 6.0);
         let one = SimConfig::new(1, 16, SchedulePolicy::DrtDynamic, 1.0);
         let four = one.clone().with_replicas(4);
@@ -874,7 +705,7 @@ mod tests {
 
     #[test]
     fn tenant_quota_protects_the_light_tenant() {
-        let core = test_core();
+        let core = tiny_core();
         let heavy = TenantId(1);
         let light = TenantId(2);
         // Tenant 1 floods (10x the rate of tenant 2) into a shared queue;

@@ -627,6 +627,35 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 8);
     }
 
+    /// If the closure passed to `scope` panics after spawning, the scope
+    /// must still wait for every spawned job before unwinding — otherwise
+    /// a job borrowing the scope body's stack frame would run against
+    /// freed memory.
+    #[test]
+    fn panicked_scope_body_waits_for_spawned_jobs() {
+        let pool = ThreadPool::new(2);
+        let completed = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let local = [1u8, 2, 3]; // stands in for borrowed stack data
+            pool.scope(|s| {
+                s.spawn(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    // `local` must still be alive here: the scope frame may
+                    // not unwind until this job has finished.
+                    let _ = local.len();
+                    completed.store(true, Ordering::SeqCst);
+                });
+                panic!("scope body panics after spawning");
+            });
+        }));
+        assert!(result.is_err(), "the body's panic must propagate");
+        assert!(
+            completed.load(Ordering::SeqCst),
+            "scope unwound before its spawned job completed: borrowed stack \
+             data was dangling"
+        );
+    }
+
     #[test]
     fn row_chunks_cover_disjointly() {
         let pool = ThreadPool::new(4);

@@ -359,6 +359,38 @@ fn wrong_resource_kind_is_an_error_not_a_shed() {
     assert_eq!(m.submitted, 0, "a rejected request is not an outcome");
 }
 
+/// A malformed image is refused at submission, like a wrong resource
+/// kind, instead of failing every attempt inside a worker: the lone worker
+/// keeps a closed breaker and still serves the next well-formed request.
+#[test]
+fn malformed_image_is_rejected_and_the_server_keeps_serving() {
+    let core = shared_core();
+    let max = core.max_resource();
+    let srv = server(&core, 1, 8);
+    let err = srv
+        .submit(InferenceRequest::new(
+            Tensor::rand_uniform(&[1, 3, 32, 32], 0.0, 1.0, 3),
+            Instant::now() + Duration::from_secs_f64(max * 20.0 * SPU),
+            ResourceKind::GpuTime,
+        ))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SubmitError::WrongImageShape {
+            expected: [1, 3, 64, 64],
+            got: vec![1, 3, 32, 32],
+        }
+    );
+    assert!(srv
+        .submit(request(max * 20.0))
+        .expect("a well-formed request is accepted")
+        .is_admitted());
+    let m = srv.shutdown();
+    assert_eq!(m.submitted, 1, "a rejected request is not an outcome");
+    assert_eq!(m.completed, 1);
+    assert_eq!(m.fault_failures, 0);
+}
+
 /// A batched server whose window expires with only one request queued must
 /// serve that request exactly as an unbatched server would: it completes,
 /// and no batch is recorded.
