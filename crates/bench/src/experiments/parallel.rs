@@ -1,13 +1,13 @@
-//! `repro bench`: sequential-vs-parallel wall-clock regression harness.
+//! `repro bench`: the plan-replay regression harness.
 //!
-//! Times the *full* (undynamic) execution path of each model with the
-//! sequential interpreter (the reference oracle) and by replaying a
-//! compiled [`ExecPlan`] sequentially and at several thread counts;
-//! asserts every variant's outputs are bit-identical to the sequential
-//! interpreter's,
-//! and (with `--json`) writes the numbers — including per-op-class
-//! GFLOP/s from best-of-N traced runs — to `BENCH_parallel_exec.json` so
-//! later PRs have a perf trajectory to compare against.
+//! Times the *full* (undynamic) execution path of each model the way
+//! production runs it: replaying a compiled [`ExecPlan`] on warm caches,
+//! sequentially and with its kernels tiled over several threads. The
+//! sequential interpreter runs once per model, untimed, as the reference
+//! oracle: every replay must be bit-identical to it. With `--json` the
+//! numbers — including per-op-class GFLOP/s from best-of-N traced
+//! replays — go to `BENCH_parallel_exec.json` so later changes have a perf
+//! trajectory to compare against.
 //!
 //! `--json` is also a **throughput ratchet**: before overwriting the
 //! committed `BENCH_parallel_exec.json`, the per-(model, op-class)
@@ -16,7 +16,9 @@
 //! code 1 (a non-required CI signal — wall clocks on shared boxes are
 //! noisy, so the gate is advisory, but the committed baseline makes the
 //! regression visible and datable). Classes whose self-time is under the
-//! `MIN_RATCHET_MS` noise floor are reported but never ratcheted.
+//! `MIN_RATCHET_MS` noise floor are reported but never ratcheted. A
+//! baseline that exists but does not parse is an error (exit 1) rather
+//! than a silently shorter comparison; a missing one means "no baseline".
 //!
 //! The report records the machine's hardware parallelism: speedups are
 //! only physically possible when the machine has more than one core, and
@@ -25,8 +27,10 @@
 
 use crate::{banner, f, Table};
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+use vit_drt::json::{parse, write_pretty, Json};
 use vit_graph::{ExecScratch, Graph, OpClass, RunContext, WeightGen};
 use vit_models::{
     build_segformer, build_swin_upernet, SegFormerConfig, SegFormerVariant, SwinConfig, SwinVariant,
@@ -91,23 +95,6 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// Plan replay with its kernels tiled over `threads` (> 1) threads; the
-/// JSON keeps the historical `parallel` key for these rows.
-struct ParallelPoint {
-    threads: usize,
-    ms: f64,
-    bit_identical: bool,
-}
-
-struct PlanPoint {
-    compile_ms: f64,
-    ms: f64,
-    bit_identical: bool,
-    records: usize,
-    fused: usize,
-    arena_elems: usize,
-}
-
 struct ClassRate {
     class: &'static str,
     flops: u64,
@@ -116,46 +103,36 @@ struct ClassRate {
 
 struct CaseResult {
     name: &'static str,
-    seq_ms: f64,
-    parallel: Vec<ParallelPoint>,
-    plan: PlanPoint,
+    compile_ms: f64,
+    records: usize,
+    fused: usize,
+    arena_elems: usize,
+    /// Best-of-N replay milliseconds per thread count (1 = sequential),
+    /// every one bit-identical to the interpreter oracle.
+    replay: Vec<(usize, f64)>,
     classes: Vec<ClassRate>,
 }
 
-/// Best-of-`reps` wall time of one full graph execution, in milliseconds.
-fn time_run(
-    scratch: &mut ExecScratch,
-    gen: WeightGen,
-    case: &Case,
-    ctx: &RunContext,
-    reps: usize,
-) -> (f64, Tensor) {
-    let inputs = std::slice::from_ref(&case.image);
-    let mut out = scratch
-        .run_with(gen, &case.graph, inputs, ctx)
-        .expect("bench graph runs"); // warm weights, graphs, buffers
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = scratch
-            .run_with(gen, &case.graph, inputs, ctx)
-            .expect("bench graph runs");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
+/// One committed per-(model, op-class) throughput the ratchet compares
+/// against.
+#[derive(Debug, PartialEq)]
+struct BaselineRate {
+    model: String,
+    class: String,
+    gflops: f64,
 }
 
-/// Best-of-`reps` wall time of one plan replay, in milliseconds.
-fn time_plan(plan: &ExecPlan, case: &Case, ctx: &RunContext, reps: usize) -> (f64, Tensor) {
-    let inputs = std::slice::from_ref(&case.image);
-    let mut out = plan.execute(inputs, ctx).expect("bench plan replays"); // warm arena
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = plan.execute(inputs, ctx).expect("bench plan replays");
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
+/// One plan replay of `case` under `ctx`.
+fn replay(plan: &ExecPlan, case: &Case, ctx: &RunContext) -> Tensor {
+    plan.execute(std::slice::from_ref(&case.image), ctx)
+        .expect("bench plan replays")
+}
+
+/// Wall time of one plan replay, in milliseconds.
+fn replay_ms(plan: &ExecPlan, case: &Case, ctx: &RunContext) -> f64 {
+    let t0 = Instant::now();
+    replay(plan, case, ctx);
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// The reporting buckets for per-class throughput: the profiler's
@@ -171,33 +148,27 @@ fn class_label(class: OpClass) -> &'static str {
     }
 }
 
-/// Per-op-class FLOPs and wall time from `reps` traced sequential runs,
-/// keeping each class's **best** (minimum) total time: analytical
-/// GFLOP/s (MAC convention) per compute class. A single traced run is
-/// too noisy to ratchet against — on a shared box one scheduling hiccup
-/// inside a sub-millisecond class shifts its rate by 2–3× — and the
-/// minimum is the standard wall-clock noise filter (same policy as the
-/// timing cells).
-fn class_rates(
-    scratch: &mut ExecScratch,
-    gen: WeightGen,
-    case: &Case,
-    reps: usize,
-) -> Vec<ClassRate> {
-    let classes: HashMap<&str, OpClass> = case
-        .graph
+/// Per-op-class FLOPs and wall time from `reps` traced sequential plan
+/// replays, keeping each class's **best** (minimum) total time:
+/// analytical GFLOP/s (MAC convention) per compute class. A record's
+/// class is its producer's, so fused epilogue FLOPs count with the kernel
+/// that runs them. A single traced run is too noisy to ratchet against —
+/// on a shared box one scheduling hiccup inside a sub-millisecond class
+/// shifts its rate by 2–3× — and the minimum is the standard wall-clock
+/// noise filter (same policy as the timing cells).
+fn class_rates(plan: &ExecPlan, case: &Case, reps: usize) -> Vec<ClassRate> {
+    let classes: HashMap<&str, OpClass> = plan
+        .records()
         .iter()
-        .map(|(_, n)| (n.name.as_str(), n.op.class()))
+        .map(|r| (r.name.as_str(), r.op.class()))
         .collect();
     let order = ["conv", "matmul", "attention", "norm", "other"];
     // Per class: FLOPs (identical every run) and the best total time.
     let mut best: HashMap<&str, (u64, u64)> = HashMap::new();
+    let ring = Arc::new(RingBufferSink::new(1 << 20));
+    let ctx = RunContext::default().with_sink(ring.clone() as Arc<dyn TraceSink>);
     for _ in 0..reps.max(1) {
-        let ring = Arc::new(RingBufferSink::new(1 << 20));
-        let ctx = RunContext::default().with_sink(ring.clone() as Arc<dyn TraceSink>);
-        scratch
-            .run_with(gen, &case.graph, std::slice::from_ref(&case.image), &ctx)
-            .expect("bench graph runs");
+        replay(plan, case, &ctx);
         let mut agg: HashMap<&str, (u64, u64)> = HashMap::new();
         for e in ring.take() {
             if let EventKind::Node {
@@ -208,8 +179,7 @@ fn class_rates(
                 ..
             } = e.kind
             {
-                let label = class_label(classes[name.as_str()]);
-                let slot = agg.entry(label).or_insert((0, 0));
+                let slot = agg.entry(class_label(classes[name.as_str()])).or_default();
                 slot.0 += flops;
                 slot.1 += end_ns - start_ns;
             }
@@ -241,91 +211,91 @@ fn gflops(flops: u64, ms: f64) -> f64 {
     }
 }
 
-/// The seq-vs-parallel benchmark (`repro bench`).
-pub fn bench(args: BenchArgs) {
-    banner("bench — sequential interpreter vs compiled-plan replay at N threads (full paths)");
+/// The plan-replay benchmark (`repro bench`). Returns the process exit
+/// code: 0 on success, 1 when the committed baseline is unreadable or the
+/// throughput ratchet fires.
+pub fn bench(args: BenchArgs) -> i32 {
+    banner("bench — compiled-plan replay at N threads vs the interpreter oracle (full paths)");
+    let path = "BENCH_parallel_exec.json";
+    // Read the committed baseline before any work, so a corrupt file
+    // fails fast and is left in place for inspection.
+    let loaded = if args.json {
+        load_baseline(Path::new(path))
+    } else {
+        Ok(None)
+    };
+    let baseline = match loaded {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("throughput ratchet: committed {path} is unusable: {e}");
+            return 1;
+        }
+    };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let (reps, thread_counts): (usize, &[usize]) =
-        if args.quick { (1, &[2]) } else { (3, &[2, 4]) };
-    println!("hardware parallelism: {cores} core(s); best of {reps} timed run(s) per cell\n");
+    let (reps, thread_counts): (usize, &[usize]) = if args.quick {
+        (1, &[1, 2])
+    } else {
+        (3, &[1, 2, 4])
+    };
+    println!("hardware parallelism: {cores} core(s); best of {reps} timed replay(s) per cell\n");
 
     let gen = WeightGen::new(0);
     let mut results = Vec::new();
-    let mut t = Table::new(&[
-        "model",
-        "interp ms",
-        "plan threads",
-        "plan ms",
-        "speedup",
-        "bit-identical",
-    ]);
+    let mut t = Table::new(&["model", "threads", "replay ms", "vs 1 thread"]);
     for case in cases() {
-        let mut scratch = ExecScratch::new();
-        let (seq_ms, seq_out) = time_run(&mut scratch, gen, &case, &RunContext::default(), reps);
-
-        // Compiled plan: pay the lowering once, then replay the flat
-        // record stream sequentially and with its kernels tiled over N
-        // threads. Replay must beat (or at worst match) the interpreter —
-        // that is the whole point of plans.
+        // The oracle: one untimed sequential interpreter run.
+        let oracle = ExecScratch::new()
+            .run_with(
+                gen,
+                &case.graph,
+                std::slice::from_ref(&case.image),
+                &RunContext::default(),
+            )
+            .expect("bench graph runs");
         let t0 = Instant::now();
         let plan = ExecPlan::compile(&case.graph, gen).expect("bench plan compiles");
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut plan_ms = 0.0;
-        let mut parallel = Vec::new();
-        for threads in std::iter::once(1).chain(thread_counts.iter().copied()) {
-            let (ms, out) = time_plan(&plan, &case, &RunContext::threaded(threads), reps);
-            let identical = out == seq_out;
+        let mut points: Vec<(usize, f64)> = Vec::new();
+        for &threads in thread_counts {
+            let ctx = RunContext::threaded(threads);
             assert!(
-                identical,
+                replay(&plan, &case, &ctx) == oracle, // also warms arena and scratch
                 "{}: plan replay at {threads} threads diverged from the sequential interpreter",
                 case.name
             );
+            let ms = (0..reps)
+                .map(|_| replay_ms(&plan, &case, &ctx))
+                .fold(f64::INFINITY, f64::min);
+            let t1_ms = points.first().map_or(ms, |p| p.1);
             t.row(&[
                 case.name.to_string(),
-                f(seq_ms, 2),
                 threads.to_string(),
                 f(ms, 2),
-                f(seq_ms / ms, 2),
-                identical.to_string(),
+                f(t1_ms / ms, 2),
             ]);
-            if threads == 1 {
-                plan_ms = ms;
-            } else {
-                parallel.push(ParallelPoint {
-                    threads,
-                    ms,
-                    bit_identical: identical,
-                });
-            }
+            points.push((threads, ms));
         }
-        let plan_point = PlanPoint {
+        results.push(CaseResult {
+            name: case.name,
             compile_ms,
-            ms: plan_ms,
-            bit_identical: true,
             records: plan.records().len(),
             fused: plan.fused_nodes(),
             arena_elems: plan.arena_len(),
-        };
-
-        let classes = class_rates(&mut scratch, gen, &case, reps);
-        results.push(CaseResult {
-            name: case.name,
-            seq_ms,
-            parallel,
-            plan: plan_point,
-            classes,
+            replay: points,
+            classes: class_rates(&plan, &case, reps),
         });
     }
     t.print();
+    println!("every replay bit-identical to the sequential interpreter");
 
     let mut pt = Table::new(&["model", "records", "fused", "arena KiB", "compile ms"]);
     for r in &results {
         pt.row(&[
             r.name.to_string(),
-            r.plan.records.to_string(),
-            r.plan.fused.to_string(),
-            f(r.plan.arena_elems as f64 * 4.0 / 1024.0, 1),
-            f(r.plan.compile_ms, 2),
+            r.records.to_string(),
+            r.fused.to_string(),
+            f(r.arena_elems as f64 * 4.0 / 1024.0, 1),
+            f(r.compile_ms, 2),
         ]);
     }
     println!("\ncompiled plans:");
@@ -343,14 +313,13 @@ pub fn bench(args: BenchArgs) {
             ]);
         }
     }
-    println!("\nper-op-class throughput (best of {reps} traced sequential runs, MAC convention):");
+    println!(
+        "\nper-op-class throughput (best of {reps} traced sequential replays, MAC convention):"
+    );
     ct.print();
 
+    let mut code = 0;
     if args.json {
-        let path = "BENCH_parallel_exec.json";
-        let baseline = std::fs::read_to_string(path)
-            .ok()
-            .map(|s| parse_baseline_rates(&s));
         std::fs::write(path, render_json(cores, reps, args.quick, &results))
             .expect("write benchmark JSON");
         println!("\nwrote {path}");
@@ -372,16 +341,17 @@ pub fn bench(args: BenchArgs) {
                     for v in &violations {
                         eprintln!("  {v}");
                     }
-                    std::process::exit(1);
+                    code = 1;
                 }
             }
             None => println!("throughput ratchet: no committed {path} to compare against"),
         }
     }
 
-    if let Some(path) = &args.trace {
-        trace_section(gen, args.quick, path);
+    if let Some(trace_path) = &args.trace {
+        trace_section(gen, args.quick, trace_path);
     }
+    code
 }
 
 /// Median of a sample (not the best-of used for speedups: an overhead
@@ -392,50 +362,44 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One timed full-graph run under `ctx`, in milliseconds.
-fn one_run_ms(scratch: &mut ExecScratch, gen: WeightGen, case: &Case, ctx: &RunContext) -> f64 {
-    let t0 = Instant::now();
-    scratch
-        .run_with(gen, &case.graph, std::slice::from_ref(&case.image), ctx)
-        .expect("bench graph runs");
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
 /// The `--trace` section: gates the disabled-tracing cost and proves a
-/// captured trace is trustworthy before writing it out.
+/// captured trace is trustworthy before writing it out, all on sequential
+/// plan replay.
 ///
-/// Since the redesign there is no sink-free execution path — disabled
-/// tracing (the `NullSink`) *is* the baseline — so its cost is gated with
-/// an A/A comparison over *per-iteration paired ratios*: each iteration
-/// runs both NullSink contexts back-to-back (order alternating) and
+/// There is no sink-free execution path — disabled tracing (the
+/// `NullSink`) *is* the baseline — so its cost is gated with an A/A
+/// comparison over *per-iteration paired ratios*: each iteration runs
+/// both NullSink contexts back-to-back (order alternating) and
 /// contributes one B/A ratio, and the median ratio must sit within 2% of
 /// 1.0 (3% in `--quick` smoke runs, which land on shared boxes whose
-/// ambient noise reaches that). Pairing inside an iteration cancels the slow machine drift that
-/// dominates group-median comparisons on shared boxes, so the gate bounds
-/// the per-event seam (one virtual `enabled()` call) plus residual
-/// per-run jitter only. The overhead of an *enabled* ring-buffer sink is
-/// reported for information.
+/// ambient noise reaches that). Pairing inside an iteration cancels the
+/// slow machine drift that dominates group-median comparisons on shared
+/// boxes, so the gate bounds the per-record seam (one virtual `enabled()`
+/// call) plus residual per-run jitter only. The overhead of an *enabled*
+/// ring-buffer sink is reported for information.
 ///
-/// The same paired gate covers the fault-detection machinery: a run with
-/// output guards enabled but no fault plan armed (the production serving
-/// configuration) is ratioed against the mean of the two adjacent
-/// NullSink runs each iteration, and its median ratio must land within
-/// 2% beyond the A/A delta (the measured noise floor of identical code
-/// in the same process) — proving the always-on NaN/Inf and magnitude
-/// checks effectively free when nothing is injected.
+/// The same paired gate covers the fault-detection seam in replay: a
+/// replay under a guard-configured but unarmed fault context (the
+/// production serving configuration) is ratioed against the mean of the
+/// two adjacent NullSink runs each iteration, and its median ratio must
+/// land within 2% beyond the A/A delta (the measured noise floor of
+/// identical code in the same process) — proving the per-record
+/// injection and guard checks effectively free when nothing is injected.
+/// The engine's final-output guard scan runs after replay and is not part
+/// of this gate.
 fn trace_section(gen: WeightGen, quick: bool, path: &str) {
     let all = cases();
     let case = &all[0]; // segformer-b0: the acceptance target
-                        // Enough iterations that each parity subset of the paired estimator
-                        // has a stable median: a lone scheduler stall in a 4-sample subset
-                        // *is* the median's neighbor, but in an 8-sample subset it is not.
+    let plan = ExecPlan::compile(&case.graph, gen).expect("bench plan compiles");
+    // Enough iterations that each parity subset of the paired estimator
+    // has a stable median: a lone scheduler stall in a 4-sample subset
+    // *is* the median's neighbor, but in an 8-sample subset it is not.
     let reps = if quick { 16 } else { 24 };
     println!(
-        "\ntracing — A/A NullSink gate on {}, median of {reps}:",
+        "\ntracing — A/A NullSink gate on {} plan replay, median of {reps}:",
         case.name
     );
 
-    let mut scratch = ExecScratch::new();
     let null_a = RunContext::default();
     let null_b = RunContext::default();
     // Guards on, nothing armed: what a production server runs every
@@ -445,26 +409,27 @@ fn trace_section(gen: WeightGen, quick: bool, path: &str) {
     let ring = Arc::new(RingBufferSink::new(1 << 20));
     let traced = RunContext::default().with_sink(ring.clone() as Arc<dyn TraceSink>);
     for ctx in [&null_a, &null_b, &guarded, &traced] {
-        one_run_ms(&mut scratch, gen, case, ctx); // warm weights + buffers
+        replay(&plan, case, ctx); // warm arena + scratch
     }
+    let run = |ctx| replay_ms(&plan, case, ctx);
     let (mut a, mut b, mut g, mut t) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for i in 0..reps {
         // Alternate the A/B order each iteration so machine drift within
         // an iteration biases both groups' medians equally instead of
         // always penalizing the second group.
         if i % 2 == 0 {
-            a.push(one_run_ms(&mut scratch, gen, case, &null_a));
-            b.push(one_run_ms(&mut scratch, gen, case, &null_b));
+            a.push(run(&null_a));
+            b.push(run(&null_b));
         } else {
-            b.push(one_run_ms(&mut scratch, gen, case, &null_b));
-            a.push(one_run_ms(&mut scratch, gen, case, &null_a));
+            b.push(run(&null_b));
+            a.push(run(&null_a));
         }
         // The guarded run sits between the null pair and the traced run:
         // the traced run's ring-buffer churn perturbs whatever follows
         // it, so it always goes last, where the perturbation lands on
         // the next iteration's first null run uniformly.
-        g.push(one_run_ms(&mut scratch, gen, case, &guarded));
-        t.push(one_run_ms(&mut scratch, gen, case, &traced));
+        g.push(run(&guarded));
+        t.push(run(&traced));
     }
     // Per-iteration paired ratios, position-balanced: each iteration's
     // runs are adjacent in time, so a ratio is immune to the
@@ -523,11 +488,11 @@ fn trace_section(gen: WeightGen, quick: bool, path: &str) {
         aa_delta * 1e2
     );
 
-    // One fresh traced run for the exported artifact, then prove it:
-    // well-formed, complete (every node has a span), and FLOP-exact
-    // against the static profiler count.
+    // One fresh traced replay for the exported artifact, then prove it:
+    // well-formed, complete (every plan record has a span), and FLOP-exact
+    // against the static profiler count of the source graph.
     ring.take();
-    one_run_ms(&mut scratch, gen, case, &traced);
+    replay(&plan, case, &traced);
     let events = ring.take();
     assert_eq!(ring.dropped(), 0, "trace ring was large enough");
     validate(&events).expect("captured trace is well-formed");
@@ -535,7 +500,11 @@ fn trace_section(gen: WeightGen, quick: bool, path: &str) {
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Node { .. }))
         .count();
-    assert_eq!(node_events, case.graph.len(), "one span per graph node");
+    assert_eq!(
+        node_events,
+        plan.records().len(),
+        "one span per plan record"
+    );
     let traced_flops: u64 = events
         .iter()
         .map(|e| match &e.kind {
@@ -546,11 +515,12 @@ fn trace_section(gen: WeightGen, quick: bool, path: &str) {
     let static_flops = Profile::flops_only(&case.graph).total_flops();
     assert_eq!(
         traced_flops, static_flops,
-        "traced FLOPs diverge from the static profiler count"
+        "traced record FLOPs diverge from the static profiler count"
     );
     std::fs::write(path, chrome_trace_json(&events)).expect("write chrome trace JSON");
     println!(
-        "  captured {} events ({node_events} node spans, FLOPs match static count); wrote {path}",
+        "  captured {} events ({node_events} record spans, FLOPs match static count); \
+         wrote {path}",
         events.len()
     );
 }
@@ -568,38 +538,50 @@ const RATCHET_TOLERANCE: f64 = 0.15;
 /// bounded by the floor itself.
 const MIN_RATCHET_MS: f64 = 1.0;
 
-/// Extracts `(model, op class, GFLOP/s)` rows from a committed
-/// `BENCH_parallel_exec.json`. A hand-rolled line scan over the exact
-/// shape [`render_json`] emits — one `"model"` field per result object,
-/// then one `"class"`/`"gflops"` pair per line — so the bench binary
-/// needs no JSON dependency. Unrecognized lines are skipped, so a
-/// hand-edited or truncated baseline degrades to fewer comparisons, not
-/// a parse failure.
-fn parse_baseline_rates(json: &str) -> Vec<(String, String, f64)> {
-    fn quoted_after(line: &str, key: &str) -> Option<String> {
-        let rest = &line[line.find(key)? + key.len()..];
-        Some(rest[..rest.find('"')?].to_string())
+/// The committed baseline at `path`: `Ok(None)` when there is no file,
+/// an error when it exists but cannot be read or is not the document
+/// [`render_json`] writes.
+fn load_baseline(path: &Path) -> Result<Option<Vec<BaselineRate>>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => parse_baseline(&text).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.to_string()),
     }
-    fn number_after(line: &str, key: &str) -> Option<f64> {
-        let rest = &line[line.find(key)? + key.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
+}
+
+/// Extracts every `(model, op class, GFLOP/s)` row of a
+/// `BENCH_parallel_exec.json` document; any missing or mistyped field is
+/// an error naming it.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineRate>, String> {
+    fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+        v.get(key).ok_or_else(|| format!("missing `{key}`"))
     }
+    let doc = parse(text).map_err(|e| e.to_string())?;
     let mut rows = Vec::new();
-    let mut model = String::new();
-    for line in json.lines() {
-        if let Some(m) = quoted_after(line, "\"model\": \"") {
-            model = m;
-        } else if let (Some(class), Some(g)) = (
-            quoted_after(line, "\"class\": \""),
-            number_after(line, "\"gflops\": "),
-        ) {
-            rows.push((model.clone(), class, g));
+    for result in field(&doc, "results")?
+        .as_arr()
+        .ok_or("`results` is not an array")?
+    {
+        let model = field(result, "model")?
+            .as_str()
+            .ok_or("`model` is not a string")?;
+        let classes = field(result, "gflops_by_class")?
+            .as_arr()
+            .ok_or("`gflops_by_class` is not an array")?;
+        for c in classes {
+            rows.push(BaselineRate {
+                model: model.to_string(),
+                class: field(c, "class")?
+                    .as_str()
+                    .ok_or("`class` is not a string")?
+                    .to_string(),
+                gflops: field(c, "gflops")?
+                    .as_f64()
+                    .ok_or("`gflops` is not a number")?,
+            });
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Per-(model, op-class) GFLOP/s comparisons that regressed beyond
@@ -607,18 +589,15 @@ fn parse_baseline_rates(json: &str) -> Vec<(String, String, f64)> {
 /// (nothing ran, or a class absent from the baseline) or under the
 /// [`MIN_RATCHET_MS`] noise floor are not comparable and never fail the
 /// ratchet.
-fn ratchet_violations(baseline: &[(String, String, f64)], results: &[CaseResult]) -> Vec<String> {
+fn ratchet_violations(baseline: &[BaselineRate], results: &[CaseResult]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in results {
-        for c in &r.classes {
-            if c.ms < MIN_RATCHET_MS {
-                continue;
-            }
+        for c in r.classes.iter().filter(|c| c.ms >= MIN_RATCHET_MS) {
             let fresh = gflops(c.flops, c.ms);
             let old = baseline
                 .iter()
-                .find(|(m, cl, _)| m == r.name && cl == c.class)
-                .map(|&(_, _, g)| g);
+                .find(|b| b.model == r.name && b.class == c.class)
+                .map(|b| b.gflops);
             if let Some(old) = old {
                 if old > 0.0 && fresh > 0.0 && fresh < old * (1.0 - RATCHET_TOLERANCE) {
                     violations.push(format!(
@@ -634,58 +613,66 @@ fn ratchet_violations(baseline: &[(String, String, f64)], results: &[CaseResult]
     violations
 }
 
+/// A float rounded to three decimals, the artifact's precision.
+fn num3(v: f64) -> Json {
+    Json::Num((v * 1e3).round() / 1e3)
+}
+
+fn int(v: usize) -> Json {
+    Json::Int(v as i64)
+}
+
+fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
 fn render_json(cores: usize, reps: usize, quick: bool, results: &[CaseResult]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"parallel_exec\",\n");
-    s.push_str(&format!("  \"hardware_parallelism\": {cores},\n"));
-    s.push_str(&format!("  \"timed_runs_per_cell\": {reps},\n"));
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"model\": \"{}\",\n", r.name));
-        s.push_str(&format!("      \"sequential_ms\": {:.3},\n", r.seq_ms));
-        s.push_str("      \"parallel\": [\n");
-        for (j, p) in r.parallel.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"threads\": {}, \"ms\": {:.3}, \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
-                p.threads,
-                p.ms,
-                r.seq_ms / p.ms,
-                p.bit_identical,
-                if j + 1 < r.parallel.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ],\n");
-        s.push_str(&format!(
-            "      \"plan\": {{\"ms\": {:.3}, \"speedup\": {:.3}, \"bit_identical\": {}, \
-             \"compile_ms\": {:.3}, \"records\": {}, \"fused_nodes\": {}, \"arena_elems\": {}}},\n",
-            r.plan.ms,
-            r.seq_ms / r.plan.ms,
-            r.plan.bit_identical,
-            r.plan.compile_ms,
-            r.plan.records,
-            r.plan.fused,
-            r.plan.arena_elems,
-        ));
-        s.push_str("      \"gflops_by_class\": [\n");
-        for (j, c) in r.classes.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"class\": \"{}\", \"flops\": {}, \"ms\": {:.3}, \"gflops\": {:.3}}}{}\n",
-                c.class,
-                c.flops,
-                c.ms,
-                gflops(c.flops, c.ms),
-                if j + 1 < r.classes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("      ]\n");
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    let result_json = |r: &CaseResult| {
+        let t1_ms = r.replay.first().map_or(0.0, |p| p.1);
+        let replay = r.replay.iter().map(|&(threads, ms)| {
+            obj([
+                ("threads", int(threads)),
+                ("ms", num3(ms)),
+                ("speedup_vs_t1", num3(t1_ms / ms)),
+            ])
+        });
+        let classes = r.classes.iter().map(|c| {
+            obj([
+                ("class", Json::Str(c.class.into())),
+                ("flops", Json::Int(c.flops as i64)),
+                ("ms", num3(c.ms)),
+                ("gflops", num3(gflops(c.flops, c.ms))),
+            ])
+        });
+        obj([
+            ("model", Json::Str(r.name.into())),
+            (
+                "plan",
+                obj([
+                    ("compile_ms", num3(r.compile_ms)),
+                    ("records", int(r.records)),
+                    ("fused_nodes", int(r.fused)),
+                    ("arena_elems", int(r.arena_elems)),
+                ]),
+            ),
+            ("replay", Json::Arr(replay.collect())),
+            ("gflops_by_class", Json::Arr(classes.collect())),
+        ])
+    };
+    let doc = obj([
+        ("benchmark", Json::Str("parallel_exec".into())),
+        ("executor", Json::Str("plan_replay".into())),
+        ("bit_identical_to_interpreter", Json::Bool(true)),
+        ("hardware_parallelism", int(cores)),
+        ("timed_runs_per_cell", int(reps)),
+        ("quick", Json::Bool(quick)),
+        (
+            "results",
+            Json::Arr(results.iter().map(result_json).collect()),
+        ),
+    ]);
+    let mut s = write_pretty(&doc);
+    s.push('\n');
     s
 }
 
@@ -696,17 +683,24 @@ mod tests {
     fn case(name: &'static str, classes: Vec<ClassRate>) -> CaseResult {
         CaseResult {
             name,
-            seq_ms: 1.0,
-            parallel: Vec::new(),
-            plan: PlanPoint {
-                compile_ms: 0.0,
-                ms: 1.0,
-                bit_identical: true,
-                records: 0,
-                fused: 0,
-                arena_elems: 0,
-            },
+            compile_ms: 0.0,
+            records: 0,
+            fused: 0,
+            arena_elems: 0,
+            replay: vec![(1, 1.0)],
             classes,
+        }
+    }
+
+    fn rate(class: &'static str, flops: u64, ms: f64) -> ClassRate {
+        ClassRate { class, flops, ms }
+    }
+
+    fn base(model: &str, class: &str, gflops: f64) -> BaselineRate {
+        BaselineRate {
+            model: model.into(),
+            class: class.into(),
+            gflops,
         }
     }
 
@@ -715,33 +709,51 @@ mod tests {
         let results = [case(
             "segformer-b0",
             vec![
-                ClassRate {
-                    class: "conv",
-                    flops: 2_000_000_000,
-                    ms: 4.0,
-                },
-                ClassRate {
-                    class: "matmul",
-                    flops: 1_000_000_000,
-                    ms: 2.0,
-                },
+                rate("conv", 2_000_000_000, 4.0),
+                rate("matmul", 1_000_000_000, 2.0),
             ],
         )];
-        let rows = parse_baseline_rates(&render_json(1, 3, false, &results));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "segformer-b0");
-        assert_eq!(rows[0].1, "conv");
-        assert!((rows[0].2 - 500.0).abs() < 1e-6);
-        assert_eq!(rows[1].1, "matmul");
-        assert!((rows[1].2 - 500.0).abs() < 1e-6);
+        let rows = parse_baseline(&render_json(1, 3, false, &results)).unwrap();
+        assert_eq!(
+            rows,
+            [
+                base("segformer-b0", "conv", 500.0),
+                base("segformer-b0", "matmul", 500.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn unusable_baselines_are_errors_and_a_missing_one_is_none() {
+        let dir = std::env::temp_dir().join(format!("bench-baseline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_parallel_exec.json");
+        assert_eq!(load_baseline(&path), Ok(None));
+        for (text, why) in [
+            ("{\"results\": [", "end of input"),
+            ("{\"benchmark\": \"parallel_exec\"}", "missing `results`"),
+            (
+                "{\"results\": [{\"model\": \"m\", \"gflops_by_class\": [{\"class\": \"conv\"}]}]}",
+                "missing `gflops`",
+            ),
+            (
+                "{\"results\": [{\"model\": 3, \"gflops_by_class\": []}]}",
+                "`model` is not a string",
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = load_baseline(&path).unwrap_err();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn ratchet_fires_only_beyond_the_tolerance() {
-        let baseline = vec![
-            ("m".to_string(), "conv".to_string(), 10.0),
-            ("m".to_string(), "matmul".to_string(), 10.0),
-            ("m".to_string(), "norm".to_string(), 0.0),
+        let baseline = [
+            base("m", "conv", 10.0),
+            base("m", "matmul", 10.0),
+            base("m", "norm", 0.0),
         ];
         // conv regressed 20% (fires), matmul regressed 10% (within
         // tolerance), norm has a zero baseline (not comparable), and
@@ -749,26 +761,10 @@ mod tests {
         let results = [case(
             "m",
             vec![
-                ClassRate {
-                    class: "conv",
-                    flops: 8_000_000,
-                    ms: 1.0,
-                },
-                ClassRate {
-                    class: "matmul",
-                    flops: 9_000_000,
-                    ms: 1.0,
-                },
-                ClassRate {
-                    class: "norm",
-                    flops: 1_000_000,
-                    ms: 1.0,
-                },
-                ClassRate {
-                    class: "attention",
-                    flops: 1_000_000,
-                    ms: 1.0,
-                },
+                rate("conv", 8_000_000, 1.0),
+                rate("matmul", 9_000_000, 1.0),
+                rate("norm", 1_000_000, 1.0),
+                rate("attention", 1_000_000, 1.0),
             ],
         )];
         let v = ratchet_violations(&baseline, &results);
@@ -778,33 +774,17 @@ mod tests {
 
     #[test]
     fn ratchet_skips_classes_under_the_noise_floor() {
-        let baseline = vec![("m".to_string(), "norm".to_string(), 10.0)];
         // 5x regression, but only 0.4 ms of self-time: noise-dominated.
-        let results = [case(
-            "m",
-            vec![ClassRate {
-                class: "norm",
-                flops: 800_000,
-                ms: 0.4,
-            }],
-        )];
-        assert!(ratchet_violations(&baseline, &results).is_empty());
+        let results = [case("m", vec![rate("norm", 800_000, 0.4)])];
+        assert!(ratchet_violations(&[base("m", "norm", 10.0)], &results).is_empty());
     }
 
     #[test]
     fn ratchet_ignores_unknown_models_and_improvements() {
-        let baseline = vec![("other-model".to_string(), "conv".to_string(), 10.0)];
-        let results = [case(
-            "m",
-            vec![ClassRate {
-                class: "conv",
-                flops: 1_000_000,
-                ms: 1.0,
-            }],
-        )];
+        let results = [case("m", vec![rate("conv", 1_000_000, 1.0)])];
+        let baseline = [base("other-model", "conv", 10.0)];
         assert!(ratchet_violations(&baseline, &results).is_empty());
         // A 10x improvement never fires.
-        let baseline = vec![("m".to_string(), "conv".to_string(), 0.1)];
-        assert!(ratchet_violations(&baseline, &results).is_empty());
+        assert!(ratchet_violations(&[base("m", "conv", 0.1)], &results).is_empty());
     }
 }

@@ -1,13 +1,14 @@
-//! `repro profile <model> <budget>`: one traced DRT inference, exported
-//! as a chrome://tracing / Perfetto-loadable JSON plus a flame-style
-//! summary table.
+//! `repro profile <model> <budget>`: one traced DRT inference by
+//! compiled-plan replay (the production executor), exported as a
+//! chrome://tracing / Perfetto-loadable JSON plus a flame-style summary
+//! table.
 //!
-//! The run is traced cold on purpose: the graph build, weight
-//! materialization, and LUT selection phases are exactly what a latency
-//! investigation wants to see next to the per-node execution spans. The
-//! traced per-op FLOPs are cross-checked against the static count
-//! `vit-profiler` computes for the executed graph — the trace is only
-//! written after that agreement holds.
+//! The run is traced cold on purpose: the graph build, plan compilation,
+//! and LUT selection phases are exactly what a latency investigation
+//! wants to see next to the per-record execution spans. The trace is
+//! cross-checked before it is written: one span per plan record, and the
+//! traced record FLOPs summing to the static count `vit-profiler`
+//! computes for the executed graph.
 
 use crate::banner;
 use std::sync::Arc;
@@ -30,8 +31,6 @@ pub struct ProfileArgs {
     pub out: String,
     /// Threads of the intra-inference execution pool (1 = sequential).
     pub threads: usize,
-    /// Replay a compiled execution plan instead of interpreting the graph.
-    pub plan: bool,
 }
 
 impl Default for ProfileArgs {
@@ -41,7 +40,6 @@ impl Default for ProfileArgs {
             budget: 1.0,
             out: "trace.json".to_string(),
             threads: 1,
-            plan: false,
         }
     }
 }
@@ -65,14 +63,8 @@ pub fn profile(args: ProfileArgs) {
         std::process::exit(2);
     }
     banner(&format!(
-        "profile — one traced {} inference of {} at budget {:.3}x full",
-        if args.plan {
-            "compiled-plan"
-        } else {
-            "interpreted"
-        },
-        args.model,
-        args.budget
+        "profile — one traced compiled-plan inference of {} at budget {:.3}x full",
+        args.model, args.budget
     ));
 
     let engine = DrtEngine::segformer(
@@ -84,18 +76,8 @@ pub fn profile(args: ProfileArgs) {
     .expect("engine builds");
     let core = engine.core().clone();
     let sink = Arc::new(RingBufferSink::new(1 << 20));
-    let exec = if args.threads > 1 {
-        ExecOptions::threaded(args.threads)
-    } else {
-        ExecOptions::sequential()
-    };
-    let backend = if args.plan {
-        ExecBackend::Plan
-    } else {
-        ExecBackend::Interpret
-    };
     let ctx = RunContext::default()
-        .with_exec(exec.with_backend(backend))
+        .with_exec(ExecOptions::threaded(args.threads).with_backend(ExecBackend::Plan))
         .with_sink(sink.clone() as Arc<dyn TraceSink>);
 
     let image = Tensor::rand_uniform(&[1, 3, 64, 64], 0.0, 1.0, 7);
@@ -113,24 +95,27 @@ pub fn profile(args: ProfileArgs) {
     assert_eq!(sink.dropped(), 0, "trace ring was large enough");
     validate(&events).expect("captured trace is well-formed");
 
-    // Cross-check: the traced per-node FLOPs must sum to exactly the
-    // static count vit-profiler reports for the graph that executed.
+    // Cross-check: one span per record of the plan that replayed, and the
+    // traced record FLOPs summing to exactly the static count
+    // vit-profiler reports for the graph it was compiled from.
+    let plan = core.plan(inference.config).expect("executed plan compiles");
     let graph = core.graph(inference.config).expect("executed graph builds");
     let static_flops = Profile::flops_only(&graph).total_flops();
-    let traced_flops: u64 = events
+    let (spans, traced_flops) = events
         .iter()
-        .map(|e| match &e.kind {
-            EventKind::Node { flops, .. } => *flops,
-            _ => 0,
+        .filter_map(|e| match &e.kind {
+            EventKind::Node { flops, .. } => Some(*flops),
+            _ => None,
         })
-        .sum();
+        .fold((0, 0u64), |(n, sum), flops| (n + 1, sum + flops));
+    assert_eq!(spans, plan.records().len(), "one span per plan record");
     assert_eq!(
         traced_flops, static_flops,
-        "traced FLOPs diverge from the static profiler count"
+        "traced record FLOPs diverge from the static profiler count"
     );
     println!(
         "traced FLOPs {traced_flops} == static profiler count {static_flops} \
-         over {} events\n",
+         over {spans} record spans ({} events)\n",
         events.len()
     );
 

@@ -56,24 +56,24 @@ static analysis:
                pass 6 proved per artifact)
 
 regression benchmarks:
-  bench       sequential interpreter vs compiled-plan replay at 1/2/4
-              threads on full model paths; asserts bit-identical outputs
-              and reports per-op-class GFLOP/s
+  bench       compiled-plan replay at 1/2/4 threads on full model paths;
+              asserts outputs bit-identical to the interpreter oracle and
+              reports per-op-class GFLOP/s of the replay
               (flags: --json write BENCH_parallel_exec.json and ratchet
                per-op-class GFLOP/s against the committed baseline
-               (exit 1 on >15% regression),
+               (exit 1 on >15% regression or an unreadable baseline),
                --quick fewer reps/threads for CI smoke runs,
                --trace <path> gate disabled-tracing overhead and write a
                validated chrome-trace JSON)
 
 profiling:
-  profile     one traced DRT inference: flame summary + chrome-trace JSON
-              usage: repro profile <model> <budget> [--threads N] [--plan]
+  profile     one traced DRT inference by compiled-plan replay: flame
+              summary + chrome-trace JSON
+              usage: repro profile <model> <budget> [--threads N]
                      [--out PATH]
               model: segformer-b0 | segformer-b2
               budget: fraction of the full path in (0, 1]
-              (--plan replays a compiled execution plan; default --out
-               trace.json; load at chrome://tracing or
+              (default --out trace.json; load at chrome://tracing or
                https://ui.perfetto.dev)
 
 summary:
@@ -172,7 +172,7 @@ fn main() {
                     }
                 }
             }
-            parallel::bench(args);
+            std::process::exit(parallel::bench(args));
         }
         "profile" => {
             let mut rest = std::env::args().skip(2);
@@ -202,7 +202,6 @@ fn main() {
                             std::process::exit(2);
                         });
                     }
-                    "--plan" => args.plan = true,
                     other => {
                         eprintln!("unknown profile flag `{other}`\n\n{USAGE}");
                         std::process::exit(2);

@@ -2,9 +2,10 @@
 //!
 //! Dense tensor kernels for the DRT-ViT reproduction: a row-major `f32`
 //! [`Tensor`] plus the small set of operations vision transformers need —
-//! convolution (standard, grouped, depthwise), matrix multiplication,
-//! multi-head attention, LayerNorm/BatchNorm, pooling, bilinear resizing,
-//! channel concatenation, and symmetric INT8 quantization.
+//! convolution (standard, grouped, depthwise), matrix multiplication
+//! (plain and batched, the building blocks of attention), softmax,
+//! LayerNorm/BatchNorm, pooling, bilinear resizing, and channel
+//! concatenation.
 //!
 //! Everything is written from scratch against the standard library; `rand`
 //! is used only for seeded synthetic weights so that experiments are
@@ -31,7 +32,6 @@ pub mod corrupt;
 mod error;
 pub mod ops;
 pub mod par;
-pub mod quant;
 pub mod shadow;
 mod tensor;
 

@@ -1,7 +1,6 @@
 //! Numeric kernels operating on [`crate::Tensor`].
 
 mod activation;
-mod attention;
 mod conv;
 mod fused;
 mod layout;
@@ -13,7 +12,6 @@ pub mod reference;
 mod resize;
 
 pub use activation::{gelu, relu, softmax_last_dim};
-pub use attention::{multi_head_attention, AttentionWeights};
 pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, Conv2dParams};
 pub use fused::{Epilogue, PackedConv2d, PackedLinear};
 pub use layout::transpose_into;

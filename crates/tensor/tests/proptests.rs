@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor kernels.
 
 use proptest::prelude::*;
-use vit_tensor::{ops, quant::QuantTensor, Tensor};
+use vit_tensor::{ops, Tensor};
 
 fn small_tensor(max_dim: usize) -> impl Strategy<Value = Tensor> {
     (1..=max_dim, 1..=max_dim, any::<u64>())
@@ -74,15 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn quantization_error_bounded(t in small_tensor(12)) {
-        let q = QuantTensor::quantize(&t);
-        let d = q.dequantize();
-        for (a, b) in t.data().iter().zip(d.data().iter()) {
-            prop_assert!((a - b).abs() <= q.scale() * 0.5 + 1e-6);
-        }
-    }
-
-    #[test]
     fn layer_norm_output_statistics(
         (rows, feat) in (1usize..5, 4usize..32),
         seed in any::<u64>(),
@@ -120,32 +111,5 @@ proptest! {
         prop_assert_eq!(cat.shape()[1], c1 + c2);
         prop_assert_eq!(&cat.data()[..a.numel()], a.data());
         prop_assert_eq!(&cat.data()[a.numel()..], b.data());
-    }
-
-    #[test]
-    fn attention_is_permutation_equivariant_for_self_attention(
-        seed in any::<u64>(),
-    ) {
-        // Swapping two tokens in the input swaps them in the output
-        // (no positional encoding inside the kernel).
-        let dim = 8;
-        let x = Tensor::rand_uniform(&[1, 4, dim], -1.0, 1.0, seed);
-        let w = ops::AttentionWeights::synthetic(dim, seed.wrapping_add(9));
-        let y = ops::multi_head_attention(&x, &x, &w, 2).unwrap();
-
-        // Swap tokens 1 and 2.
-        let mut swapped = x.clone();
-        for i in 0..dim {
-            let a = x.at(&[0, 1, i]);
-            let b = x.at(&[0, 2, i]);
-            swapped.set(&[0, 1, i], b);
-            swapped.set(&[0, 2, i], a);
-        }
-        let ys = ops::multi_head_attention(&swapped, &swapped, &w, 2).unwrap();
-        for i in 0..dim {
-            prop_assert!((y.at(&[0, 1, i]) - ys.at(&[0, 2, i])).abs() < 1e-4);
-            prop_assert!((y.at(&[0, 2, i]) - ys.at(&[0, 1, i])).abs() < 1e-4);
-            prop_assert!((y.at(&[0, 0, i]) - ys.at(&[0, 0, i])).abs() < 1e-4);
-        }
     }
 }
