@@ -245,13 +245,40 @@ impl fmt::Display for GuardTrip {
     }
 }
 
+/// Elements per branch-free block of [`check_guard`]'s scan.
+const GUARD_BLOCK: usize = 64;
+
 /// Scans `data` against `cfg`, returning the first violation.
+///
+/// The scan reduces each 64-element block to one "any violation" flag
+/// without branching per element, so it vectorizes; only a block that
+/// fails is re-scanned element by element to name the first offending
+/// index, value and kind.
 ///
 /// # Errors
 ///
 /// Returns the first [`GuardTrip`] found (non-finite or over-magnitude
 /// element).
 pub fn check_guard(data: &[f32], cfg: GuardConfig) -> Result<(), GuardTrip> {
+    let limit = cfg.magnitude_limit;
+    for (b, block) in data.chunks(GUARD_BLOCK).enumerate() {
+        // Non-short-circuiting `|`, so the fold is compare-and-or lanes;
+        // the tests are `first_trip`'s, in the same form.
+        let bad = block
+            .iter()
+            .fold(false, |bad, &v| bad | !v.is_finite() | (v.abs() > limit));
+        if bad {
+            return first_trip(block, cfg).map_err(|trip| GuardTrip {
+                index: b * GUARD_BLOCK + trip.index,
+                ..trip
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The element-by-element guard scan: the first violation in `data`.
+fn first_trip(data: &[f32], cfg: GuardConfig) -> Result<(), GuardTrip> {
     for (i, &v) in data.iter().enumerate() {
         if !v.is_finite() {
             return Err(GuardTrip {
@@ -533,6 +560,45 @@ mod tests {
         let big = check_guard(&[1.0, -2e7], cfg).unwrap_err();
         assert_eq!(big.kind, GuardTripKind::Magnitude);
         assert_eq!(big.index, 1);
+    }
+
+    #[test]
+    fn blocked_guard_reports_the_element_scans_first_trip() {
+        // Violations inside a block, on both edges of a block boundary and
+        // in the ragged last block; a later, different violation in the
+        // same block must not mask the first one.
+        let cfg = GuardConfig::default();
+        let len = 3 * GUARD_BLOCK + 5;
+        let at = [
+            0,
+            1,
+            GUARD_BLOCK - 1,
+            GUARD_BLOCK,
+            GUARD_BLOCK + 17,
+            2 * GUARD_BLOCK - 1,
+            3 * GUARD_BLOCK,
+            len - 1,
+        ];
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 2e7, -2e7];
+        for &i in &at {
+            for (k, &v) in bad.iter().enumerate() {
+                let mut data = vec![0.5f32; len];
+                data[i] = v;
+                if i + 1 < len {
+                    data[i + 1] = bad[(k + 1) % bad.len()];
+                }
+                let got = check_guard(&data, cfg).unwrap_err();
+                let want = first_trip(&data, cfg).unwrap_err();
+                assert_eq!(
+                    (got.kind, got.index, got.value.to_bits(), got.limit),
+                    (want.kind, want.index, want.value.to_bits(), want.limit),
+                    "violation {v} at {i}"
+                );
+                assert_eq!(got.index, i);
+            }
+        }
+        assert!(check_guard(&vec![-1e6f32; len], cfg).is_ok());
+        assert!(check_guard(&[], cfg).is_ok());
     }
 
     #[test]

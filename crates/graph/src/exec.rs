@@ -1005,6 +1005,7 @@ pub fn eval_op(
         Op::LayerNorm => ops::layer_norm(in_tensors[0], &w[0], &w[1], 1e-5).map_err(kerr)?,
         Op::BatchNorm => ops::batch_norm_inference(in_tensors[0], &w[0], &w[1]).map_err(kerr)?,
         Op::Relu => ops::relu(in_tensors[0]),
+        Op::Gelu if ctx.reference => ops::reference::gelu(in_tensors[0]),
         Op::Gelu => ops::gelu(in_tensors[0]),
         Op::Sdpa { heads } => {
             // q/k/v are already projected; use identity-free fused

@@ -292,3 +292,29 @@ fn weight_cache_reuse_matches_fresh_executor() {
     assert_eq!(seq, warm_par);
     assert_eq!(seq, cold_par);
 }
+
+/// Reference mode runs the f64 GELU oracle, not the production kernel, so
+/// the kernel-tier fidelity replay really compares GELU against something.
+#[test]
+fn reference_mode_runs_the_gelu_oracle() {
+    let mut g = Graph::new("gelu");
+    let x = g.input("in", &[1, 4, 32, 32]).unwrap();
+    let y = g.add("act", Op::Gelu, LayerRole::Other, &[x]).unwrap();
+    g.set_output(y);
+    let input = Tensor::rand_uniform(&[1, 4, 32, 32], -4.0, 4.0, 7);
+    let inputs = std::slice::from_ref(&input);
+    let mut exec = Executor::new(0);
+    let run = |exec: &mut Executor, reference: bool| {
+        let opts = ExecOptions::sequential().with_reference_kernels(reference);
+        exec.run_with(&g, inputs, &RunContext::default().with_exec(opts))
+            .unwrap()
+    };
+    let oracle = vit_tensor::ops::reference::gelu(&input);
+    let production = vit_tensor::ops::gelu(&input);
+    assert_eq!(run(&mut exec, true), oracle);
+    assert_eq!(run(&mut exec, false), production);
+    assert_ne!(
+        oracle, production,
+        "the kernel and the oracle round differently somewhere"
+    );
+}

@@ -211,6 +211,13 @@ impl ExecContract {
     }
 }
 
+/// The innermost extent of `shape`: the row the linear and elementwise
+/// steps tile by (0 for a rank-0 shape, which `row_chunks` treats as one
+/// chunk).
+fn last_dim(shape: &[usize]) -> usize {
+    shape.last().copied().unwrap_or(0)
+}
+
 /// How one record computes its output range. Every step but `Fallback`
 /// reads and writes arena ranges directly.
 #[derive(Debug, Clone)]
@@ -561,23 +568,30 @@ impl ExecPlan {
             };
             // The write-decomposition contract mirrors the kernels: packed
             // conv and resize tile by output channel-plane, packed linear
-            // by feature vector; everything else on the replay path writes
-            // its range in one sequential pass. GEMM-backed steps declare
-            // FP reassociation (tolerance tier): packed linear always,
-            // conv only on its im2col path — the direct
-            // single-input-channel path is bit-identical to the reference
-            // oracle, and so is the separable resize.
+            // and the elementwise steps by innermost row; everything else
+            // on the replay path writes its range in one sequential pass.
+            // GEMM-backed steps declare FP reassociation (tolerance tier):
+            // packed linear always, conv only on its im2col path — the
+            // direct single-input-channel path is bit-identical to the
+            // reference oracle, and so is the separable resize. The
+            // elementwise steps do not reassociate either: GELU differs
+            // from its oracle by its `exp` approximation, bounded by the
+            // Activation class, not by reordered accumulation.
             let contract = match &step {
                 Step::Conv(pc) => ExecContract::RowTiled {
                     row_len: node.shape.iter().skip(2).product(),
                     reassociates: pc.reassociates(),
                 },
                 Step::Linear(_) => ExecContract::RowTiled {
-                    row_len: node.shape.last().copied().unwrap_or(0),
+                    row_len: last_dim(&node.shape),
                     reassociates: true,
                 },
                 Step::Resize { out_hw, .. } => ExecContract::RowTiled {
                     row_len: out_hw.0 * out_hw.1,
+                    reassociates: false,
+                },
+                Step::Relu | Step::Gelu | Step::Add => ExecContract::RowTiled {
+                    row_len: last_dim(&node.shape),
                     reassociates: false,
                 },
                 _ => ExecContract::Sequential,
@@ -823,20 +837,29 @@ impl ExecPlan {
                 }
                 Step::Linear(lin) => lin.run(input(&rec.inputs[0]), out, &kctx),
                 Step::Relu => {
-                    for (o, x) in out.iter_mut().zip(input(&rec.inputs[0])) {
-                        *o = Epilogue::Relu.apply(*x);
-                    }
+                    let src = input(&rec.inputs[0]);
+                    let row = last_dim(&rec.out_shape);
+                    kctx.for_each_row_chunk(out, row, |_, start, piece| {
+                        for (o, x) in piece.iter_mut().zip(&src[start..]) {
+                            *o = Epilogue::Relu.apply(*x);
+                        }
+                    });
                 }
                 Step::Gelu => {
-                    for (o, x) in out.iter_mut().zip(input(&rec.inputs[0])) {
-                        *o = Epilogue::Gelu.apply(*x);
-                    }
+                    let src = input(&rec.inputs[0]);
+                    let row = last_dim(&rec.out_shape);
+                    kctx.for_each_row_chunk(out, row, |_, start, piece| {
+                        ops::gelu_into(&src[start..start + piece.len()], piece);
+                    });
                 }
                 Step::Add => {
                     let (a, b) = (input(&rec.inputs[0]), input(&rec.inputs[1]));
-                    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-                        *o = x + y;
-                    }
+                    let row = last_dim(&rec.out_shape);
+                    kctx.for_each_row_chunk(out, row, |_, start, piece| {
+                        for ((o, x), y) in piece.iter_mut().zip(&a[start..]).zip(&b[start..]) {
+                            *o = x + y;
+                        }
+                    });
                 }
                 Step::Copy => out.copy_from_slice(input(&rec.inputs[0])),
                 Step::Resize { in_hw, out_hw } => {
@@ -1294,6 +1317,18 @@ mod tests {
                             assert_eq!(w[0].offset % plane, rec.out.offset % plane);
                         }
                     }
+                }
+                // Elementwise steps tile by innermost row, exactly.
+                Op::Relu | Op::Gelu | Op::Add => {
+                    assert_eq!(
+                        rec.contract,
+                        ExecContract::RowTiled {
+                            row_len: last_dim(&rec.out_shape),
+                            reassociates: false
+                        },
+                        "elementwise `{}`",
+                        rec.name
+                    );
                 }
                 _ => {
                     assert_eq!(rec.contract, ExecContract::Sequential);

@@ -10,7 +10,9 @@
 //! **once at plan-compile time**, so plan replay never re-packs.
 //!
 //! Bit-identity: the epilogue scalar functions are the *same definitions*
-//! the standalone [`crate::ops::relu`]/[`crate::ops::gelu`] passes use,
+//! the standalone [`crate::ops::relu`]/[`crate::ops::gelu`] passes use
+//! (GELU's standalone pass runs an AVX2 kernel that is bit-identical to
+//! the scalar twin the epilogue applies),
 //! and `Epilogue::None.apply(x)` returns `x` unchanged, so a fused
 //! `conv → relu` equals the two-pass result bit for bit — each element is
 //! computed once as `ep.apply(acc + bias)` in the same operation order as
@@ -34,7 +36,8 @@ pub enum Epilogue {
     None,
     /// Rectified linear unit.
     Relu,
-    /// Gaussian error linear unit (tanh approximation).
+    /// Gaussian error linear unit (tanh approximation, in the sigmoid
+    /// form of [`crate::ops::gelu_into`]).
     Gelu,
 }
 

@@ -11,7 +11,7 @@ mod pool;
 pub mod reference;
 mod resize;
 
-pub use activation::{gelu, relu, softmax_last_dim};
+pub use activation::{gelu, gelu_into, relu, softmax_last_dim};
 pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, Conv2dParams};
 pub use fused::{Epilogue, PackedConv2d, PackedLinear};
 pub use layout::transpose_into;

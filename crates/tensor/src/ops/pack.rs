@@ -242,7 +242,7 @@ fn micro_avx2<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; N
 
 /// Whether this CPU runs [`micro_avx2`]. `is_x86_feature_detected!`
 /// caches its answer, so calling this once per GEMM is cheap.
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")

@@ -36,6 +36,12 @@
 //! the original per-pixel loops, kept verbatim: their production kernels
 //! are restructured for locality (separable rows, channel-outer planes)
 //! but stay in the exact tier, bit-identical to these loops.
+//!
+//! The GELU oracle ([`gelu`]) evaluates the production kernel's formula,
+//! `x / (1 + exp(-2u))`, in f64 and rounds once; the reference linear and
+//! conv loops apply it as their GELU epilogue too, so a reference-mode
+//! run never reaches the production f32 `exp`. Its class
+//! ([`KernelClass::Activation`]) bounds the error in ULPs of the input.
 
 use crate::error::{invalid_shape, Result};
 use crate::ops::conv::{conv_geometry, ConvGeom};
@@ -58,19 +64,35 @@ pub enum KernelClass {
     /// im2col + packed GEMM convolution (the `PackedConv2d` GEMM path;
     /// the direct single-input-channel path is exact-tier).
     Conv,
+    /// Transcendental elementwise activations: GELU, whose in-crate
+    /// `exp` approximation ([`crate::ops::gelu`]) is held against the
+    /// f64 oracle [`gelu`] with an input-scaled bound.
+    Activation,
 }
 
 /// The error bound one kernel class is held to against its oracle.
 ///
-/// A comparison passes when **either** bound holds per element: ULP
+/// For the output-scaled classes (Gemm, Conv) a comparison passes when
+/// **either** bound holds per element ([`within_tolerance`]): ULP
 /// distance covers the normal range, the relative bound covers the
 /// near-zero range where a fixed ULP count is vacuously tight.
+///
+/// The elementwise Activation class is input-scaled instead
+/// ([`max_input_ulp`]): `|y − y_ref| ≤ max_input_ulp · ulp(x)`. GELU's
+/// output feeds the next GEMM at its input's scale, and any output-ULP
+/// or relative bound is unbounded in its negative tail for *every* f32
+/// kernel: the rounding of `u = √(2/π)·(x + 0.044715·x³)` alone is
+/// amplified by `2|u|` in `exp(-2u)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
-    /// Maximum units-in-the-last-place distance per element.
+    /// Maximum units-in-the-last-place distance per element (0 for an
+    /// input-scaled class).
     pub max_ulp: u32,
-    /// Maximum relative error per element.
+    /// Maximum relative error per element (0 for an input-scaled class).
     pub max_rel: f32,
+    /// Maximum absolute error per element in ULPs of that element's
+    /// input (0 for an output-scaled class).
+    pub max_input_ulp: u32,
 }
 
 /// The registered per-op-class tolerance bound.
@@ -81,15 +103,28 @@ pub struct Tolerance {
 /// measured distance is 0 ULP on finite inputs and the golden pins in
 /// `kernel_tiers.rs` hold it there. The bound is what a future kernel
 /// (k-split SIMD reductions, FMA contraction) may legally spend.
+///
+/// The Activation bound is headroom over measured error, too: over all
+/// 2³² inputs the f32 GELU is within 2 ULPs of its input of the f64
+/// oracle (the pin in `kernel_tiers.rs`), as was the libm-`tanh` form it
+/// replaced, which exceeded one ULP of its input on about four times as
+/// many inputs.
 pub fn tolerance(class: KernelClass) -> Tolerance {
     match class {
         KernelClass::Gemm => Tolerance {
             max_ulp: 4,
             max_rel: 1e-6,
+            max_input_ulp: 0,
         },
         KernelClass::Conv => Tolerance {
             max_ulp: 8,
             max_rel: 1e-6,
+            max_input_ulp: 0,
+        },
+        KernelClass::Activation => Tolerance {
+            max_ulp: 0,
+            max_rel: 0.0,
+            max_input_ulp: 4,
         },
     }
 }
@@ -144,6 +179,67 @@ pub fn within_tolerance(a: &[f32], b: &[f32], tol: Tolerance) -> bool {
         })
 }
 
+/// The spacing of `f32`s at `|x|`: `2^(e - 23)` for a normal `x` with
+/// exponent `e`, `2^-149` for zero and subnormals, `+inf` for NaN and
+/// infinities.
+fn ulp(x: f32) -> f64 {
+    if !x.is_finite() {
+        return f64::INFINITY;
+    }
+    let biased = ((x.to_bits() >> 23) & 0xff) as i32;
+    2f64.powi(biased.max(1) - 150)
+}
+
+/// The error of `got` against `want` in ULPs of the input `x`:
+/// `|got − want| / ulp(x)`. Two NaNs, or equal values (infinities and
+/// signed zeros included), are 0; any other mismatch involving a NaN or
+/// an infinity is `+inf`.
+fn input_ulp_error(x: f32, got: f32, want: f32) -> f64 {
+    if got == want || (got.is_nan() && want.is_nan()) {
+        return 0.0;
+    }
+    if !got.is_finite() || !want.is_finite() {
+        return f64::INFINITY;
+    }
+    (f64::from(got) - f64::from(want)).abs() / ulp(x)
+}
+
+/// The maximum [`input_ulp_error`] over three equal-length slices:
+/// inputs, kernel outputs and oracle outputs.
+///
+/// # Panics
+///
+/// Panics when the slices' lengths differ.
+pub fn max_input_ulp(x: &[f32], got: &[f32], want: &[f32]) -> f64 {
+    assert!(
+        x.len() == got.len() && got.len() == want.len(),
+        "max_input_ulp over mismatched lengths"
+    );
+    x.iter()
+        .zip(got)
+        .zip(want)
+        .map(|((&x, &g), &w)| input_ulp_error(x, g, w))
+        .fold(0.0, f64::max)
+}
+
+/// The GELU oracle for one element: `x / (1 + exp(-2u))`, the same
+/// formula as [`crate::ops::gelu`], evaluated in f64 with libm `exp`
+/// and rounded to f32 once.
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
+    let x = f64::from(x);
+    let u = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044_715 * x * x * x);
+    (x / (1.0 + (-2.0 * u).exp())) as f32
+}
+
+/// The oracle form of a fused epilogue: GELU through [`gelu_scalar`],
+/// the others as the production epilogue computes them (they are exact).
+fn epilogue(ep: Epilogue, x: f32) -> f32 {
+    match ep {
+        Epilogue::Gelu => gelu_scalar(x),
+        other => other.apply(x),
+    }
+}
+
 /// Computes output rows of one `[m, k] x [k, n]` product into `od`, the
 /// contiguous slice for rows `[row0, row0 + od.len() / n)` — the naive
 /// i-k-j oracle loop. No zero-skip: a `0.0` in `a` still multiplies its
@@ -191,7 +287,7 @@ pub(crate) fn linear_rows(
                 Some(bd) => acc + bd[o],
                 None => acc,
             };
-            *orow_o = ep.apply(v);
+            *orow_o = epilogue(ep, v);
         }
     }
 }
@@ -245,7 +341,7 @@ pub(crate) fn conv2d_rows(
                     Some(bd) => acc + bd[ko],
                     None => acc,
                 };
-                od[row * plane + oy * g.ow + ox] = ep.apply(v);
+                od[row * plane + oy * g.ow + ox] = epilogue(ep, v);
             }
         }
     }
@@ -330,6 +426,17 @@ pub fn conv2d(
         Epilogue::None,
     );
     Ok(out)
+}
+
+/// Reference GELU (tanh approximation), element by element in f64.
+/// [`crate::ops::gelu`] is held to the [`KernelClass::Activation`]
+/// bound against it.
+pub fn gelu(input: &Tensor) -> Tensor {
+    let mut out = input.clone();
+    for v in out.data_mut() {
+        *v = gelu_scalar(*v);
+    }
+    out
 }
 
 /// Reference bilinear resize (`align_corners = false`): the per-pixel
@@ -433,6 +540,7 @@ mod tests {
         let tol = Tolerance {
             max_ulp: 2,
             max_rel: 1e-6,
+            max_input_ulp: 0,
         };
         let a = [1.0f32, 1e20];
         let next = f32::from_bits(1.0f32.to_bits() + 1);
@@ -448,8 +556,10 @@ mod tests {
     fn registry_covers_every_class() {
         for class in [KernelClass::Gemm, KernelClass::Conv] {
             let t = tolerance(class);
-            assert!(t.max_ulp > 0 && t.max_rel > 0.0);
+            assert!(t.max_ulp > 0 && t.max_rel > 0.0 && t.max_input_ulp == 0);
         }
+        let t = tolerance(KernelClass::Activation);
+        assert!(t.max_input_ulp > 0 && t.max_ulp == 0 && t.max_rel == 0.0);
     }
 
     #[test]
@@ -461,6 +571,19 @@ mod tests {
         let y = matmul(&a, &b).unwrap();
         assert!(y.data()[0].is_nan(), "0 * inf row must surface as NaN");
         assert_eq!(y.data()[1], 0.0);
+    }
+
+    #[test]
+    fn reference_epilogue_is_the_gelu_oracle() {
+        // An identity linear layer with a fused GELU epilogue must store
+        // exactly the f64 oracle's value for each input.
+        let xs = Tensor::rand_uniform(&[64], -4.0, 4.0, 3);
+        let one = Tensor::full(&[1, 1], 1.0);
+        let mut out = [0.0f32; 1];
+        for &x in xs.data() {
+            linear_rows(&[x], one.data(), None, &mut out, 0, 1, 1, Epilogue::Gelu);
+            assert_eq!(out[0].to_bits(), gelu_scalar(x).to_bits(), "x = {x}");
+        }
     }
 
     #[test]

@@ -365,10 +365,15 @@ impl Tensor {
         let (n, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
         let plane = h * w;
         let mut out = Tensor::zeros(&[n, h, w]);
-        // Channel-outer: stream each contiguous class plane once against a
+        // Channel-outer: stream the contiguous class planes against a
         // running best per pixel, instead of striding every pixel across
-        // `c` planes a whole plane apart. Strict `>` keeps the first
-        // maximal channel, and a NaN never wins, as in the per-pixel form.
+        // `c` planes a whole plane apart. Four planes per pass: each
+        // pixel's best and label are loaded once, held in registers over
+        // four compares, and stored once, so the running state makes
+        // `c / 4` round trips instead of `c`; leftover planes go one at a
+        // time. Channels are still compared in ascending order with a
+        // strict `>`, so the first maximal channel wins and a NaN never
+        // does, exactly as in the per-pixel form.
         let mut best = vec![f32::NEG_INFINITY; plane];
         for (item, labels) in self
             .data
@@ -376,10 +381,35 @@ impl Tensor {
             .zip(out.data.chunks_exact_mut(plane.max(1)))
         {
             best.fill(f32::NEG_INFINITY);
-            for (ch, channel) in item.chunks_exact(plane.max(1)).enumerate() {
-                let ch = ch as f32;
+            // Inside the loop `plane >= 1`: an empty plane leaves no items.
+            let (quads, rest) = item.split_at(c / 4 * 4 * plane);
+            for (q, quad) in quads.chunks_exact(4 * plane).enumerate() {
+                let (p0, quad) = quad.split_at(plane);
+                let (p1, quad) = quad.split_at(plane);
+                let (p2, p3) = quad.split_at(plane);
+                let ch0 = (4 * q) as f32;
+                for (((((b, l), &v0), &v1), &v2), &v3) in best
+                    .iter_mut()
+                    .zip(labels.iter_mut())
+                    .zip(p0)
+                    .zip(p1)
+                    .zip(p2)
+                    .zip(p3)
+                {
+                    let (mut bv, mut lv) = (*b, *l);
+                    for (v, ch) in [(v0, ch0), (v1, ch0 + 1.0), (v2, ch0 + 2.0), (v3, ch0 + 3.0)] {
+                        // Branch-free selects, so the loop vectorizes.
+                        let wins = v > bv;
+                        bv = if wins { v } else { bv };
+                        lv = if wins { ch } else { lv };
+                    }
+                    *b = bv;
+                    *l = lv;
+                }
+            }
+            for (ch, channel) in rest.chunks_exact(plane).enumerate() {
+                let ch = (c / 4 * 4 + ch) as f32;
                 for ((b, l), &v) in best.iter_mut().zip(labels.iter_mut()).zip(channel) {
-                    // Branch-free selects, so the loop vectorizes.
                     let wins = v > *b;
                     *b = if wins { v } else { *b };
                     *l = if wins { ch } else { *l };

@@ -13,15 +13,19 @@
 //! arithmetic are held to the per-op-class bound registered in
 //! `vit_tensor::ops::reference::tolerance`. Today that is the im2col conv
 //! GEMM path, whose materialized `0.0 * w` padding taps the oracle never
-//! evaluates.
+//! evaluates, and GELU, whose f32 `exp` approximation is held to an
+//! input-scaled bound against the f64 oracle. GELU's AVX2 kernel and its
+//! scalar twin (the fused epilogue) are in the exact tier with each other.
 //!
 //! Golden pins at the bottom freeze the *measured* ULP error per class so
 //! a kernel change that spends tolerance headroom fails loudly instead of
 //! silently drifting toward the registered bound.
 
 use proptest::prelude::*;
-use vit_tensor::ops::reference::{self, max_ulp, tolerance, within_tolerance, KernelClass};
-use vit_tensor::ops::{self, block_rows, Conv2dParams, PackedB, MR, NR};
+use vit_tensor::ops::reference::{
+    self, max_input_ulp, max_ulp, tolerance, within_tolerance, KernelClass,
+};
+use vit_tensor::ops::{self, block_rows, Conv2dParams, Epilogue, PackedB, MR, NR};
 use vit_tensor::{corrupt, ExecCtx, Tensor, ThreadPool};
 
 /// Thread counts every differential claim is proved at — the same sample
@@ -370,6 +374,187 @@ fn depthwise_conv_matches_reference_on_every_small_geometry() {
     }
 }
 
+/// Inputs of every 4-plane argmax edge case: `c` around the group width
+/// and the real class count, batch 2, ties that straddle a group
+/// boundary, and whole NaN / -inf planes.
+#[test]
+fn four_plane_argmax_matches_reference_at_group_edges() {
+    for c in [1usize, 2, 3, 4, 5, 7, 8, 9, 150] {
+        let (n, h, w) = (2, 3, 5);
+        let plane = h * w;
+        let mut x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, c as u64);
+        let d = x.data_mut();
+        for b in 0..n {
+            let at = |ch: usize, px: usize| (b * c + ch) * plane + px;
+            // Pixel 0: a tie between the last plane of one group and the
+            // first of the next; the lower channel must win.
+            if c > 4 {
+                d[at(3, 0)] = 5.0;
+                d[at(4, 0)] = 5.0;
+            }
+            // Pixel 1: a tie inside the leftover planes.
+            if c >= 2 {
+                d[at(c - 2, 1)] = 6.0;
+                d[at(c - 1, 1)] = 6.0;
+            }
+            // Pixel 2: the maximum in the very last plane.
+            d[at(c - 1, 2)] = 7.0;
+            // Plane 0 all NaN for item 1, all -inf for item 0: neither
+            // may ever win against a finite logit.
+            let fill = if b == 1 { f32::NAN } else { f32::NEG_INFINITY };
+            d[at(0, 0)..at(0, 0) + plane].fill(fill);
+        }
+        let want = reference::argmax_channels(&x).unwrap();
+        let got = x.argmax_channels().unwrap();
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(got.data(), want.data(), "c = {c}");
+        if c > 4 {
+            assert_eq!(got.data()[0], 3.0, "the tie across planes 3|4 goes low");
+        }
+    }
+    // A NaN in every plane of a pixel leaves its label at channel 0.
+    let mut x = Tensor::full(&[1, 6, 1, 2], f32::NAN);
+    x.data_mut()[1] = 0.0;
+    assert_eq!(
+        x.argmax_channels().unwrap().data(),
+        reference::argmax_channels(&x).unwrap().data()
+    );
+}
+
+// ---- GELU -------------------------------------------------------------
+
+/// The x at which the kernel's `exp` argument `-2u` equals `z`, by
+/// Newton's method in f64 — the neighbourhoods of `exp`'s clamp and
+/// 2ⁿ-overflow edges.
+fn gelu_x_at_exp_arg(z: f64) -> f32 {
+    let k = -2.0 * (2.0 / std::f64::consts::PI).sqrt();
+    let mut x = z / k;
+    for _ in 0..60 {
+        let g = k * (x + 0.044_715 * x * x * x) - z;
+        x -= g / (k * (1.0 + 3.0 * 0.044_715 * x * x));
+    }
+    x as f32
+}
+
+/// Special values plus the 64 floats either side of each `exp` edge:
+/// the clamp bounds (89, -88), the first argument whose 2ⁿ overflows to
+/// +inf (n = 128 from 88.38) and the first whose 2ⁿ is +0 (n = -127
+/// from -87.68).
+fn gelu_edge_inputs() -> Vec<f32> {
+    let mut xs = vec![
+        0.0,
+        -0.0,
+        1e-45,
+        -1e-45,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MIN_POSITIVE / 3.0,
+        f32::MAX,
+        -f32::MAX,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    for z in [89.0, 88.38, -88.0, -87.68] {
+        let x0 = gelu_x_at_exp_arg(z).to_bits();
+        xs.extend((x0 - 64..=x0 + 64).map(f32::from_bits));
+    }
+    xs
+}
+
+/// Bitwise equality, elementwise, of the vector `gelu_into` against the
+/// scalar twin (`Epilogue::Gelu`, which the fused GEMM/conv epilogues
+/// run), on every length up to two AVX2 vectors plus a tail.
+#[test]
+fn avx2_gelu_is_bit_identical_to_the_scalar_twin() {
+    #[cfg(target_arch = "x86_64")]
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        eprintln!("no AVX2 on this CPU: both sides run the scalar twin");
+    }
+    let mut pool = gelu_edge_inputs();
+    pool.extend(Tensor::rand_uniform(&[64], -12.0, 12.0, 17).data());
+    for len in 0..=17 {
+        for start in 0..pool.len().saturating_sub(len) {
+            let src = &pool[start..start + len];
+            let mut got = vec![0.0f32; len];
+            ops::gelu_into(src, &mut got);
+            let want: Vec<f32> = src.iter().map(|&x| Epilogue::Gelu.apply(x)).collect();
+            assert!(same_bits(&got, &want), "len {len} at {start}: {src:?}");
+        }
+    }
+}
+
+/// The IEEE special cases agree with the f64 oracle: NaN → NaN,
+/// +inf → +inf, -inf → NaN (`-inf / inf`), and a large negative input
+/// → -0.
+#[test]
+fn gelu_special_values_match_the_oracle() {
+    let xs = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -20.0,
+        -1e4,
+        -f32::MAX,
+    ];
+    let x = Tensor::from_vec(xs.to_vec(), &[xs.len()]).unwrap();
+    for y in [ops::gelu(&x), reference::gelu(&x)] {
+        let d = y.data();
+        assert!(d[0].is_nan());
+        assert_eq!(d[1], f32::INFINITY);
+        assert!(d[2].is_nan());
+        for &v in &d[3..] {
+            assert_eq!(v.to_bits(), (-0.0f32).to_bits());
+        }
+    }
+}
+
+/// A detectable bit-flip upstream of GELU stays detectable downstream
+/// whenever the oracle keeps it so: a flip to a huge positive value,
+/// +inf or NaN leaves GELU's output non-finite or beyond the guard
+/// threshold. A flip to a huge *negative* value is absorbed into -0 by
+/// GELU's negative tail, in the kernel and the oracle alike.
+#[test]
+fn gelu_carries_injected_corruption_to_the_guards() {
+    const THRESHOLD: f32 = 1e6;
+    let base: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) / 50.0).collect();
+    for start in (0..256).step_by(3) {
+        let mut data = base.clone();
+        let flip = vit_tensor::corrupt::flip_detectable(&mut data, start, THRESHOLD)
+            .expect("plausible activations flip");
+        let x = Tensor::from_vec(data, &[256]).unwrap();
+        let (got, want) = (ops::gelu(&x), reference::gelu(&x));
+        let (g, w) = (got.data()[flip.index], want.data()[flip.index]);
+        let caught = |v: f32| !v.is_finite() || v.abs() > THRESHOLD;
+        if flip.after.is_nan() || flip.after > 0.0 || flip.after == f32::NEG_INFINITY {
+            assert!(caught(g) && caught(w), "{flip:?}: kernel {g}, oracle {w}");
+        } else {
+            let neg_zero = (-0.0f32).to_bits();
+            assert_eq!((g.to_bits(), w.to_bits()), (neg_zero, neg_zero), "{flip:?}");
+        }
+    }
+}
+
+/// Stratified inputs for the GELU accuracy sweep: for each sign and each
+/// exponent, evenly spaced mantissas (fewer under Miri), plus the input
+/// an exhaustive search over all 2³² bit patterns found to be the worst
+/// (2 ulp(x); 1,772 patterns exceed 1 ulp(x), none exceeds 2).
+fn gelu_sweep_inputs() -> Vec<f32> {
+    let per_exponent: u32 = if cfg!(miri) { 2 } else { 512 };
+    let step = (1u32 << 23) / per_exponent;
+    let mut xs = vec![8.278_004_5e-1];
+    for sign in [0u32, 1 << 31] {
+        for exponent in 0..255u32 {
+            for m in 0..per_exponent {
+                xs.push(f32::from_bits(
+                    sign | exponent << 23 | (m * step + exponent),
+                ));
+            }
+        }
+    }
+    xs
+}
+
 // ---- golden pins ----------------------------------------------------
 
 /// The measured max-ULP error of each kernel class against its oracle on
@@ -380,6 +565,9 @@ fn depthwise_conv_matches_reference_on_every_small_geometry() {
 /// is an explicit, reviewed act.
 const GOLDEN_MAX_ULP_GEMM: u32 = 0;
 const GOLDEN_MAX_ULP_CONV: u32 = 0;
+/// GELU's pin is in ULPs of the *input* (see `Tolerance::max_input_ulp`),
+/// measured over [`gelu_sweep_inputs`].
+const GOLDEN_MAX_ULP_ACTIVATION: f64 = 2.0;
 
 #[test]
 // The pins are currently 0, which makes `measured <= pin` and `pin <=
@@ -414,6 +602,23 @@ fn golden_ulp_pin_conv_class() {
         "Conv kernel error grew: measured {measured} ULP > pinned {GOLDEN_MAX_ULP_CONV}"
     );
     assert!(GOLDEN_MAX_ULP_CONV <= tolerance(KernelClass::Conv).max_ulp);
+}
+
+#[test]
+fn golden_ulp_pin_activation_class() {
+    let xs = gelu_sweep_inputs();
+    let x = Tensor::from_vec(xs.clone(), &[xs.len()]).unwrap();
+    let got = ops::gelu(&x);
+    let want = reference::gelu(&x);
+    let measured = max_input_ulp(x.data(), got.data(), want.data());
+    assert!(
+        measured <= GOLDEN_MAX_ULP_ACTIVATION,
+        "Activation kernel error grew: measured {measured} ulp(x) > pinned \
+         {GOLDEN_MAX_ULP_ACTIVATION}"
+    );
+    assert!(
+        GOLDEN_MAX_ULP_ACTIVATION <= f64::from(tolerance(KernelClass::Activation).max_input_ulp)
+    );
 }
 
 // ---- corruption regression ------------------------------------------

@@ -249,6 +249,7 @@ pub fn tolerance_class(op: &vit_graph::Op) -> Option<vit_tensor::ops::reference:
     match op {
         vit_graph::Op::Conv2d { .. } => Some(KernelClass::Conv),
         vit_graph::Op::Linear { .. } => Some(KernelClass::Gemm),
+        vit_graph::Op::Gelu => Some(KernelClass::Activation),
         _ => None,
     }
 }
@@ -322,10 +323,14 @@ pub fn verify_shadow(
 
 /// One audited hot-path source file, embedded at compile time so the
 /// audit runs anywhere the verifier runs.
-const AUDITED_SOURCES: [(&str, &str); 8] = [
+const AUDITED_SOURCES: [(&str, &str); 9] = [
     (
         "crates/tensor/src/par.rs",
         include_str!("../../tensor/src/par.rs"),
+    ),
+    (
+        "crates/tensor/src/ops/activation.rs",
+        include_str!("../../tensor/src/ops/activation.rs"),
     ),
     (
         "crates/tensor/src/ops/layout.rs",
