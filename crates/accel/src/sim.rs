@@ -104,11 +104,6 @@ impl AccelReport {
         self.layers.iter().map(|l| l.energy_j).sum()
     }
 
-    /// Total DRAM traffic in bytes.
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.dram_bytes).sum()
-    }
-
     /// Sums `(cycles, energy)` over layers whose name starts with `prefix`.
     pub fn by_prefix(&self, prefix: &str) -> (u64, f64) {
         let mut c = 0;
@@ -118,13 +113,6 @@ impl AccelReport {
             e += l.energy_j;
         }
         (c, e)
-    }
-
-    /// The layer with the highest energy (Figure 13 normalizes to it).
-    pub fn max_energy_layer(&self) -> Option<&LayerStats> {
-        self.layers
-            .iter()
-            .max_by(|a, b| a.energy_j.partial_cmp(&b.energy_j).expect("finite"))
     }
 }
 

@@ -7,10 +7,9 @@
 //! training, one set of shared model weights.
 
 use crate::lut::{Lut, LutConfig, LutEntry};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use vit_accel::AccelConfig;
 use vit_fault::FaultError;
 use vit_graph::{
@@ -238,12 +237,18 @@ impl EngineCore {
 
     /// Number of distinct execution paths built so far.
     pub fn cached_graphs(&self) -> usize {
-        self.graph_cache.read().len()
+        self.graph_cache
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Number of distinct execution paths compiled into plans so far.
     pub fn cached_plans(&self) -> usize {
-        self.plan_cache.read().len()
+        self.plan_cache
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// The configuration the engine would run for `budget`, without
@@ -275,22 +280,6 @@ impl EngineCore {
         Ok(self.graph_for(config, 1)?.0)
     }
 
-    /// The built batch-`batch` execution graph for `config`, from the
-    /// concurrent cache. Batch-N graphs carry a leading batch dimension on
-    /// every activation; coalesced serving runs them via
-    /// [`EngineCore::run_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] when graph construction fails.
-    pub fn graph_batched(
-        &self,
-        config: LutConfig,
-        batch: usize,
-    ) -> Result<Arc<Graph>, EngineError> {
-        Ok(self.graph_for(config, batch)?.0)
-    }
-
     /// The built graph for `(config, batch)`, from the concurrent cache; the
     /// flag reports whether this call was served from the cache.
     fn graph_for(
@@ -298,7 +287,12 @@ impl EngineCore {
         config: LutConfig,
         batch: usize,
     ) -> Result<(Arc<Graph>, bool), EngineError> {
-        if let Some(g) = self.graph_cache.read().get(&(config, batch)) {
+        if let Some(g) = self
+            .graph_cache
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&(config, batch))
+        {
             return Ok((g.clone(), true));
         }
         // Build outside any lock: graph construction is the expensive part
@@ -338,7 +332,7 @@ impl EngineCore {
             "graph for {config:?} violates structural invariants: {}",
             g.check_invariants().unwrap_err()
         );
-        let mut cache = self.graph_cache.write();
+        let mut cache = self.graph_cache.write().unwrap_or_else(|e| e.into_inner());
         Ok((cache.entry((config, batch)).or_insert(g).clone(), false))
     }
 
@@ -379,7 +373,12 @@ impl EngineCore {
         config: LutConfig,
         batch: usize,
     ) -> Result<(Arc<ExecPlan>, bool), EngineError> {
-        if let Some(p) = self.plan_cache.read().get(&(config, batch)) {
+        if let Some(p) = self
+            .plan_cache
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&(config, batch))
+        {
             return Ok((p.clone(), true));
         }
         // Like `graph_for`, compile outside any lock; racing workers keep
@@ -387,7 +386,7 @@ impl EngineCore {
         // plan-cache miss subsumes the interpreter's weight materialization.
         let (graph, _) = self.graph_for(config, batch)?;
         let p = Arc::new(ExecPlan::compile(&graph, self.weight_gen)?);
-        let mut cache = self.plan_cache.write();
+        let mut cache = self.plan_cache.write().unwrap_or_else(|e| e.into_inner());
         Ok((cache.entry((config, batch)).or_insert(p).clone(), false))
     }
 

@@ -75,14 +75,6 @@ impl ExecOptions {
         }
     }
 
-    /// Execution over an existing shared pool.
-    pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
-        ExecOptions {
-            pool: Some(pool),
-            ..Self::default()
-        }
-    }
-
     /// Selects the execution backend, keeping the pool configuration.
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
@@ -208,24 +200,6 @@ impl RunContext {
     pub fn trace_enabled(&self) -> bool {
         self.sink.enabled()
     }
-}
-
-/// First-order DRAM bytes of one node — the same model as
-/// `vit-profiler::node_io_bytes` (read every input and every parameter,
-/// write the output once, 4-byte elements; data movers `Input`/`Identity`
-/// count zero), so traced byte totals cross-check against static profiles.
-fn node_trace_bytes(graph: &Graph, node: &crate::graph::Node) -> u64 {
-    if matches!(node.op, Op::Input { .. } | Op::Identity) {
-        return 0;
-    }
-    let in_bytes: u64 = node
-        .inputs
-        .iter()
-        .map(|id| graph.node(*id).shape.iter().product::<usize>() as u64 * 4)
-        .sum();
-    let out_bytes = node.shape.iter().product::<usize>() as u64 * 4;
-    let param_bytes = node.params(graph) * 4;
-    in_bytes + out_bytes + param_bytes
 }
 
 /// Error from graph execution.
@@ -874,7 +848,6 @@ impl ExecScratch {
                 let kctx = ExecCtx {
                     pool: ctx.exec.active_pool(),
                     bufs: Some(&self.bufs),
-                    sink: enabled.then_some(sink),
                     reference: ctx.exec.reference_kernels(),
                 };
                 eval_node(node, weights.as_slice(), &in_tensors, &kctx)?
@@ -892,7 +865,7 @@ impl ExecScratch {
                     start_ns: node_start,
                     end_ns: now_ns(),
                     flops: node.flops(graph),
-                    bytes: node_trace_bytes(graph, node),
+                    bytes: node.io_bytes(graph),
                 });
             }
             debug_assert_eq!(

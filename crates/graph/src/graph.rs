@@ -58,6 +58,23 @@ impl Node {
             .collect();
         self.op.params(&in_shapes)
     }
+
+    /// First-order DRAM bytes of this node: read every input and every
+    /// parameter, write the output once, 4-byte elements. The data movers
+    /// `Input` and `Identity` count zero. Traced byte totals, static
+    /// profiles and plan records all use this one model.
+    pub fn io_bytes(&self, graph: &Graph) -> u64 {
+        if matches!(self.op, Op::Input { .. } | Op::Identity) {
+            return 0;
+        }
+        let in_bytes: u64 = self
+            .inputs
+            .iter()
+            .map(|id| graph.node(*id).shape.iter().product::<usize>() as u64 * 4)
+            .sum();
+        let out_bytes = self.shape.iter().product::<usize>() as u64 * 4;
+        in_bytes + out_bytes + self.params(graph) * 4
+    }
 }
 
 /// A static execution graph for one model configuration at one input size.

@@ -97,7 +97,6 @@ use std::sync::Mutex;
 use vit_fault::{check_guard, FaultCtx, FaultError};
 use vit_graph::ExecError;
 use vit_graph::{eval_op, generate_node_weights, Graph, Node, Op, RunContext, WeightGen};
-use vit_profiler::node_io_bytes;
 use vit_tensor::ops::{self, Conv2dParams, Epilogue, PackedConv2d, PackedLinear};
 use vit_tensor::{BufferPool, ExecCtx, ShadowAccess, ShadowViolation, Tensor, TensorError};
 use vit_trace::{now_ns, EventKind, Phase, TraceSink};
@@ -598,12 +597,12 @@ impl ExecPlan {
             };
             let mut flops = node.flops(graph);
             let mut params = node.params(graph);
-            let mut bytes = node_io_bytes(graph, node);
+            let mut bytes = node.io_bytes(graph);
             let mut fused = Vec::new();
             if let Some(c) = fused_child {
                 flops += c.flops(graph);
                 params += c.params(graph);
-                bytes += node_io_bytes(graph, c);
+                bytes += c.io_bytes(graph);
                 fused.push(c.name.clone());
             }
             records.push(PlanRecord {
@@ -827,7 +826,6 @@ impl ExecPlan {
             let kctx = ExecCtx {
                 pool,
                 bufs: Some(&self.scratch),
-                sink: None,
                 reference: false,
             };
             match &rec.step {

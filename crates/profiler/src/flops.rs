@@ -2,23 +2,7 @@
 //! stand-in for torchprof / the PyTorch autograd profiler.
 
 use std::collections::BTreeMap;
-use vit_graph::{Graph, LayerRole, Node, Op, OpClass};
-
-/// Bytes moved to/from DRAM by a node (4-byte elements, reading every input
-/// and writing the output once — a first-order model of a fused kernel).
-pub fn node_io_bytes(graph: &Graph, node: &Node) -> u64 {
-    if matches!(node.op, Op::Input { .. } | Op::Identity) {
-        return 0;
-    }
-    let in_bytes: u64 = node
-        .inputs
-        .iter()
-        .map(|id| graph.node(*id).shape.iter().product::<usize>() as u64 * 4)
-        .sum();
-    let out_bytes = node.shape.iter().product::<usize>() as u64 * 4;
-    let param_bytes = node.params(graph) * 4;
-    in_bytes + out_bytes + param_bytes
-}
+use vit_graph::{Graph, LayerRole, OpClass};
 
 /// One row of a profile: the cost of a single layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +54,7 @@ impl Profile {
                 role: n.role,
                 flops: n.flops(graph),
                 params: n.params(graph),
-                bytes: node_io_bytes(graph, n),
+                bytes: n.io_bytes(graph),
                 time_s: gpu.map_or(0.0, |g| g.node_time(graph, n)),
                 energy_j: gpu.map_or(0.0, |g| g.node_energy(graph, n)),
             })

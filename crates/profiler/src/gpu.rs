@@ -13,7 +13,6 @@
 //! not a measurement — every experiment in the reproduction depends on the
 //! *shape* of these curves, which the calibration pins down.
 
-use crate::flops::node_io_bytes;
 use vit_graph::{Graph, Node, Op, OpClass};
 
 /// Tunable constants of the GPU model.
@@ -103,11 +102,6 @@ impl GpuModel {
         }
     }
 
-    /// A model with explicit constants (for sensitivity studies).
-    pub fn with_params(params: GpuParams) -> Self {
-        GpuModel { params }
-    }
-
     /// The model constants.
     pub fn params(&self) -> &GpuParams {
         &self.params
@@ -164,7 +158,7 @@ impl GpuModel {
         }
         let batch = node.shape.first().copied().unwrap_or(1);
         let flops = node.flops(graph) as f64;
-        let bytes = node_io_bytes(graph, node) as f64;
+        let bytes = node.io_bytes(graph) as f64;
         let compute = flops / self.throughput(graph, node, batch);
         let memory = bytes / self.params.mem_bandwidth_bytes_per_s;
         compute.max(memory) + self.params.kernel_overhead_s
@@ -182,7 +176,7 @@ impl GpuModel {
     pub fn node_energy(&self, graph: &Graph, node: &Node) -> f64 {
         let t = self.node_time(graph, node);
         let flops = node.flops(graph) as f64;
-        let bytes = node_io_bytes(graph, node) as f64;
+        let bytes = node.io_bytes(graph) as f64;
         self.params.static_power_w * t
             + self.params.energy_per_mac_j * flops
             + self.params.energy_per_byte_j * bytes

@@ -24,5 +24,5 @@
 pub mod flops;
 pub mod gpu;
 
-pub use flops::{node_io_bytes, CostSummary, LayerCost, Profile};
+pub use flops::{CostSummary, LayerCost, Profile};
 pub use gpu::{GpuModel, GpuParams};

@@ -22,9 +22,9 @@
 use crate::config::TenantSpec;
 use crate::queue::PopResult;
 use crate::request::TenantId;
-use parking_lot::{Condvar, Mutex};
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Error from [`DispatchQueue::try_push`].
@@ -306,7 +306,7 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Whether the queue is currently empty.
@@ -325,7 +325,10 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
         deadline: K,
         item: T,
     ) -> Result<(), DispatchPushError> {
-        self.inner.lock().try_push(tenant, deadline, item)?;
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .try_push(tenant, deadline, item)?;
         self.not_empty.notify_one();
         Ok(())
     }
@@ -334,7 +337,7 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
     /// the queue is empty. Returns `Closed` once the queue is closed *and*
     /// drained.
     pub fn pop(&self) -> PopResult<(TenantId, K, T)> {
-        let mut q = self.inner.lock();
+        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(it) = q.pop() {
                 return PopResult::Item(it);
@@ -342,7 +345,7 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
             if q.is_closed() {
                 return PopResult::Closed;
             }
-            self.not_empty.wait(&mut q);
+            q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -355,12 +358,17 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
         timeout: Duration,
         mut pred: impl FnMut(&T) -> bool,
     ) -> CoalescePop<(TenantId, K, T)> {
-        let mut q = self.inner.lock();
+        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if !q.is_empty() || q.is_closed() {
                 return q.pop_if(&mut pred);
             }
-            if self.not_empty.wait_for(&mut q, timeout).timed_out() {
+            let (guard, wait) = self
+                .not_empty
+                .wait_timeout(q, timeout)
+                .unwrap_or_else(|e| e.into_inner());
+            q = guard;
+            if wait.timed_out() {
                 return CoalescePop::Empty;
             }
         }
@@ -368,7 +376,7 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
 
     /// Closes the queue: pushes fail, poppers drain then observe `Closed`.
     pub fn close(&self) {
-        self.inner.lock().close();
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).close();
         self.not_empty.notify_all();
     }
 }
@@ -510,5 +518,40 @@ mod tests {
             q.pop_if_timeout(Duration::from_millis(1), |_| true),
             CoalescePop::Empty
         ));
+    }
+
+    /// A predicate that panics while the queue mutex is held poisons it;
+    /// the queue recovers the lock instead of propagating the poison, so
+    /// every operation keeps working and a blocked popper still drains.
+    #[test]
+    fn shared_queue_survives_a_poisoned_lock() {
+        use crate::queue::PopResult;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let q: SharedDispatchQueue<u64, u32> = SharedDispatchQueue::bounded(4, &[]);
+        let t = TenantId::default();
+        q.try_push(t, 1, 10).unwrap();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            q.pop_if_timeout(Duration::from_millis(1), |_| panic!("predicate bug"))
+        }));
+        assert!(panicked.is_err());
+        assert!(q.inner.is_poisoned());
+
+        // The panicking predicate popped nothing.
+        assert_eq!(q.len(), 1);
+        q.try_push(t, 2, 20).unwrap();
+        assert!(matches!(q.pop(), PopResult::Item((_, 1, 10))));
+        assert!(matches!(
+            q.pop_if_timeout(Duration::from_millis(1), |_| true),
+            CoalescePop::Item((_, 2, 20))
+        ));
+
+        std::thread::scope(|s| {
+            let popper = s.spawn(|| [q.pop(), q.pop()]);
+            q.try_push(t, 3, 30).unwrap();
+            q.close();
+            let [first, second] = popper.join().unwrap();
+            assert!(matches!(first, PopResult::Item((_, 3, 30))));
+            assert!(matches!(second, PopResult::Closed));
+        });
     }
 }

@@ -7,16 +7,15 @@ use crate::fair::{CoalescePop, SharedDispatchQueue};
 use crate::metrics::ServerMetrics;
 use crate::queue::PopResult;
 use crate::request::{FailureReason, InferenceRequest, Outcome, RequestTicket, ShedReason};
-use parking_lot::Mutex;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vit_drt::{EngineCore, EngineError, LutEntry};
 use vit_fault::{FaultCtx, FaultError, GuardConfig};
-use vit_graph::{ExecBackend, ExecScratch, RunContext};
+use vit_graph::{ExecBackend, ExecOptions, ExecScratch, RunContext};
 use vit_tensor::Tensor;
 use vit_trace::{now_ns, EventKind, Phase as TracePhase, RecoveryAction};
 
@@ -33,16 +32,18 @@ pub struct Calibration {
 pub const CALIBRATION_RUNS: usize = 3;
 
 impl Calibration {
-    /// Measures the machine: runs the full (most expensive) execution path
-    /// once to warm its graph and weight caches, times
-    /// [`CALIBRATION_RUNS`] further runs, and divides their average by the
-    /// path's LUT cost.
+    /// Measures the machine on the executor [`Server::start`] uses by
+    /// default (sequential compiled-plan replay): runs the full (most
+    /// expensive) execution path once to compile and cache its plan, times
+    /// [`CALIBRATION_RUNS`] further replays, and divides their average by
+    /// the path's LUT cost.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] when a calibration inference fails.
     pub fn measure(core: &Arc<EngineCore>) -> Result<Self, EngineError> {
-        Self::measure_with(core, &RunContext::default())
+        let exec = ExecOptions::sequential().with_backend(ExecBackend::Plan);
+        Self::measure_with(core, &RunContext::default().with_exec(exec))
     }
 
     /// [`Calibration::measure`] under an explicit [`RunContext`], so the
@@ -477,7 +478,11 @@ impl Server {
             Err(shed) => {
                 let reason = shed.reason;
                 shared.trace(|| shed_event(reason));
-                shared.outcomes.lock().push(Outcome::Shed(shed));
+                shared
+                    .outcomes
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(Outcome::Shed(shed));
                 Ok(Admission::Shed(reason))
             }
         }
@@ -501,7 +506,13 @@ impl Server {
                 std::panic::resume_unwind(panic);
             }
         }
-        let outcomes = std::mem::take(&mut *self.shared.outcomes.lock());
+        let outcomes = std::mem::take(
+            &mut *self
+                .shared
+                .outcomes
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
+        );
         (ServerMetrics::from_outcomes(&outcomes), outcomes)
     }
 }
@@ -626,7 +637,11 @@ impl DispatchEnv for Worker<'_> {
     }
 
     fn record(&mut self, outcome: Outcome) {
-        self.shared.outcomes.lock().push(outcome);
+        self.shared
+            .outcomes
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(outcome);
     }
 
     fn trace(&self, event: impl FnOnce() -> EventKind) {
@@ -704,6 +719,17 @@ mod tests {
         );
         assert_eq!(r.unwrap_err(), "clock broke");
         assert_eq!(calls, 2, "stops at the first failure");
+    }
+
+    /// The calibration times the executor `Server::start` runs by
+    /// default, sequential plan replay, so it compiles the full path's
+    /// plan.
+    #[test]
+    fn calibration_measures_plan_replay() {
+        let core = Arc::new(crate::dispatch::tiny_core());
+        let cal = Calibration::measure(&core).unwrap();
+        assert!(cal.secs_per_unit > 0.0);
+        assert_eq!(core.cached_plans(), 1);
     }
 
     #[test]

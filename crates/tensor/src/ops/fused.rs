@@ -310,7 +310,6 @@ mod tests {
         let ctx = ExecCtx {
             pool: Some(&pool),
             bufs: None,
-            sink: None,
             reference: false,
         };
         let x = Tensor::rand_uniform(&[2, 4, 6, 6], -1.0, 1.0, 31);

@@ -204,8 +204,8 @@ fn input_ulp_error(x: f32, got: f32, want: f32) -> f64 {
     (f64::from(got) - f64::from(want)).abs() / ulp(x)
 }
 
-/// The maximum [`input_ulp_error`] over three equal-length slices:
-/// inputs, kernel outputs and oracle outputs.
+/// The maximum input-ULP error, `|got − want| / ulp(x)`, over three
+/// equal-length slices: inputs, kernel outputs and oracle outputs.
 ///
 /// # Panics
 ///

@@ -31,8 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use vit_trace::TraceSink;
-
 use crate::tensor::Tensor;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -477,10 +475,6 @@ pub struct ExecCtx<'a> {
     pub pool: Option<&'a ThreadPool>,
     /// Allocation free-list for kernel outputs; `None` allocates fresh.
     pub bufs: Option<&'a BufferPool>,
-    /// Trace sink for kernel-level events; `None` (or a disabled sink)
-    /// records nothing. Kernels must gate all tracing work on
-    /// [`ExecCtx::trace_enabled`].
-    pub sink: Option<&'a dyn TraceSink>,
     /// Route GEMM-backed kernels to the naive oracle loops in
     /// [`crate::ops::reference`] instead of the packed micro-kernels.
     /// Used by the tolerance tier to replay whole models against the
@@ -493,12 +487,6 @@ impl<'a> ExecCtx<'a> {
     /// sequential).
     pub fn parallelism(&self) -> usize {
         self.pool.map_or(1, ThreadPool::threads)
-    }
-
-    /// Whether an enabled trace sink is attached — the single branch that
-    /// keeps tracing zero-cost when disabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.is_some_and(TraceSink::enabled)
     }
 
     /// A zeroed output tensor for `shape`, drawn from the buffer pool

@@ -8,7 +8,7 @@
 
 use crate::diag::{Code, Diagnostic, Span};
 use vit_graph::Graph;
-use vit_profiler::{node_io_bytes, Profile};
+use vit_profiler::Profile;
 
 /// Runs the cost-conservation pass over a graph and a profile of it (use
 /// [`Profile::flops_only`] for a freshly profiled graph, or a deserialized
@@ -44,12 +44,8 @@ pub fn verify_costs(graph: &Graph, profile: &Profile) -> Vec<Diagnostic> {
         if row.params != node.params(graph) {
             mismatch.push(format!("params {} vs {}", row.params, node.params(graph)));
         }
-        if row.bytes != node_io_bytes(graph, node) {
-            mismatch.push(format!(
-                "bytes {} vs {}",
-                row.bytes,
-                node_io_bytes(graph, node)
-            ));
+        if row.bytes != node.io_bytes(graph) {
+            mismatch.push(format!("bytes {} vs {}", row.bytes, node.io_bytes(graph)));
         }
         if row.class != node.op.class() || row.role != node.role {
             mismatch.push(format!(

@@ -12,7 +12,6 @@ use crate::diag::{Code, Diagnostic, Span};
 use std::collections::HashMap;
 use vit_graph::Graph;
 use vit_plan::ExecPlan;
-use vit_profiler::node_io_bytes;
 
 /// Runs the plan-equivalence pass: checks `plan` against the `graph` it
 /// was compiled from.
@@ -63,7 +62,7 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
     // Cost conservation: lowering must neither lose nor invent work.
     // Fused nodes keep their interpreter-convention accounting inside the
     // owning record, so these are exact integer equalities.
-    let graph_bytes: u64 = graph.iter().map(|(_, n)| node_io_bytes(graph, n)).sum();
+    let graph_bytes: u64 = graph.iter().map(|(_, n)| n.io_bytes(graph)).sum();
     for (what, plan_total, graph_total) in [
         ("flops", plan.total_flops(), graph.total_flops()),
         ("params", plan.total_params(), graph.total_params()),
