@@ -365,97 +365,6 @@ impl WeightGen {
     }
 }
 
-fn cyclic_shift(x: &Tensor, dy: isize, dx: isize) -> Tensor {
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let mut out = Tensor::zeros(x.shape());
-    let xd = x.data();
-    let od = out.data_mut();
-    let wrap = |v: isize, m: usize| -> usize {
-        let m = m as isize;
-        (((v % m) + m) % m) as usize
-    };
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for y in 0..h {
-                let sy = wrap(y as isize - dy, h);
-                for xx in 0..w {
-                    let sx = wrap(xx as isize - dx, w);
-                    od[base + y * w + xx] = xd[base + sy * w + sx];
-                }
-            }
-        }
-    }
-    out
-}
-
-fn window_partition(x: &Tensor, window: usize) -> Tensor {
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (nh, nw) = (h.div_ceil(window), w.div_ceil(window));
-    let mut out = Tensor::zeros(&[n * nh * nw, window * window, c]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for wy in 0..nh {
-            for wx in 0..nw {
-                let wi = (b * nh + wy) * nw + wx;
-                for py in 0..window {
-                    let iy = wy * window + py;
-                    if iy >= h {
-                        continue; // zero padding
-                    }
-                    for px in 0..window {
-                        let ix = wx * window + px;
-                        if ix >= w {
-                            continue; // zero padding
-                        }
-                        let tok = py * window + px;
-                        for ch in 0..c {
-                            let src = ((b * c + ch) * h + iy) * w + ix;
-                            od[(wi * window * window + tok) * c + ch] = xd[src];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-fn window_merge(x: &Tensor, window: usize, h: usize, w: usize) -> Tensor {
-    let c = x.shape()[2];
-    let (nh, nw) = (h.div_ceil(window), w.div_ceil(window));
-    let n = x.shape()[0] / (nh * nw);
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for wy in 0..nh {
-            for wx in 0..nw {
-                let wi = (b * nh + wy) * nw + wx;
-                for py in 0..window {
-                    let iy = wy * window + py;
-                    if iy >= h {
-                        continue; // crop padding
-                    }
-                    for px in 0..window {
-                        let ix = wx * window + px;
-                        if ix >= w {
-                            continue; // crop padding
-                        }
-                        let tok = py * window + px;
-                        for ch in 0..c {
-                            let dst = ((b * c + ch) * h + iy) * w + ix;
-                            od[dst] = xd[(wi * window * window + tok) * c + ch];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Per-worker mutable execution state: the lazily generated weight cache
 /// and reusable value buffers.
 ///
@@ -898,6 +807,10 @@ impl ExecScratch {
     }
 }
 
+/// The variance epsilon of every [`Op::LayerNorm`] (the interpreter and
+/// compiled plans share it).
+pub const LAYER_NORM_EPS: f32 = 1e-5;
+
 /// Scans one node output against the armed-mode guard, converting a trip
 /// into an [`ExecError::Fault`] anchored at the node. Both executor paths
 /// (and `vit-plan`'s replay loop) call this, which is what makes the
@@ -975,18 +888,19 @@ pub fn eval_op(
             let b = if *bias { Some(&w[1]) } else { None };
             ops::linear_ctx(in_tensors[0], &w[0], b, ctx).map_err(kerr)?
         }
-        Op::LayerNorm => ops::layer_norm(in_tensors[0], &w[0], &w[1], 1e-5).map_err(kerr)?,
+        Op::LayerNorm => {
+            ops::layer_norm(in_tensors[0], &w[0], &w[1], LAYER_NORM_EPS).map_err(kerr)?
+        }
         Op::BatchNorm => ops::batch_norm_inference(in_tensors[0], &w[0], &w[1]).map_err(kerr)?,
         Op::Relu => ops::relu(in_tensors[0]),
         Op::Gelu if ctx.reference => ops::reference::gelu(in_tensors[0]),
         Op::Gelu => ops::gelu(in_tensors[0]),
+        Op::Sdpa { heads } if ctx.reference => {
+            ops::reference::sdpa(in_tensors[0], in_tensors[1], in_tensors[2], *heads)
+                .map_err(kerr)?
+        }
         Op::Sdpa { heads } => {
-            // q/k/v are already projected; use identity-free fused
-            // attention: softmax(q k^T / sqrt(d)) v, head-split.
-            let q = in_tensors[0];
-            let k = in_tensors[1];
-            let v = in_tensors[2];
-            sdpa(q, k, v, *heads, ctx).map_err(kerr)?
+            ops::sdpa(in_tensors[0], in_tensors[1], in_tensors[2], *heads, ctx).map_err(kerr)?
         }
         Op::DeformAttn {
             heads,
@@ -1035,14 +949,47 @@ pub fn eval_op(
                 .and_then(|t| t.reshape(&[n, c, *h, *w]))
                 .map_err(kerr)?
         }
-        Op::WindowPartition { window } => window_partition(in_tensors[0], *window),
-        Op::WindowMerge { window, h, w } => window_merge(in_tensors[0], *window, *h, *w),
-        Op::CyclicShift { dy, dx } => cyclic_shift(in_tensors[0], *dy, *dx),
+        Op::WindowPartition { window } => {
+            let x = in_tensors[0];
+            let (c, hw) = (x.shape()[1], (x.shape()[2], x.shape()[3]));
+            let mut out = output_for(name, op, x);
+            ops::window_partition_into(x.data(), c, hw, *window, out.data_mut());
+            out
+        }
+        Op::WindowMerge { window, h, w } => {
+            let x = in_tensors[0];
+            let mut out = output_for(name, op, x);
+            ops::window_merge_into(x.data(), x.shape()[2], (*h, *w), *window, out.data_mut());
+            out
+        }
+        Op::CyclicShift { dy, dx } => {
+            let x = in_tensors[0];
+            let mut out = output_for(name, op, x);
+            let hw = (x.shape()[2], x.shape()[3]);
+            ops::cyclic_shift_into(x.data(), hw, (*dy, *dx), out.data_mut());
+            out
+        }
         Op::GlobalAvgPool => ops::global_avg_pool(in_tensors[0]).map_err(kerr)?,
         Op::ArgmaxChannels => in_tensors[0].argmax_channels().map_err(kerr)?,
         Op::Identity => in_tensors[0].clone(),
-        Op::SliceChannels { keep } => slice_channels(in_tensors[0], *keep),
-        Op::SpaceToDepth { block } => space_to_depth(in_tensors[0], *block),
+        Op::SliceChannels { keep } => {
+            let x = in_tensors[0];
+            // NCHW slices channel planes, token-major `[b, n, c]` columns.
+            let (c, inner) = match x.shape() {
+                [_, c, h, w] => (*c, h * w),
+                s => (s[2], 1),
+            };
+            let mut out = output_for(name, op, x);
+            ops::slice_channels_into(x.data(), c, *keep, inner, out.data_mut());
+            out
+        }
+        Op::SpaceToDepth { block } => {
+            let x = in_tensors[0];
+            let mut out = output_for(name, op, x);
+            let hw = (x.shape()[2], x.shape()[3]);
+            ops::space_to_depth_into(x.data(), hw, *block, out.data_mut());
+            out
+        }
         Op::ConcatTokens => concat_tokens(in_tensors),
     };
     Ok(out)
@@ -1111,54 +1058,11 @@ impl Executor {
     }
 }
 
-fn slice_channels(x: &Tensor, keep: usize) -> Tensor {
-    match x.rank() {
-        4 => {
-            let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-            let mut out = Tensor::zeros(&[n, keep, h, w]);
-            let plane = h * w;
-            for b in 0..n {
-                let src = &x.data()[b * c * plane..(b * c + keep) * plane];
-                out.data_mut()[b * keep * plane..(b + 1) * keep * plane].copy_from_slice(src);
-            }
-            out
-        }
-        3 => {
-            let (b, n, c) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-            let mut out = Tensor::zeros(&[b, n, keep]);
-            for row in 0..b * n {
-                let src = &x.data()[row * c..row * c + keep];
-                out.data_mut()[row * keep..(row + 1) * keep].copy_from_slice(src);
-            }
-            out
-        }
-        _ => unreachable!("validated by shape inference"),
-    }
-}
-
-fn space_to_depth(x: &Tensor, block: usize) -> Tensor {
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (oh, ow) = (h / block, w / block);
-    let oc = c * block * block;
-    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for ch in 0..c {
-            for by in 0..block {
-                for bx in 0..block {
-                    let out_ch = (ch * block + by) * block + bx;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            od[((b * oc + out_ch) * oh + oy) * ow + ox] =
-                                xd[((b * c + ch) * h + oy * block + by) * w + ox * block + bx];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
+/// A zeroed tensor of `op`'s output shape on input `x`, for the layout
+/// ops, which only ever run on shape-validated graphs.
+fn output_for(name: &str, op: &Op, x: &Tensor) -> Tensor {
+    let shape = op.infer_shape(name, &[x.shape()]);
+    Tensor::zeros(&shape.expect("validated by shape inference"))
 }
 
 fn concat_tokens(inputs: &[&Tensor]) -> Tensor {
@@ -1233,38 +1137,6 @@ fn deform_attn(
         }
     }
     ops::linear_ctx(&out, wo, None, ctx)
-}
-
-/// Fused scaled-dot-product attention on already-projected q/k/v.
-fn sdpa(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    ctx: &ExecCtx<'_>,
-) -> Result<Tensor, TensorError> {
-    let (b, n, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let m = k.shape()[1];
-    let dv = v.shape()[2];
-    let hd = d / heads;
-    let hdv = dv / heads;
-    let split =
-        |x: &Tensor, tokens: usize, dim: usize, hdim: usize| -> Result<Tensor, TensorError> {
-            x.reshape(&[b, tokens, dim / hdim, hdim])?
-                .permute(&[0, 2, 1, 3])?
-                .reshape(&[b * (dim / hdim), tokens, hdim])
-        };
-    let qh = split(q, n, d, hd)?;
-    let kh = split(k, m, d, hd)?;
-    let vh = split(v, m, dv, hdv)?;
-    let kt = kh.permute(&[0, 2, 1])?;
-    let scores = ops::bmm_ctx(&qh, &kt, ctx)?.scale(1.0 / (hd as f32).sqrt());
-    let probs = ops::softmax_last_dim(&scores)?;
-    let attn_out = ops::bmm_ctx(&probs, &vh, ctx)?;
-    attn_out
-        .reshape(&[b, heads, n, hdv])?
-        .permute(&[0, 2, 1, 3])?
-        .reshape(&[b, n, dv])
 }
 
 #[cfg(test)]
@@ -1383,6 +1255,22 @@ mod tests {
             .unwrap();
         assert_eq!(out.shape(), &[1, 16, 8]);
         assert!(out.data().iter().all(|v| v.is_finite()));
+    }
+
+    fn eval1(op: Op, x: &Tensor) -> Tensor {
+        eval_op("t", &op, &[], &[x], &ExecCtx::default()).unwrap()
+    }
+
+    fn cyclic_shift(x: &Tensor, dy: isize, dx: isize) -> Tensor {
+        eval1(Op::CyclicShift { dy, dx }, x)
+    }
+
+    fn window_partition(x: &Tensor, window: usize) -> Tensor {
+        eval1(Op::WindowPartition { window }, x)
+    }
+
+    fn window_merge(x: &Tensor, window: usize, h: usize, w: usize) -> Tensor {
+        eval1(Op::WindowMerge { window, h, w }, x)
     }
 
     #[test]

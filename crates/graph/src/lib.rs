@@ -46,7 +46,7 @@ mod op;
 
 pub use exec::{
     check_node_guard, eval_op, generate_node_weights, node_weight_shapes, ExecBackend, ExecError,
-    ExecOptions, ExecScratch, Executor, RunContext, WeightGen,
+    ExecOptions, ExecScratch, Executor, RunContext, WeightGen, LAYER_NORM_EPS,
 };
 pub use graph::{Graph, Node, NodeId};
 pub use op::{GraphError, LayerRole, Op, OpClass};

@@ -395,29 +395,13 @@ impl Op {
                 Ok(inputs[0].to_vec())
             }
             Op::Sdpa { heads } => {
-                let q = inputs[0];
-                let k = inputs[1];
-                let v = inputs[2];
-                if q.len() != 3 || k.len() != 3 || v.len() != 3 {
-                    return Err(err(
-                        name,
-                        format!("sdpa expects rank-3 inputs, got {q:?} {k:?} {v:?}"),
-                    ));
-                }
-                if q[0] != k[0] || q[0] != v[0] || q[2] != k[2] || k[1] != v[1] {
-                    return Err(err(
-                        name,
-                        format!("inconsistent sdpa inputs q={q:?} k={k:?} v={v:?}"),
-                    ));
-                }
-                if *heads == 0 || !q[2].is_multiple_of(*heads) {
-                    return Err(err(
-                        name,
-                        format!("dim {} not divisible by heads {heads}", q[2]),
-                    ));
-                }
+                // The kernel's own validation: rank-3 q/k/v with a shared
+                // batch, at least one key, and `heads` dividing both the
+                // q/k and the v width.
+                let s = vit_tensor::ops::SdpaShape::new(inputs[0], inputs[1], inputs[2], *heads)
+                    .map_err(|e| err(name, e.to_string()))?;
                 // Output embeds the value dimension per token.
-                Ok(vec![q[0], q[1], v[2]])
+                Ok(vec![s.batch, s.n, s.dv])
             }
             Op::DeformAttn { heads, dim, .. } => {
                 let q = inputs[0];
@@ -795,6 +779,19 @@ mod tests {
         let op = Op::Sdpa { heads: 7 };
         let q = [1usize, 10, 64];
         assert!(op.infer_shape("attn", &[&q, &q, &q]).is_err());
+        // The value width must split over the heads too, and there must
+        // be at least one key; a graph breaking either fails at build time,
+        // not in the kernel.
+        let op = Op::Sdpa { heads: 4 };
+        let (q, k) = ([1usize, 4, 8], [1usize, 3, 8]);
+        assert!(op.infer_shape("attn", &[&q, &k, &[1, 3, 6]]).is_err());
+        assert!(op
+            .infer_shape("attn", &[&q, &[1, 0, 8], &[1, 0, 8]])
+            .is_err());
+        assert_eq!(
+            op.infer_shape("attn", &[&q, &k, &[1, 3, 12]]).unwrap(),
+            vec![1, 4, 12]
+        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn conv_residual_graph(
 }
 
 /// A transformer-ish tail: flatten -> linear -> layernorm -> self-attention
-/// -> linear head. Exercises the tiled matmul/linear/bmm kernels.
+/// -> linear head. Exercises the tiled linear and attention kernels.
 fn attention_graph(cin: usize, hw: usize, heads: usize, head_dim: usize) -> (Graph, Vec<usize>) {
     let dim = heads * head_dim;
     let mut g = Graph::new("attention");

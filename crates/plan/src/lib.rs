@@ -27,20 +27,23 @@
 //!   compile time and packed contiguously
 //!   ([`vit_tensor::ops::PackedConv2d`]/[`PackedLinear`]), so replay
 //!   touches no weight cache;
-//! * **arena-native memory ops** — bilinear resize (plane-tiled over the
-//!   pool), the `FlattenHw`/`UnflattenHw` transposes and channel concat
-//!   run straight on arena ranges through the slice kernels
-//!   [`vit_tensor::ops::bilinear_resize_into`],
-//!   [`vit_tensor::ops::transpose_into`] and
-//!   [`vit_tensor::ops::concat_channels_into`]; a same-size resize is a
-//!   copy. Only ops without a native step yet (norms, attention,
-//!   pooling, window and slicing ops) take the *fallback* record,
-//!   which copies its inputs out of the arena into tensors, dispatches
-//!   through [`vit_graph::eval_op`], and copies the result back
+//! * **arena-native kernels** — every op of the SegFormer and Swin
+//!   serving graphs runs straight on arena ranges through a slice kernel
+//!   the interpreter calls too: head-fused attention
+//!   ([`vit_tensor::ops::sdpa_into`], tiled by query token), LayerNorm
+//!   and BatchNorm (tiled by feature row and channel plane), bilinear
+//!   resize (tiled by plane; a same-size resize is a copy), the
+//!   `FlattenHw`/`UnflattenHw` transposes, channel concat and slice, and
+//!   Swin's cyclic shift, window partition/merge, space-to-depth and
+//!   adaptive average pool. Only `DeformAttn`, `MaxPool`,
+//!   `GlobalAvgPool`, `ConcatTokens` and `ArgmaxChannels` (detection and
+//!   classification graphs) take the *fallback* record, which copies its
+//!   inputs out of the arena into tensors, dispatches through
+//!   [`vit_graph::eval_op`], and copies the result back
 //!   ([`PlanRecord::is_fallback`]).
 //!
 //! Replay is **bit-identical** to the interpreter at any thread count: the
-//! packed and memory-op kernels are the very inner loops the interpreter's
+//! packed and slice kernels are the very inner loops the interpreter's
 //! kernels call, epilogue scalars are shared, fallback records dispatch
 //! through the same [`vit_graph::eval_op`], and threading happens only via
 //! intra-kernel output tiling (the `vit_tensor::par` determinism
@@ -96,8 +99,10 @@ use std::sync::Mutex;
 
 use vit_fault::{check_guard, FaultCtx, FaultError};
 use vit_graph::ExecError;
-use vit_graph::{eval_op, generate_node_weights, Graph, Node, Op, RunContext, WeightGen};
-use vit_tensor::ops::{self, Conv2dParams, Epilogue, PackedConv2d, PackedLinear};
+use vit_graph::{
+    eval_op, generate_node_weights, Graph, Node, Op, RunContext, WeightGen, LAYER_NORM_EPS,
+};
+use vit_tensor::ops::{self, Conv2dParams, Epilogue, PackedConv2d, PackedLinear, SdpaShape};
 use vit_tensor::{BufferPool, ExecCtx, ShadowAccess, ShadowViolation, Tensor, TensorError};
 use vit_trace::{now_ns, EventKind, Phase, TraceSink};
 
@@ -127,8 +132,9 @@ impl BufRange {
 /// disjoint and complete *before* any schedule runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecContract {
-    /// One sequential pass over the whole output range (scalar loops,
-    /// copies, transposes, concat, fallback dispatch). Never reassociates.
+    /// One sequential pass over the whole output range (copies,
+    /// transposes, concat, channel slice, Swin's index remappings, fallback
+    /// dispatch). Never reassociates.
     Sequential,
     /// Row tiling through [`vit_tensor::row_chunks`]: the output splits
     /// into row-aligned chunks of whole `row_len`-element rows, each
@@ -137,7 +143,9 @@ pub enum ExecContract {
     /// `vit_tensor::par`).
     RowTiled {
         /// Elements per indivisible row: one output channel-plane for
-        /// convolution and resize, one feature vector for linear.
+        /// convolution, resize and BatchNorm; one feature vector for
+        /// linear, the elementwise steps and LayerNorm; one query token's
+        /// merged heads for attention.
         row_len: usize,
         /// Whether the kernel may reorder FP accumulation relative to the
         /// reference oracle (`vit_tensor::ops::reference`). True routes
@@ -247,10 +255,49 @@ enum Step {
     /// Channel concatenation: each input's per-item segment is copied
     /// into its channel offset of every batch item.
     Concat { batch: usize },
-    /// Ops without a native step (norms, attention, window and slicing
-    /// ops): copy the inputs out of the arena into tensors, dispatch
-    /// through [`vit_graph::eval_op`] with weights generated at compile
-    /// time, and copy the result back.
+    /// Head-fused attention: q/k/v read head-strided, the merged-head
+    /// output written directly, tiled by query token.
+    Attention(SdpaShape),
+    /// LayerNorm over feature rows, tiled by row.
+    LayerNorm { gamma: Vec<f32>, beta: Vec<f32> },
+    /// Inference BatchNorm, tiled by channel plane.
+    BatchNorm {
+        scale: Vec<f32>,
+        shift: Vec<f32>,
+        plane: usize,
+    },
+    /// The first `keep` of `c` channels of every `[.., c, inner]` item.
+    SliceChannels { c: usize, keep: usize, inner: usize },
+    /// Swin's shifted-window roll of every `hw` plane. This and the
+    /// steps down to `AdaptiveAvgPool` are one sequential pass each.
+    CyclicShift {
+        hw: (usize, usize),
+        shift: (isize, isize),
+    },
+    /// NCHW planes to zero-padded `window²`-token windows.
+    WindowPartition {
+        c: usize,
+        hw: (usize, usize),
+        window: usize,
+    },
+    /// Windows back to NCHW planes, padding cropped.
+    WindowMerge {
+        c: usize,
+        hw: (usize, usize),
+        window: usize,
+    },
+    /// `block×block` neighbourhoods folded into channels.
+    SpaceToDepth { hw: (usize, usize), block: usize },
+    /// The pyramid pooling module's per-plane average pool.
+    AdaptiveAvgPool {
+        in_hw: (usize, usize),
+        out_hw: (usize, usize),
+    },
+    /// Ops without a native step — `DeformAttn`, `MaxPool`,
+    /// `GlobalAvgPool`, `ConcatTokens` and `ArgmaxChannels`, which only
+    /// the detection and classification graphs use: copy the inputs out
+    /// of the arena into tensors, dispatch through [`vit_graph::eval_op`]
+    /// with weights generated at compile time, and copy the result back.
     Fallback { weights: Vec<Tensor> },
 }
 
@@ -333,8 +380,10 @@ impl PlanRecord {
 impl PlanRecord {
     /// Whether this record replays through the generic fallback: its
     /// inputs copied out of the arena into tensors, the op dispatched
-    /// through [`vit_graph::eval_op`], and the result copied back. Every
-    /// other record runs a native kernel straight on arena ranges.
+    /// through [`vit_graph::eval_op`], and the result copied back. Only
+    /// `DeformAttn`, `MaxPool`, `GlobalAvgPool`, `ConcatTokens` and
+    /// `ArgmaxChannels` (detection and classification graphs) still do;
+    /// every other record runs a native kernel straight on arena ranges.
     pub fn is_fallback(&self) -> bool {
         matches!(self.step, Step::Fallback { .. })
     }
@@ -566,9 +615,11 @@ impl ExecPlan {
                 op => Self::lower_step(node, op, &in_shapes, epilogue, gen)?,
             };
             // The write-decomposition contract mirrors the kernels: packed
-            // conv and resize tile by output channel-plane, packed linear
-            // and the elementwise steps by innermost row; everything else
-            // on the replay path writes its range in one sequential pass.
+            // conv, resize and BatchNorm tile by output channel-plane;
+            // packed linear, the elementwise steps, LayerNorm and attention
+            // by innermost row (a feature row, or one query token with all
+            // its heads); everything else on the replay path writes its
+            // range in one sequential pass.
             // GEMM-backed steps declare FP reassociation (tolerance tier):
             // packed linear always, conv only on its im2col path — the
             // direct single-input-channel path is bit-identical to the
@@ -589,8 +640,16 @@ impl ExecPlan {
                     row_len: out_hw.0 * out_hw.1,
                     reassociates: false,
                 },
-                Step::Relu | Step::Gelu | Step::Add => ExecContract::RowTiled {
+                Step::Relu
+                | Step::Gelu
+                | Step::Add
+                | Step::Attention(_)
+                | Step::LayerNorm { .. } => ExecContract::RowTiled {
                     row_len: last_dim(&node.shape),
+                    reassociates: false,
+                },
+                Step::BatchNorm { plane, .. } => ExecContract::RowTiled {
+                    row_len: *plane,
                     reassociates: false,
                 },
                 _ => ExecContract::Sequential,
@@ -670,6 +729,12 @@ impl ExecPlan {
             node: node.name.clone(),
             source,
         };
+        // A norm's two per-feature (or per-channel) parameter vectors.
+        let norm_weights = || -> [Vec<f32>; 2] {
+            let w = generate_node_weights(gen, &node.name, op, &shape_refs);
+            let [a, b]: [Tensor; 2] = w.try_into().expect("norms own two parameter vectors");
+            [a.into_vec(), b.into_vec()]
+        };
         Ok(match op {
             Op::Conv2d {
                 stride,
@@ -719,6 +784,56 @@ impl ExecPlan {
             },
             Op::Concat => Step::Concat {
                 batch: node.shape[0],
+            },
+            Op::Sdpa { heads } => Step::Attention(
+                SdpaShape::new(&in_shapes[0], &in_shapes[1], &in_shapes[2], *heads)
+                    .map_err(perr)?,
+            ),
+            Op::LayerNorm => {
+                let [gamma, beta] = norm_weights();
+                Step::LayerNorm { gamma, beta }
+            }
+            Op::BatchNorm => {
+                let [scale, shift] = norm_weights();
+                Step::BatchNorm {
+                    scale,
+                    shift,
+                    plane: in_shapes[0][2] * in_shapes[0][3],
+                }
+            }
+            Op::SliceChannels { keep } => {
+                let s = &in_shapes[0];
+                let (c, inner) = match s.as_slice() {
+                    [_, c, h, w] => (*c, h * w),
+                    s => (s[2], 1),
+                };
+                Step::SliceChannels {
+                    c,
+                    keep: *keep,
+                    inner,
+                }
+            }
+            Op::CyclicShift { dy, dx } => Step::CyclicShift {
+                hw: (in_shapes[0][2], in_shapes[0][3]),
+                shift: (*dy, *dx),
+            },
+            Op::WindowPartition { window } => Step::WindowPartition {
+                c: in_shapes[0][1],
+                hw: (in_shapes[0][2], in_shapes[0][3]),
+                window: *window,
+            },
+            Op::WindowMerge { window, h, w } => Step::WindowMerge {
+                c: in_shapes[0][2],
+                hw: (*h, *w),
+                window: *window,
+            },
+            Op::SpaceToDepth { block } => Step::SpaceToDepth {
+                hw: (in_shapes[0][2], in_shapes[0][3]),
+                block: *block,
+            },
+            Op::AdaptiveAvgPool { out_h, out_w } => Step::AdaptiveAvgPool {
+                in_hw: (in_shapes[0][2], in_shapes[0][3]),
+                out_hw: (*out_h, *out_w),
             },
             _ => Step::Fallback {
                 weights: generate_node_weights(gen, &node.name, op, &shape_refs),
@@ -874,6 +989,49 @@ impl ExecPlan {
                 Step::Concat { batch } => {
                     let parts: Vec<&[f32]> = rec.inputs.iter().map(input).collect();
                     ops::concat_channels_into(&parts, *batch, out);
+                }
+                Step::Attention(s) => {
+                    let [q, k, v] = [0, 1, 2].map(|i| input(&rec.inputs[i]));
+                    kctx.for_each_row_chunk(out, s.dv, |_, start, rows| {
+                        ops::sdpa_into(q, k, v, *s, start / s.dv.max(1), rows);
+                    });
+                }
+                Step::LayerNorm { gamma, beta } => {
+                    let src = input(&rec.inputs[0]);
+                    kctx.for_each_row_chunk(out, gamma.len(), |_, start, rows| {
+                        let x = &src[start..start + rows.len()];
+                        ops::layer_norm_into(x, gamma, beta, LAYER_NORM_EPS, rows);
+                    });
+                }
+                Step::BatchNorm {
+                    scale,
+                    shift,
+                    plane,
+                } => {
+                    let src = input(&rec.inputs[0]);
+                    kctx.for_each_row_chunk(out, *plane, |_, start, planes| {
+                        let x = &src[start..start + planes.len()];
+                        let first = start / (*plane).max(1);
+                        ops::batch_norm_into(x, scale, shift, *plane, first, planes);
+                    });
+                }
+                Step::SliceChannels { c, keep, inner } => {
+                    ops::slice_channels_into(input(&rec.inputs[0]), *c, *keep, *inner, out);
+                }
+                Step::CyclicShift { hw, shift } => {
+                    ops::cyclic_shift_into(input(&rec.inputs[0]), *hw, *shift, out);
+                }
+                Step::WindowPartition { c, hw, window } => {
+                    ops::window_partition_into(input(&rec.inputs[0]), *c, *hw, *window, out);
+                }
+                Step::WindowMerge { c, hw, window } => {
+                    ops::window_merge_into(input(&rec.inputs[0]), *c, *hw, *window, out);
+                }
+                Step::SpaceToDepth { hw, block } => {
+                    ops::space_to_depth_into(input(&rec.inputs[0]), *hw, *block, out);
+                }
+                Step::AdaptiveAvgPool { in_hw, out_hw } => {
+                    ops::adaptive_avg_pool2d_into(input(&rec.inputs[0]), *in_hw, *out_hw, out);
                 }
                 Step::Fallback { weights } => {
                     let ins: Vec<Tensor> = rec

@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use vit_graph::{ExecOptions, Executor, Graph, LayerRole, Op, RunContext, WeightGen};
 use vit_models::{
-    build_segformer, build_swin_upernet, SegFormerConfig, SegFormerVariant, SwinConfig, SwinVariant,
+    build_segformer, build_swin_upernet, SegFormerConfig, SegFormerDynamic, SegFormerVariant,
+    SwinConfig, SwinVariant,
 };
 use vit_plan::ExecPlan;
 use vit_tensor::Tensor;
@@ -129,8 +130,8 @@ fn conv_residual_graph(
 }
 
 /// A transformer-ish tail: flatten -> linear -> layernorm ->
-/// self-attention -> linear head. Sdpa and LayerNorm replay through the
-/// plan's fallback records.
+/// self-attention -> linear head, on the native attention and LayerNorm
+/// steps.
 fn attention_graph(cin: usize, hw: usize, heads: usize, head_dim: usize) -> (Graph, Vec<usize>) {
     let dim = heads * head_dim;
     let mut g = Graph::new("attention");
@@ -373,6 +374,75 @@ proptest! {
     }
 }
 
+/// SegFormer-B0's cheapest extended-sweep path: one encoder block per
+/// stage, a quarter of the fuse input, half the fuse output and half of
+/// `DecodeLinear0`'s input (which inserts `decoder.linear0.slice`).
+fn segformer_b0_cheapest(batch: usize) -> Graph {
+    let variant = SegFormerVariant::b0();
+    build_segformer(&SegFormerConfig {
+        image: (64, 64),
+        batch,
+        dynamic: SegFormerDynamic {
+            depths: [1; 4],
+            fuse_in_channels: variant.full_fuse_in() / 4,
+            fuse_out_channels: variant.decoder_dim / 2,
+            decode_linear0_in: variant.embed_dims[0] / 2,
+        },
+        ..SegFormerConfig::ade20k(variant)
+    })
+    .unwrap()
+}
+
+/// Whole serving models replay bit-identically at threads {1, 2, 8},
+/// every record on a native step: the cheapest B0 path (with its channel
+/// slice) at batch 1, and the full B0 path at batch 2 (attention rows and
+/// norm planes then span two items).
+#[test]
+fn segformer_b0_plans_are_native_and_bit_identical() {
+    let full_b2 = build_segformer(&SegFormerConfig {
+        image: (64, 64),
+        batch: 2,
+        ..SegFormerConfig::ade20k(SegFormerVariant::b0())
+    })
+    .unwrap();
+    for (g, batch) in [(segformer_b0_cheapest(1), 1), (full_b2, 2)] {
+        let plan = ExecPlan::compile(&g, WeightGen::new(3)).unwrap();
+        assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
+        let sliced = plan
+            .records()
+            .iter()
+            .any(|r| r.op.kind_name() == "SliceChannels");
+        assert_eq!(sliced, batch == 1, "only the cheapest path slices");
+        let input = Tensor::rand_uniform(&[batch, 3, 64, 64], -1.0, 1.0, 7);
+        assert_plan_bit_identical(&g, input, 3);
+    }
+}
+
+/// The arena is recycled without re-zeroing, so every native step must
+/// write its whole output range — including the zero padding tokens of
+/// Swin's window partition (64×64 leaves padded windows at every stage).
+/// Replaying input A and then input B must equal B on a fresh plan.
+#[test]
+fn swin_tiny_replay_on_a_recycled_arena_matches_a_fresh_one() {
+    let g = build_swin_upernet(&SwinConfig {
+        image: (64, 64),
+        ..SwinConfig::ade20k(SwinVariant::tiny())
+    })
+    .unwrap();
+    let ctx = RunContext::default();
+    let a = Tensor::rand_uniform(&[1, 3, 64, 64], -1.0, 1.0, 11);
+    let b = Tensor::rand_uniform(&[1, 3, 64, 64], -1.0, 1.0, 12);
+    let plan = ExecPlan::compile(&g, WeightGen::new(5)).unwrap();
+    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
+    plan.execute(&[a], &ctx).unwrap();
+    let reused = plan.execute(std::slice::from_ref(&b), &ctx).unwrap();
+    let fresh = ExecPlan::compile(&g, WeightGen::new(5))
+        .unwrap()
+        .execute(&[b], &ctx)
+        .unwrap();
+    assert_eq!(reused, fresh);
+}
+
 /// Golden pins: the plan geometry of the two serving models at the bench
 /// geometry (full dynamic config, 64x64 input). These numbers changing is
 /// not necessarily a bug — but it must be a *decision*, because record
@@ -393,7 +463,7 @@ fn segformer_b0_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 64);
-    assert_eq!(fallback_kinds(&plan), ["BatchNorm", "LayerNorm", "Sdpa"]);
+    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
 }
 
 /// The op kinds that still replay through the copy-in/copy-out fallback
@@ -435,17 +505,5 @@ fn swin_tiny_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 89);
-    assert_eq!(
-        fallback_kinds(&plan),
-        [
-            "AdaptiveAvgPool",
-            "BatchNorm",
-            "CyclicShift",
-            "LayerNorm",
-            "Sdpa",
-            "SpaceToDepth",
-            "WindowMerge",
-            "WindowPartition"
-        ]
-    );
+    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
 }

@@ -37,27 +37,6 @@ pub(crate) fn validate_matmul(a: &Tensor, b: &Tensor) -> Result<(usize, usize, u
     Ok((m, k, n))
 }
 
-/// Validates a batched product, returning `(batch, m, k, n)`.
-pub(crate) fn validate_bmm(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> {
-    if a.rank() != 3 || b.rank() != 3 || a.shape()[0] != b.shape()[0] {
-        return Err(shape_mismatch(
-            "bmm",
-            "[b, m, k] x [b, k, n] with shared b".to_string(),
-            format!("{:?} x {:?}", a.shape(), b.shape()),
-        ));
-    }
-    let (batch, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-    let (k2, n) = (b.shape()[1], b.shape()[2]);
-    if k != k2 {
-        return Err(shape_mismatch(
-            "bmm",
-            "[b, m, k] x [b, k, n] with shared k".to_string(),
-            format!("{:?} x {:?}", a.shape(), b.shape()),
-        ));
-    }
-    Ok((batch, m, k, n))
-}
-
 /// Validates a linear layer, returning the output shape and
 /// `(in_features, out_features)`.
 pub(crate) fn validate_linear(
@@ -156,68 +135,6 @@ pub fn matmul_ctx(a: &Tensor, b: &Tensor, ctx: &ExecCtx<'_>) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Batched matrix multiplication over the leading dimension:
-/// `a` is `[b, m, k]`, `b` is `[b, k, n]`, the result is `[b, m, n]`.
-///
-/// # Errors
-///
-/// Returns [`crate::TensorError::ShapeMismatch`] when batch or inner
-/// dimensions disagree.
-pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    bmm_ctx(a, b, &ExecCtx::default())
-}
-
-/// [`bmm`] with an execution context: batches are tiled across the
-/// context's thread pool, each packing and multiplying its own `b`
-/// slice. Per-batch packing depends only on shapes, so the result is
-/// bit-identical to [`bmm`] at any thread count.
-///
-/// Products with a tiny inner dimension (`k < NR`) skip packing and run
-/// the naive row loop instead: the register tile's fixed setup/store
-/// cost cannot amortize over so few inner iterations (measured ~2.5x
-/// slower on the spatial-reduction attention's `attn @ v` shapes). The
-/// two kernels compute every output element through the identical
-/// k-ascending add chain, so the dispatch — a pure function of shapes —
-/// is bitwise invisible.
-///
-/// # Errors
-///
-/// Returns the same validation errors as [`bmm`].
-pub fn bmm_ctx(a: &Tensor, b: &Tensor, ctx: &ExecCtx<'_>) -> Result<Tensor> {
-    let (batch, m, k, n) = validate_bmm(a, b)?;
-    let _ = batch;
-    let mut out = ctx.alloc_zeroed(&[batch, m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    let per = m * n;
-    let naive = ctx.reference || k < crate::ops::pack::NR;
-    // Chunk on whole batches; each batch is an independent [m, k] x [k, n]
-    // product computed directly on the input slices.
-    ctx.for_each_row_chunk(out.data_mut(), per, |_, start, piece| {
-        let b0 = start / per.max(1);
-        for (off, opiece) in piece.chunks_mut(per.max(1)).enumerate() {
-            let bi = b0 + off;
-            let abatch = &ad[bi * m * k..(bi + 1) * m * k];
-            let bbatch = &bd[bi * k * n..(bi + 1) * k * n];
-            if naive {
-                reference::matmul_rows(abatch, bbatch, opiece, 0, k, n);
-            } else {
-                let packed = PackedB::pack(bbatch, k, n);
-                gemm_rows(
-                    abatch,
-                    k,
-                    0,
-                    packed.panels(),
-                    opiece,
-                    GemmBias::None,
-                    Epilogue::None,
-                );
-            }
-        }
-    });
-    Ok(out)
-}
-
 /// Applies a linear (fully-connected) layer to the last dimension.
 ///
 /// `input` is `[..., in_features]`, `weight` is
@@ -312,20 +229,6 @@ mod tests {
         let c = matmul(&a, &id).unwrap();
         for (x, y) in a.data().iter().zip(c.data().iter()) {
             assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn bmm_matches_per_batch_matmul() {
-        let a = Tensor::rand_uniform(&[3, 2, 4], -1.0, 1.0, 1);
-        let b = Tensor::rand_uniform(&[3, 4, 5], -1.0, 1.0, 2);
-        let c = bmm(&a, &b).unwrap();
-        assert_eq!(c.shape(), &[3, 2, 5]);
-        for bi in 0..3 {
-            let a2 = Tensor::from_vec(a.data()[bi * 8..(bi + 1) * 8].to_vec(), &[2, 4]).unwrap();
-            let b2 = Tensor::from_vec(b.data()[bi * 20..(bi + 1) * 20].to_vec(), &[4, 5]).unwrap();
-            let expect = matmul(&a2, &b2).unwrap();
-            assert_eq!(&c.data()[bi * 10..(bi + 1) * 10], expect.data());
         }
     }
 

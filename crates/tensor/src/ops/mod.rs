@@ -1,6 +1,7 @@
 //! Numeric kernels operating on [`crate::Tensor`].
 
 mod activation;
+mod attention;
 mod conv;
 mod fused;
 mod layout;
@@ -12,11 +13,15 @@ pub mod reference;
 mod resize;
 
 pub use activation::{gelu, gelu_into, relu, softmax_last_dim};
+pub use attention::{sdpa, sdpa_into, SdpaShape};
 pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, Conv2dParams};
 pub use fused::{Epilogue, PackedConv2d, PackedLinear};
-pub use layout::transpose_into;
-pub use matmul::{bmm, bmm_ctx, linear, linear_ctx, matmul, matmul_ctx};
-pub use norm::{batch_norm_inference, layer_norm};
+pub use layout::{
+    cyclic_shift_into, slice_channels_into, space_to_depth_into, transpose_into, window_merge_into,
+    window_partition_into,
+};
+pub use matmul::{linear, linear_ctx, matmul, matmul_ctx};
+pub use norm::{batch_norm_inference, batch_norm_into, layer_norm, layer_norm_into};
 pub use pack::{block_rows, PackedB, A_BLOCK_BYTES, MR, NR};
-pub use pool::{adaptive_avg_pool2d, global_avg_pool, max_pool2d};
+pub use pool::{adaptive_avg_pool2d, adaptive_avg_pool2d_into, global_avg_pool, max_pool2d};
 pub use resize::{bilinear_resize, bilinear_resize_into, concat_channels, concat_channels_into};

@@ -1,4 +1,7 @@
 //! Normalization layers in inference form: LayerNorm and BatchNorm.
+//!
+//! Both are thin wrappers over slice kernels ([`layer_norm_into`],
+//! [`batch_norm_into`]) that the compiled plan also calls on its arena.
 
 use crate::error::{invalid_shape, shape_mismatch, Result};
 use crate::tensor::Tensor;
@@ -25,21 +28,37 @@ pub fn layer_norm(input: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Re
             format!("{:?} / {:?}", gamma.shape(), beta.shape()),
         ));
     }
-    let rows = input.numel() / features;
-    let mut out = input.clone();
-    let data = out.data_mut();
-    let g = gamma.data();
-    let b = beta.data();
-    for r in 0..rows {
-        let row = &mut data[r * features..(r + 1) * features];
+    let mut out = Tensor::zeros(input.shape());
+    layer_norm_into(input.data(), gamma.data(), beta.data(), eps, out.data_mut());
+    Ok(out)
+}
+
+/// Layer normalization of whole feature rows: `src` and `out` hold the
+/// same number of `gamma.len()`-element rows. Each row's mean and
+/// variance are sequential sums over the row, so any row-aligned split
+/// of the buffers gives the same bits.
+///
+/// # Panics
+///
+/// Panics when `src` and `out` differ in length or `beta` is shorter
+/// than `gamma`.
+pub fn layer_norm_into(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    assert_eq!(src.len(), out.len(), "layer_norm_into: length mismatch");
+    let features = gamma.len();
+    if features == 0 {
+        return;
+    }
+    for (row, orow) in src
+        .chunks_exact(features)
+        .zip(out.chunks_exact_mut(features))
+    {
         let mean: f32 = row.iter().sum::<f32>() / features as f32;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / features as f32;
         let inv = 1.0 / (var + eps).sqrt();
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = (*v - mean) * inv * g[i] + b[i];
+        for (((o, &x), &g), &b) in orow.iter_mut().zip(row).zip(gamma).zip(&beta[..features]) {
+            *o = (x - mean) * inv * g + b;
         }
     }
-    Ok(out)
 }
 
 /// Batch normalization in inference form: a per-channel affine transform of
@@ -60,12 +79,7 @@ pub fn batch_norm_inference(input: &Tensor, scale: &Tensor, shift: &Tensor) -> R
             format!("expected NCHW rank-4 tensor, got {:?}", input.shape()),
         ));
     }
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let (c, plane) = (input.shape()[1], input.shape()[2] * input.shape()[3]);
     if scale.numel() != c || shift.numel() != c {
         return Err(shape_mismatch(
             "batch_norm",
@@ -73,19 +87,46 @@ pub fn batch_norm_inference(input: &Tensor, scale: &Tensor, shift: &Tensor) -> R
             format!("{:?} / {:?}", scale.shape(), shift.shape()),
         ));
     }
-    let mut out = input.clone();
-    let data = out.data_mut();
-    let sc = scale.data();
-    let sh = shift.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for i in 0..h * w {
-                data[base + i] = data[base + i] * sc[ch] + sh[ch];
-            }
+    let mut out = Tensor::zeros(input.shape());
+    batch_norm_into(
+        input.data(),
+        scale.data(),
+        shift.data(),
+        plane,
+        0,
+        out.data_mut(),
+    );
+    Ok(out)
+}
+
+/// Batch normalization of whole `plane`-element channel planes: `src`
+/// and `out` hold the same planes, the first of which is plane `plane0`
+/// of the NCHW tensor, so plane `p` uses channel `p % scale.len()`.
+///
+/// # Panics
+///
+/// Panics when `src` and `out` differ in length or `shift` is shorter
+/// than `scale`.
+pub fn batch_norm_into(
+    src: &[f32],
+    scale: &[f32],
+    shift: &[f32],
+    plane: usize,
+    plane0: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(src.len(), out.len(), "batch_norm_into: length mismatch");
+    if plane == 0 || scale.is_empty() {
+        return;
+    }
+    let planes = src.chunks_exact(plane).zip(out.chunks_exact_mut(plane));
+    for (p, (x, o)) in planes.enumerate() {
+        let ch = (plane0 + p) % scale.len();
+        let (sc, sh) = (scale[ch], shift[ch]);
+        for (o, &x) in o.iter_mut().zip(x) {
+            *o = x * sc + sh;
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Packed-panel layouts and the cache-blocked, register-tiled f32 GEMM.
 //!
 //! This is the production back end behind [`crate::ops::matmul`],
-//! [`crate::ops::bmm`], [`crate::ops::linear`], and the im2col path of
+//! [`crate::ops::linear`], and the im2col path of
 //! [`crate::ops::conv2d`]. The design is the classic panel-packed GEMM:
 //!
 //! * **B packing** ([`PackedB`]): the right operand `[k, n]` is laid out

@@ -80,29 +80,51 @@ pub fn adaptive_avg_pool2d(input: &Tensor, out_h: usize, out_w: usize) -> Result
         ));
     }
     let mut out = Tensor::zeros(&[n, c, out_h, out_w]);
-    let xd = input.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for ch in 0..c {
-            for oy in 0..out_h {
-                let y0 = oy * h / out_h;
-                let y1 = ((oy + 1) * h).div_ceil(out_h);
-                for ox in 0..out_w {
-                    let x0 = ox * w / out_w;
-                    let x1 = ((ox + 1) * w).div_ceil(out_w);
-                    let mut sum = 0.0;
-                    for iy in y0..y1 {
-                        for ix in x0..x1 {
-                            sum += xd[((b * c + ch) * h + iy) * w + ix];
-                        }
+    adaptive_avg_pool2d_into(input.data(), (h, w), (out_h, out_w), out.data_mut());
+    Ok(out)
+}
+
+/// Adaptive average pooling of whole planes: `src` holds `k` contiguous
+/// `h×w` planes and `dst` the `k` matching `out_h×out_w` planes. Each
+/// output cell is the sequential sum of its input slab, row-major, over
+/// the cell count.
+///
+/// # Panics
+///
+/// Panics when the buffers hold different plane counts.
+pub fn adaptive_avg_pool2d_into(
+    src: &[f32],
+    (h, w): (usize, usize),
+    (out_h, out_w): (usize, usize),
+    dst: &mut [f32],
+) {
+    if out_h * out_w == 0 {
+        return;
+    }
+    assert_eq!(
+        src.len() / (h * w).max(1),
+        dst.len() / (out_h * out_w),
+        "adaptive_avg_pool2d_into: plane count mismatch"
+    );
+    for (p, plane) in dst.chunks_exact_mut(out_h * out_w).enumerate() {
+        let xd = &src[p * h * w..];
+        for oy in 0..out_h {
+            let y0 = oy * h / out_h;
+            let y1 = ((oy + 1) * h).div_ceil(out_h);
+            for ox in 0..out_w {
+                let x0 = ox * w / out_w;
+                let x1 = ((ox + 1) * w).div_ceil(out_w);
+                let mut sum = 0.0;
+                for iy in y0..y1 {
+                    for ix in x0..x1 {
+                        sum += xd[iy * w + ix];
                     }
-                    let count = ((y1 - y0) * (x1 - x0)) as f32;
-                    od[((b * c + ch) * out_h + oy) * out_w + ox] = sum / count;
                 }
+                let count = ((y1 - y0) * (x1 - x0)) as f32;
+                plane[oy * out_w + ox] = sum / count;
             }
         }
     }
-    Ok(out)
 }
 
 /// Global average pooling: adaptive average pooling to 1x1, flattened to

@@ -37,6 +37,11 @@
 //! are restructured for locality (separable rows, channel-outer planes)
 //! but stay in the exact tier, bit-identical to these loops.
 //!
+//! The attention oracle ([`sdpa`]) is the head-split permute / `bmm` /
+//! softmax formulation the interpreter ran before attention was fused;
+//! [`crate::ops::sdpa_into`] keeps its per-element operation order and
+//! is held to it bit for bit.
+//!
 //! The GELU oracle ([`gelu`]) evaluates the production kernel's formula,
 //! `x / (1 + exp(-2u))`, in f64 and rounds once; the reference linear and
 //! conv loops apply it as their GELU epilogue too, so a reference-mode
@@ -58,7 +63,7 @@ use crate::tensor::Tensor;
 /// [`ExecContract`]: https://docs.rs/vit-plan
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
-    /// Packed-panel matrix multiplication: `matmul`, `bmm`, `linear`
+    /// Packed-panel matrix multiplication: `matmul`, `linear`
     /// (and the plan-time `PackedLinear`).
     Gemm,
     /// im2col + packed GEMM convolution (the `PackedConv2d` GEMM path;
@@ -359,13 +364,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Reference batched matrix product (sequential naive loop).
-///
-/// # Errors
-///
-/// Returns the same validation errors as [`crate::ops::bmm`].
-pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (batch, m, k, n) = crate::ops::matmul::validate_bmm(a, b)?;
+/// Batched matrix product `[b, m, k] x [b, k, n]` (sequential naive
+/// loop) of shapes the caller has validated: the attention oracle's
+/// building block.
+fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
+    let (batch, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
+    let n = b.shape()[2];
     let mut out = Tensor::zeros(&[batch, m, n]);
     let (per_a, per_b, per_o) = (m * k, k * n, m * n);
     for bi in 0..batch {
@@ -378,7 +382,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             n,
         );
     }
-    Ok(out)
+    out
 }
 
 /// Reference linear layer (sequential naive dot products).
@@ -437,6 +441,36 @@ pub fn gelu(input: &Tensor) -> Tensor {
         *v = gelu_scalar(*v);
     }
     out
+}
+
+/// Reference scaled-dot-product attention: the head-split formulation
+/// [`crate::ops::sdpa_into`] must match bit for bit. q/k/v are permuted
+/// into `[batch · heads, tokens, head_dim]` copies, the scores are one
+/// batched naive product against the transposed keys scaled by
+/// `1 / sqrt(head_dim)`, rows go through
+/// [`crate::ops::softmax_last_dim`], and a second batched product with
+/// the values is permuted back to `[batch, n, dv]`.
+///
+/// # Errors
+///
+/// Returns the validation errors of [`crate::ops::SdpaShape::new`].
+pub fn sdpa(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Result<Tensor> {
+    let s = crate::ops::SdpaShape::new(q.shape(), k.shape(), v.shape(), heads)?;
+    let (hd, hdv) = (s.d / heads, s.dv / heads);
+    let split = |x: &Tensor, tokens: usize, hdim: usize| -> Result<Tensor> {
+        x.reshape(&[s.batch, tokens, heads, hdim])?
+            .permute(&[0, 2, 1, 3])?
+            .reshape(&[s.batch * heads, tokens, hdim])
+    };
+    let qh = split(q, s.n, hd)?;
+    let kt = split(k, s.m, hd)?.permute(&[0, 2, 1])?;
+    let vh = split(v, s.m, hdv)?;
+    let scores = bmm(&qh, &kt).scale(1.0 / (hd as f32).sqrt());
+    let probs = crate::ops::softmax_last_dim(&scores)?;
+    bmm(&probs, &vh)
+        .reshape(&[s.batch, heads, s.n, hdv])?
+        .permute(&[0, 2, 1, 3])?
+        .reshape(&[s.batch, s.n, s.dv])
 }
 
 /// Reference bilinear resize (`align_corners = false`): the per-pixel

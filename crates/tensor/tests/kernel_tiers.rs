@@ -2,12 +2,13 @@
 //!
 //! **Exact tier** — packed micro-kernels whose per-element accumulation
 //! replays the oracle's operation chain term-for-term must match the
-//! reference kernels *bitwise*, at every thread count: matmul/bmm/linear
+//! reference kernels *bitwise*, at every thread count: matmul/linear
 //! (panel packing reorders loops, never a single element's k-chain), the
 //! direct depthwise conv path (same tap order as the oracle), and the
 //! memory ops — the separable resize against the per-pixel oracle, the
 //! channel-outer argmax against the per-pixel argmax, and the blocked
-//! transpose against the generic `permute` walk.
+//! transpose against the generic `permute` walk — and the head-fused
+//! attention against the head-split permute/`bmm`/softmax oracle.
 //!
 //! **Tolerance tier** — kernels that legally reorder or extend per-element
 //! arithmetic are held to the per-op-class bound registered in
@@ -119,20 +120,6 @@ proptest! {
                 got.data(), want.data(),
                 "packed matmul diverged from the oracle at {} thread(s)", threads
             );
-        }
-    }
-
-    #[test]
-    fn packed_bmm_is_bit_identical_to_reference(
-        (batch, m, k, n) in (1usize..4, 1usize..=MR + 1, 1usize..20, 1usize..=NR + 3),
-        seed in any::<u64>(),
-    ) {
-        let a = Tensor::rand_uniform(&[batch, m, k], -2.0, 2.0, seed);
-        let b = Tensor::rand_uniform(&[batch, k, n], -2.0, 2.0, seed.wrapping_add(1));
-        let want = reference::bmm(&a, &b).unwrap();
-        for threads in THREADS {
-            let got = with_ctx(threads, |ctx| ops::bmm_ctx(&a, &b, ctx).unwrap());
-            prop_assert_eq!(got.data(), want.data());
         }
     }
 
@@ -256,6 +243,35 @@ proptest! {
         let fast = x.permute(&[0, 2, 1]).unwrap();
         prop_assert_eq!(fast.shape(), &[n, b, a][..]);
         prop_assert!(same_bits(fast.data(), want.data()));
+    }
+
+    #[test]
+    fn fused_sdpa_is_bit_identical_to_reference(
+        heads in prop::sample::select(vec![1usize, 2, 5, 8]),
+        (batch, n) in (1usize..=2, 1usize..9),
+        m in prop::sample::select(vec![1usize, 2, NR - 1, NR, NR + 1, 16, 49]),
+        (hd, hdv) in (1usize..=NR + 1, 1usize..=NR + 1),
+        specials in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (d, dv) = (heads * hd, heads * hdv);
+        let mut q = Tensor::rand_uniform(&[batch, n, d], -2.0, 2.0, seed);
+        let mut k = Tensor::rand_uniform(&[batch, m, d], -2.0, 2.0, seed.wrapping_add(1));
+        let mut v = Tensor::rand_uniform(&[batch, m, dv], -2.0, 2.0, seed.wrapping_add(2));
+        if specials {
+            for (i, t) in [&mut q, &mut k, &mut v].into_iter().enumerate() {
+                sprinkle_specials(t.data_mut(), seed.wrapping_add(i as u64));
+            }
+        }
+        let want = reference::sdpa(&q, &k, &v, heads).unwrap();
+        for threads in THREADS {
+            let got = with_ctx(threads, |ctx| ops::sdpa(&q, &k, &v, heads, ctx).unwrap());
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert!(
+                same_bits(got.data(), want.data()),
+                "fused sdpa diverged from the oracle at {} thread(s)", threads
+            );
+        }
     }
 
     // ---- tolerance tier ---------------------------------------------
@@ -419,6 +435,39 @@ fn four_plane_argmax_matches_reference_at_group_edges() {
         x.argmax_channels().unwrap().data(),
         reference::argmax_channels(&x).unwrap().data()
     );
+}
+
+/// Attention rows at the IEEE edges, against the oracle at every thread
+/// count: a query whose every score is `-inf` (the softmax max is `-inf`,
+/// so `exp(-inf - -inf)` makes the whole row NaN), a NaN query, a `-0.0`
+/// query (every score `0.0`, a uniform average), a value row holding
+/// `+inf`, and the same rows split over two heads.
+#[test]
+fn fused_sdpa_edge_rows_match_reference() {
+    let inf = f32::INFINITY;
+    let q = Tensor::from_vec(
+        vec![inf, inf, f32::NAN, 1.0, -0.0, -0.0, 0.5, -1.5],
+        &[1, 4, 2],
+    )
+    .unwrap();
+    let k = Tensor::from_vec(vec![-1.0, -1.0, -2.0, -3.0, -0.5, -4.0], &[1, 3, 2]).unwrap();
+    let v = Tensor::from_vec(vec![1.0, -2.0, inf, 0.25, -0.0, 3.0], &[1, 3, 2]).unwrap();
+    for heads in [1, 2] {
+        let want = reference::sdpa(&q, &k, &v, heads).unwrap();
+        if heads == 1 {
+            // The first query really is an all -inf score row.
+            assert!(want.data()[..2].iter().all(|x| x.is_nan()));
+        }
+        for threads in THREADS {
+            let got = with_ctx(threads, |ctx| ops::sdpa(&q, &k, &v, heads, ctx).unwrap());
+            assert!(
+                same_bits(got.data(), want.data()),
+                "heads={heads} threads={threads}: {:?} vs {:?}",
+                got.data(),
+                want.data()
+            );
+        }
+    }
 }
 
 // ---- GELU -------------------------------------------------------------

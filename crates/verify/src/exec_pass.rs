@@ -25,7 +25,8 @@
 //! * **unsafe/indexing audit** — `unsafe` blocks without a `// SAFETY:`
 //!   justification (`V057`) and unchecked indexing (`V058`) in the
 //!   `vit-tensor`/`vit-plan` hot paths, including the packed GEMM,
-//!   memory-op (resize, layout) and reference-oracle kernel modules.
+//!   attention, norm, memory-op (resize, layout, pooling) and
+//!   reference-oracle kernel modules.
 //!
 //! [`verify_shadow`] is the dynamic cross-check: it drives the plan's
 //! debug shadow-access replay and reports `V059` when the runtime
@@ -323,7 +324,7 @@ pub fn verify_shadow(
 
 /// One audited hot-path source file, embedded at compile time so the
 /// audit runs anywhere the verifier runs.
-const AUDITED_SOURCES: [(&str, &str); 9] = [
+const AUDITED_SOURCES: [(&str, &str); 12] = [
     (
         "crates/tensor/src/par.rs",
         include_str!("../../tensor/src/par.rs"),
@@ -333,8 +334,20 @@ const AUDITED_SOURCES: [(&str, &str); 9] = [
         include_str!("../../tensor/src/ops/activation.rs"),
     ),
     (
+        "crates/tensor/src/ops/attention.rs",
+        include_str!("../../tensor/src/ops/attention.rs"),
+    ),
+    (
         "crates/tensor/src/ops/layout.rs",
         include_str!("../../tensor/src/ops/layout.rs"),
+    ),
+    (
+        "crates/tensor/src/ops/norm.rs",
+        include_str!("../../tensor/src/ops/norm.rs"),
+    ),
+    (
+        "crates/tensor/src/ops/pool.rs",
+        include_str!("../../tensor/src/ops/pool.rs"),
     ),
     (
         "crates/tensor/src/ops/resize.rs",
