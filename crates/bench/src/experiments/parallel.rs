@@ -13,9 +13,10 @@
 //! committed `BENCH_parallel_exec.json`, the per-(model, op-class)
 //! GFLOP/s it records are compared against the fresh run, and any class
 //! regressing by more than `RATCHET_TOLERANCE` (15%) fails the run with exit
-//! code 1 (a non-required CI signal — wall clocks on shared boxes are
-//! noisy, so the gate is advisory, but the committed baseline makes the
-//! regression visible and datable). Classes whose self-time is under the
+//! code 1 and leaves the committed file unchanged, so a regressed run
+//! never becomes the next baseline (a non-required CI signal — wall
+//! clocks on shared boxes are noisy, so the gate is advisory, but the
+//! committed baseline makes the regression visible and datable). Classes whose self-time is under the
 //! `MIN_RATCHET_MS` noise floor are reported but never ratcheted. A
 //! baseline that exists but does not parse is an error (exit 1) rather
 //! than a silently shorter comparison; a missing one means "no baseline".
@@ -318,35 +319,12 @@ pub fn bench(args: BenchArgs) -> i32 {
     );
     ct.print();
 
-    let mut code = 0;
-    if args.json {
-        std::fs::write(path, render_json(cores, reps, args.quick, &results))
-            .expect("write benchmark JSON");
-        println!("\nwrote {path}");
-        match baseline {
-            Some(base) => {
-                let violations = ratchet_violations(&base, &results);
-                if violations.is_empty() {
-                    println!(
-                        "throughput ratchet: every op class within {:.0}% of the \
-                         committed baseline",
-                        RATCHET_TOLERANCE * 1e2
-                    );
-                } else {
-                    eprintln!(
-                        "throughput ratchet: op classes regressed more than {:.0}% \
-                         vs the committed {path}:",
-                        RATCHET_TOLERANCE * 1e2
-                    );
-                    for v in &violations {
-                        eprintln!("  {v}");
-                    }
-                    code = 1;
-                }
-            }
-            None => println!("throughput ratchet: no committed {path} to compare against"),
-        }
-    }
+    let code = if args.json {
+        let doc = render_json(cores, reps, args.quick, &results);
+        ratchet_and_write(Path::new(path), baseline.as_deref(), &results, &doc)
+    } else {
+        0
+    };
 
     if let Some(trace_path) = &args.trace {
         trace_section(gen, args.quick, trace_path);
@@ -613,6 +591,42 @@ fn ratchet_violations(baseline: &[BaselineRate], results: &[CaseResult]) -> Vec<
     violations
 }
 
+/// The `--json` ratchet: compares `results` against the committed
+/// `baseline` and writes `doc` to `path` only when no op class regressed
+/// beyond [`RATCHET_TOLERANCE`] or there is no baseline. A regressed run
+/// leaves the committed file in place, so it never becomes the next
+/// baseline. Returns the process exit code: 1 on a violation, else 0.
+fn ratchet_and_write(
+    path: &Path,
+    baseline: Option<&[BaselineRate]>,
+    results: &[CaseResult],
+    doc: &str,
+) -> i32 {
+    let shown = path.display();
+    let violations = baseline.map_or_else(Vec::new, |b| ratchet_violations(b, results));
+    if !violations.is_empty() {
+        eprintln!(
+            "throughput ratchet: op classes regressed more than {:.0}% vs the \
+             committed {shown}, which is left unchanged:",
+            RATCHET_TOLERANCE * 1e2
+        );
+        for v in &violations {
+            eprintln!("  {v}");
+        }
+        return 1;
+    }
+    std::fs::write(path, doc).expect("write benchmark JSON");
+    println!("\nwrote {shown}");
+    match baseline {
+        Some(_) => println!(
+            "throughput ratchet: every op class within {:.0}% of the committed baseline",
+            RATCHET_TOLERANCE * 1e2
+        ),
+        None => println!("throughput ratchet: no committed {shown} to compare against"),
+    }
+    0
+}
+
 /// A float rounded to three decimals, the artifact's precision.
 fn num3(v: f64) -> Json {
     Json::Num((v * 1e3).round() / 1e3)
@@ -770,6 +784,40 @@ mod tests {
         let v = ratchet_violations(&baseline, &results);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("conv"), "{v:?}");
+    }
+
+    #[test]
+    fn a_regressed_run_leaves_the_committed_baseline_in_place() {
+        let dir = std::env::temp_dir().join(format!("bench-ratchet-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_parallel_exec.json");
+        let committed = render_json(
+            1,
+            3,
+            false,
+            &[case("m", vec![rate("conv", 10_000_000, 1.0)])],
+        );
+        // No baseline yet: the run is written.
+        let fresh = [case("m", vec![rate("conv", 5_000_000, 1.0)])];
+        assert_eq!(ratchet_and_write(&path, None, &fresh, &committed), 0);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
+        // A 50% conv regression fails and leaves the committed file as is.
+        let baseline = parse_baseline(&committed).unwrap();
+        let regressed = render_json(1, 3, false, &fresh);
+        assert_eq!(
+            ratchet_and_write(&path, Some(&baseline), &fresh, &regressed),
+            1
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
+        // A clean run replaces it.
+        let faster = [case("m", vec![rate("conv", 12_000_000, 1.0)])];
+        let improved = render_json(1, 3, false, &faster);
+        assert_eq!(
+            ratchet_and_write(&path, Some(&baseline), &faster, &improved),
+            0
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), improved);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

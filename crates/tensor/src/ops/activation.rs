@@ -96,7 +96,7 @@ pub(crate) fn gelu_scalar(x: f32) -> f32 {
 ///
 /// Calling it from code not itself compiled for AVX2 is `unsafe`: the
 /// caller must know the CPU supports AVX2
-/// (see [`crate::ops::pack::avx2_available`]).
+/// (see [`crate::ops::pack::Isa::host`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gelu_avx2(src: &[f32], dst: &mut [f32]) -> usize {
@@ -156,7 +156,7 @@ fn gelu_avx2(src: &[f32], dst: &mut [f32]) -> usize {
 pub fn gelu_into(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "gelu_into over mismatched lengths");
     #[cfg(target_arch = "x86_64")]
-    let done = if crate::ops::pack::avx2_available() {
+    let done = if crate::ops::pack::Isa::host() >= crate::ops::pack::Isa::Avx2 {
         // SAFETY: AVX2 was detected on this CPU, the one precondition of
         // `gelu_avx2`.
         unsafe { gelu_avx2(src, dst) }

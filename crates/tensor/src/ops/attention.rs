@@ -125,7 +125,7 @@ pub fn sdpa_into(q: &[f32], k: &[f32], v: &[f32], s: SdpaShape, row0: usize, out
         "sdpa_into: bad rows"
     );
     #[cfg(target_arch = "x86_64")]
-    if crate::ops::pack::avx2_available() {
+    if crate::ops::pack::Isa::host() >= crate::ops::pack::Isa::Avx2 {
         // SAFETY: AVX2 was detected on this CPU, the one precondition of
         // `attend_avx2`.
         unsafe { attend_avx2(q, k, v, s, row0, out) };

@@ -7,6 +7,11 @@
 //!   per-element operation order (taps ascending `(ry, sx)`,
 //!   out-of-bounds taps skipped, never materialized as zeros), so it is
 //!   bit-identical to [`crate::ops::reference::conv2d`] — exact tier.
+//!   Unit-stride planes run on an AVX-512F kernel when the CPU has it: a
+//!   block of 4 output rows × 16 output columns accumulates in zmm
+//!   registers, and out-of-bounds taps are skipped per lane by a masked
+//!   add of a zero-masked load. Other strides, and CPUs without
+//!   AVX-512F, run the scalar kernel. The two are bit-identical.
 //! * otherwise: **im2col into panel layout + packed GEMM**. The input
 //!   window for one `(batch, group)` pair is gathered straight into the
 //!   `NR`-wide column-panel layout the micro-kernel consumes (padding
@@ -14,11 +19,13 @@
 //!   GEMM's row-major left operand as stored. Materializing padding as
 //!   `0.0 * w` terms is a reassociation of the oracle's tap-skip, so
 //!   this path claims the tolerance tier
-//!   ([`crate::ops::reference::tolerance`], class `Conv`).
+//!   ([`crate::ops::reference::tolerance`], class `Conv`). The GEMM's
+//!   portable, AVX2 and AVX-512 tiles are bit-identical to each other
+//!   (see `ops/pack.rs`), so the ISA tier never changes a result.
 
 use crate::error::{invalid_argument, invalid_shape, shape_mismatch, Result};
 use crate::ops::fused::Epilogue;
-use crate::ops::pack::{gemm_rows, packed_len, GemmBias, Panels, NR};
+use crate::ops::pack::{gemm_rows, packed_len, GemmBias, Isa, Panels, NR};
 use crate::ops::reference;
 use crate::par::{BufferPool, ExecCtx};
 use crate::tensor::Tensor;
@@ -259,10 +266,12 @@ fn valid_ox_range(sx: usize, g: &ConvGeom) -> (usize, usize) {
     (lo.min(hi), hi)
 }
 
-/// Direct single-input-channel kernel for one output plane: replays the
-/// oracle's per-element tap order exactly (taps ascending `(ry, sx)`,
+/// Direct single-input-channel kernel for whole output planes: replays
+/// the oracle's per-element tap order exactly (taps ascending `(ry, sx)`,
 /// out-of-bounds taps skipped), so the result is bit-identical to
-/// [`reference::conv2d_rows`].
+/// [`reference::conv2d_rows`]. Unit-stride planes run on the AVX-512
+/// kernel when the CPU has it, everything else on the scalar one; the two
+/// agree bit for bit.
 fn direct_plane_rows(
     xd: &[f32],
     wd: &[f32],
@@ -273,41 +282,22 @@ fn direct_plane_rows(
     ep: Epilogue,
 ) {
     let plane = g.oh * g.ow;
+    let taps = g.r * g.s;
+    let wide = (g.p.stride_h, g.p.stride_w) == (1, 1) && Isa::host() == Isa::Avx512;
     for (row, orow) in od.chunks_mut(plane).enumerate() {
         let (b, ko) = ((row0 + row) / g.k, (row0 + row) % g.k);
         let cin = ko / g.k_per_g;
         let chan = &xd[(b * g.c + cin) * g.h * g.w..][..g.h * g.w];
-        // The plan arena is not pre-zeroed; accumulation starts at 0.0
-        // exactly as the oracle's per-element accumulator does.
-        orow.fill(0.0);
-        for ry in 0..g.r {
-            for sx in 0..g.s {
-                let wv = wd[(ko * g.r + ry) * g.s + sx];
-                let (ox_lo, ox_hi) = valid_ox_range(sx, &g);
-                for oy in 0..g.oh {
-                    let iy = oy * g.p.stride_h + ry;
-                    if iy < g.p.pad_h || iy >= g.h + g.p.pad_h {
-                        continue;
-                    }
-                    let iy = iy - g.p.pad_h;
-                    let xrow = &chan[iy * g.w..(iy + 1) * g.w];
-                    let orow_y = &mut orow[oy * g.ow..(oy + 1) * g.ow];
-                    if g.p.stride_w == 1 {
-                        // Unit stride: output column `ox` reads input
-                        // column `ox + sx - pad_w`, one contiguous run.
-                        if ox_lo < ox_hi {
-                            let xs = &xrow[ox_lo + sx - g.p.pad_w..ox_hi + sx - g.p.pad_w];
-                            for (o, &x) in orow_y[ox_lo..ox_hi].iter_mut().zip(xs) {
-                                *o += wv * x;
-                            }
-                        }
-                    } else {
-                        for ox in ox_lo..ox_hi {
-                            orow_y[ox] += wv * xrow[ox * g.p.stride_w + sx - g.p.pad_w];
-                        }
-                    }
-                }
-            }
+        let wk = &wd[ko * taps..(ko + 1) * taps];
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide` holds only when `Isa::host()` reported
+            // AVX-512F on this CPU, the one precondition of
+            // `depthwise_plane_avx512`.
+            unsafe { depthwise_plane_avx512(chan, wk, orow, &g) };
+        }
+        if !wide {
+            depthwise_plane(chan, wk, orow, &g);
         }
         match bd {
             Some(bd) => {
@@ -320,6 +310,137 @@ fn direct_plane_rows(
                 for v in orow.iter_mut() {
                     *v = ep.apply(*v);
                 }
+            }
+        }
+    }
+}
+
+/// The scalar depthwise kernel: accumulates every tap of the `r x s`
+/// filter `wk` over one input channel plane `chan` into the output plane
+/// `out`, starting from `0.0`, taps ascending `(ry, sx)`.
+fn depthwise_plane(chan: &[f32], wk: &[f32], out: &mut [f32], g: &ConvGeom) {
+    // The plan arena is not pre-zeroed; accumulation starts at 0.0
+    // exactly as the oracle's per-element accumulator does.
+    out.fill(0.0);
+    for ry in 0..g.r {
+        for sx in 0..g.s {
+            let wv = wk[ry * g.s + sx];
+            let (ox_lo, ox_hi) = valid_ox_range(sx, g);
+            for oy in 0..g.oh {
+                let iy = oy * g.p.stride_h + ry;
+                if iy < g.p.pad_h || iy >= g.h + g.p.pad_h {
+                    continue;
+                }
+                let iy = iy - g.p.pad_h;
+                let xrow = &chan[iy * g.w..(iy + 1) * g.w];
+                let orow_y = &mut out[oy * g.ow..(oy + 1) * g.ow];
+                if g.p.stride_w == 1 {
+                    // Unit stride: output column `ox` reads input
+                    // column `ox + sx - pad_w`, one contiguous run.
+                    if ox_lo < ox_hi {
+                        let xs = &xrow[ox_lo + sx - g.p.pad_w..ox_hi + sx - g.p.pad_w];
+                        for (o, &x) in orow_y[ox_lo..ox_hi].iter_mut().zip(xs) {
+                            *o += wv * x;
+                        }
+                    }
+                } else {
+                    for ox in ox_lo..ox_hi {
+                        orow_y[ox] += wv * xrow[ox * g.p.stride_w + sx - g.p.pad_w];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Output rows one [`depthwise_plane_avx512`] block holds in registers.
+#[cfg(target_arch = "x86_64")]
+const DW_ROWS: usize = 4;
+/// Output columns per block: one zmm of f32 lanes.
+#[cfg(target_arch = "x86_64")]
+const DW_LANES: usize = 16;
+
+/// The mask of lanes `[lo, hi)` of one zmm, each bound clamped to
+/// [`DW_LANES`].
+#[cfg(target_arch = "x86_64")]
+fn lane_mask(lo: usize, hi: usize) -> u16 {
+    let bits = |n: usize| (1u32 << n.min(DW_LANES)) - 1;
+    (bits(hi) & !bits(lo)) as u16
+}
+
+/// The AVX-512 twin of [`depthwise_plane`] for unit strides. Each block
+/// of `DW_ROWS` output rows by `DW_LANES` output columns accumulates in
+/// four zmm registers from `0.0`, taps ascending `(ry, sx)`. A tap adds
+/// `w * x` only in the lanes whose input column lies inside the row
+/// (`_mm512_mask_add_ps`, with a zero-masked load), and skips rows whose
+/// input row lies outside the plane, so every element sees the same
+/// chain of rounded products and sums as in the scalar kernel, and no
+/// `0.0 * x` term is ever added. The block is stored once.
+///
+/// # Safety
+///
+/// Calling it from code not itself compiled for AVX-512F is `unsafe`: the
+/// caller must know the CPU supports AVX-512F (see [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn depthwise_plane_avx512(chan: &[f32], wk: &[f32], out: &mut [f32], g: &ConvGeom) {
+    use std::arch::x86_64::{
+        _mm512_mask_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    debug_assert_eq!((g.p.stride_h, g.p.stride_w), (1, 1));
+    // The masked stores below rely on `out` holding the whole plane.
+    assert_eq!(out.len(), g.oh * g.ow, "depthwise output is one plane");
+    let (pad_h, pad_w) = (g.p.pad_h, g.p.pad_w);
+    for oy0 in (0..g.oh).step_by(DW_ROWS) {
+        for ox0 in (0..g.ow).step_by(DW_LANES) {
+            let mut acc = [_mm512_setzero_ps(); DW_ROWS];
+            for ry in 0..g.r {
+                // The input row each output row of the block reads at
+                // kernel row `ry`; `None` past the plane's last output row
+                // or where the input row is padding.
+                let mut rows: [Option<&[f32]>; DW_ROWS] = [None; DW_ROWS];
+                for (dy, row) in rows.iter_mut().enumerate() {
+                    let (oy, iy) = (oy0 + dy, oy0 + dy + ry);
+                    if oy < g.oh && iy >= pad_h && iy < g.h + pad_h {
+                        *row = Some(&chan[(iy - pad_h) * g.w..][..g.w]);
+                    }
+                }
+                for sx in 0..g.s {
+                    // Lane `j` reads input column `ox0 + j + sx - pad_w`,
+                    // valid when it lies in `[0, w)` and `ox0 + j < ow`.
+                    let t = ox0 + sx;
+                    let mask = lane_mask(
+                        pad_w.saturating_sub(t),
+                        (g.w + pad_w).saturating_sub(t).min(g.ow - ox0),
+                    );
+                    if mask == 0 {
+                        continue;
+                    }
+                    let wv = _mm512_set1_ps(wk[ry * g.s + sx]);
+                    for (a, xrow) in acc.iter_mut().zip(rows) {
+                        let Some(xrow) = xrow else { continue };
+                        // Lane `j`'s address, formed without an
+                        // out-of-bounds `offset`: it may sit before or past
+                        // the row for lanes the mask turns off.
+                        let src = xrow.as_ptr().wrapping_add(t).wrapping_sub(pad_w);
+                        // SAFETY: every lane set in `mask` reads
+                        // `xrow[ox0 + j + sx - pad_w]` with that index in
+                        // `[0, w)` (the mask's bounds above); the load
+                        // touches no masked-off lane.
+                        let x = unsafe { _mm512_maskz_loadu_ps(mask, src) };
+                        *a = _mm512_mask_add_ps(*a, mask, *a, _mm512_mul_ps(wv, x));
+                    }
+                }
+            }
+            let store = lane_mask(0, g.ow - ox0);
+            for (dy, a) in acc.iter().enumerate().take(g.oh - oy0) {
+                let dst = &mut out[(oy0 + dy) * g.ow + ox0..];
+                // SAFETY: the mask sets lanes `j < min(16, ow - ox0)`, and
+                // `dst` holds the rest of output row `oy0 + dy` (`out` is
+                // the whole plane, asserted above), so every stored lane
+                // lies inside `dst`.
+                unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), store, *a) };
             }
         }
     }
@@ -348,7 +469,9 @@ fn im2col_panels(xd: &[f32], b: usize, g_idx: usize, g: &ConvGeom, col: &mut [f3
         }
         return;
     }
-    col.fill(0.0);
+    // `col` arrives zeroed, and the slots written below depend only on
+    // the geometry, so padding taps stay `0.0` across every (batch,
+    // group) segment without a refill.
     let mut kk = 0;
     for ci in 0..g.c_per_g {
         let cin = g_idx * g.c_per_g + ci;
@@ -618,6 +741,64 @@ mod tests {
             let got = depthwise_conv2d(&x, &w, Some(&b), p).unwrap();
             let want = crate::ops::reference::conv2d(&x, &w, Some(&b), p.groups(3)).unwrap();
             assert_eq!(got.data(), want.data());
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_depthwise_kernel_is_bit_identical_to_scalar() {
+        if Isa::host() < Isa::Avx512 {
+            eprintln!(
+                "SKIPPED avx512_depthwise_kernel_is_bit_identical_to_scalar: no AVX-512 on this CPU"
+            );
+            return;
+        }
+        const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        // Widths across the 16- and 32-lane edges and heights across the
+        // 4-row block, plus planes narrower than one vector.
+        let planes = [
+            (1, 16),
+            (3, 17),
+            (4, 31),
+            (5, 32),
+            (9, 33),
+            (6, 40),
+            (2, 1),
+            (7, 5),
+        ];
+        for (h, w) in planes {
+            for (pad, kernel) in [0, 1, 2]
+                .into_iter()
+                .flat_map(|p| [1, 3, 5].map(move |r| (p, r)))
+            {
+                if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                    continue;
+                }
+                let seed = (h * 1000 + w * 10 + pad * 3 + kernel) as u64;
+                let mut x = Tensor::rand_uniform(&[1, 1, h, w], -2.0, 2.0, seed);
+                let mut wt = Tensor::rand_uniform(&[1, 1, kernel, kernel], -2.0, 2.0, seed + 1);
+                // Specials in the input and, at pad 1, an infinite corner
+                // weight: adding its product with a zero-masked padding
+                // lane would turn that lane's sum into NaN.
+                let len = x.numel();
+                for (i, &sp) in SPECIALS.iter().enumerate() {
+                    x.data_mut()[(i * 7 + seed as usize) % len] = sp;
+                }
+                if pad == 1 {
+                    wt.data_mut()[0] = f32::INFINITY;
+                }
+                let (g, _) = conv_geometry(&x, &wt, None, Conv2dParams::new().pad(pad)).unwrap();
+                // Both kernels must write every element: start from NaN.
+                let mut want = vec![f32::NAN; g.oh * g.ow];
+                let mut got = want.clone();
+                depthwise_plane(x.data(), wt.data(), &mut want, &g);
+                // SAFETY: `Isa::host()` reported AVX-512F on this CPU.
+                unsafe { depthwise_plane_avx512(x.data(), wt.data(), &mut got, &g) };
+                assert!(
+                    reference::same_bits(&got, &want),
+                    "{h}x{w} kernel {kernel} pad {pad}: AVX-512 and scalar depthwise diverged"
+                );
+            }
         }
     }
 

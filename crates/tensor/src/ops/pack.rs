@@ -14,16 +14,24 @@
 //!   [`A_BLOCK_BYTES`] budget. Each block is packed into consecutive
 //!   k-major panels of up to `MR` interleaved rows, so the k loop reads
 //!   both operands at stride 1 with no index math.
-//! * **loop order**: inside an A block, B panels run outside and `MR`-row
-//!   sub-blocks inside. One `k x NR` B panel is therefore fetched from
-//!   memory once per A block and stays cache-resident while every row
-//!   sub-block of the block streams against it.
-//! * **micro-kernel**: an `MR x NR` register accumulator updated by
-//!   rank-1 steps over the whole k extent. On x86-64 CPUs with AVX2 it is
-//!   an explicit-intrinsics kernel holding twelve 8-lane accumulators
-//!   (selected per call by runtime feature detection, a property of the
-//!   CPU rather than a setting); elsewhere, and under Miri unless AVX2 is
-//!   enabled at compile time, it is the portable `micro` loop.
+//! * **loop order**: inside an A block, B panels run outside and row
+//!   tiles inside. One `k x NR` B panel is therefore fetched from memory
+//!   once per A block and stays cache-resident while every row tile of
+//!   the block streams against it.
+//! * **micro-kernel**: a register accumulator of `M x NR` outputs updated
+//!   by rank-1 steps over the whole k extent, on one of three ISA tiers
+//!   (`Isa`, detected once per process from the CPU; a property of the
+//!   machine, not a setting):
+//!   - **AVX-512F**: `micro_avx512`, up to two adjacent `MR`-row
+//!     sub-panels at once, i.e. up to `2 * MR = 12` rows in one 16-lane
+//!     zmm accumulator each;
+//!   - **AVX2**: `micro_avx2`, up to `MR` rows in two 8-lane ymm
+//!     accumulators each (twelve in all);
+//!   - **portable**: the `micro` loop, elsewhere and under Miri unless a
+//!     tier is enabled at compile time.
+//!
+//!   The tile height changes only which rows share a B panel load; the
+//!   A packing, `MR`, `NR` and [`block_rows`] are the same on every tier.
 //!
 //! # Numerics
 //!
@@ -32,12 +40,12 @@
 //! rounded multiply followed by one rounded add per term. Blocking
 //! reorders the loop nest, never any element's additions, and k is never
 //! split, so no partial sum is spilled and re-added. Bias and activation
-//! apply once, at the final store. The AVX2 kernel uses separate
+//! apply once, at the final store. The SIMD kernels use separate
 //! `mul`/`add` instructions and **no FMA**: a fused multiply-add rounds
 //! once instead of twice, which would change results and spend tolerance
-//! headroom; that belongs with a registered tolerance-tier change. Both
-//! kernels are thus bit-identical to each other and, on finite inputs, to
-//! the naive oracle in [`crate::ops::reference`].
+//! headroom; that belongs with a registered tolerance-tier change. All
+//! three tiers are thus bit-identical to each other and, on finite
+//! inputs, to the naive oracle in [`crate::ops::reference`].
 //!
 //! The kernels still *claim* only the tolerance tier
 //! ([`crate::ops::reference::tolerance`]): the contract reserves the
@@ -49,10 +57,11 @@
 
 use crate::ops::fused::Epilogue;
 
-/// Register-tile height: output rows accumulated at once.
+/// A sub-panel height: rows packed together, and the register tile's
+/// height on the AVX2 and portable tiers (AVX-512 runs two sub-panels).
 pub const MR: usize = 6;
-/// Register-tile width: output columns per packed B panel (two 8-lane
-/// AVX2 vectors).
+/// Register-tile width: output columns per packed B panel (one 16-lane
+/// AVX-512 vector, or two 8-lane AVX2 vectors).
 pub const NR: usize = 16;
 /// Byte budget of one packed A block; see [`block_rows`].
 pub const A_BLOCK_BYTES: usize = 1 << 20;
@@ -179,12 +188,16 @@ pub(crate) enum GemmBias<'a> {
     PerRow(&'a [f32]),
 }
 
+/// One tile's accumulators as the kernels hand them to the store loop:
+/// room for the widest tile, of which a kernel fills its first `M` rows.
+type Acc = [[f32; NR]; 2 * MR];
+
 /// The portable register micro-kernel: accumulates `M x NR` outputs over
 /// one packed A panel (k-major, `M` interleaved rows) and one packed B
 /// panel (k-major, `NR` columns). `M` is const so the compiler fully
 /// unrolls the row loop.
 #[inline]
-fn micro<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
     let acc: &mut [[f32; NR]; M] = (&mut acc[..M]).try_into().expect("acc holds M rows");
     for (arow, brow) in apanel.chunks_exact(M).zip(bpanel.chunks_exact(NR)) {
         for (row, &av) in acc.iter_mut().zip(arow) {
@@ -205,10 +218,10 @@ fn micro<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; M
 /// # Safety
 ///
 /// Calling it from code not itself compiled for AVX2 is `unsafe`: the
-/// caller must know the CPU supports AVX2 (see [`avx2_available`]).
+/// caller must know the CPU supports AVX2 (see [`Isa::host`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn micro_avx2<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro_avx2<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
@@ -240,32 +253,148 @@ fn micro_avx2<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; N
     }
 }
 
-/// Whether this CPU runs [`micro_avx2`]. `is_x86_feature_detected!`
-/// caches its answer, so calling this once per GEMM is cheap.
-pub(crate) fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
+/// The AVX-512 micro-kernel: `M <= 2 * MR` rows of `NR` columns, one zmm
+/// accumulator per row, over up to two adjacent A sub-panels. The first
+/// `min(M, MR)` rows come from the first sub-panel and the rest from the
+/// one packed right after it, each interleaved k-major at its own height,
+/// exactly as [`gemm_rows`] packs them. Every k step is one
+/// `_mm512_mul_ps` and one `_mm512_add_ps` per accumulator, lane for lane
+/// the scalar `acc += a * b` of [`micro`], so all three kernels agree bit
+/// for bit.
+///
+/// # Safety
+///
+/// Calling it from code not itself compiled for AVX-512F is `unsafe`: the
+/// caller must know the CPU supports AVX-512F (see [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn micro_avx512<const M: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    let (lo, hi) = (M.min(MR), M.saturating_sub(MR));
+    let (a0, a1) = apanel.split_at(lo * (bpanel.len() / NR));
+    let mut rows = [_mm512_setzero_ps(); M];
+    let (first, second) = rows.split_at_mut(lo);
+    for (kk, brow) in bpanel.chunks_exact(NR).enumerate() {
+        // SAFETY: `brow` is a `chunks_exact(NR)` chunk, so it holds 16
+        // floats and the unaligned 16-float load stays inside it.
+        let b = unsafe { _mm512_loadu_ps(brow.as_ptr()) };
+        for (r, &av) in first.iter_mut().zip(&a0[kk * lo..(kk + 1) * lo]) {
+            *r = _mm512_add_ps(*r, _mm512_mul_ps(_mm512_set1_ps(av), b));
+        }
+        for (r, &av) in second.iter_mut().zip(&a1[kk * hi..(kk + 1) * hi]) {
+            *r = _mm512_add_ps(*r, _mm512_mul_ps(_mm512_set1_ps(av), b));
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+    for (row, r) in acc.iter_mut().zip(rows) {
+        // SAFETY: each `row` is a `[f32; 16]`, so the unaligned 16-float
+        // store stays inside it.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), r) };
     }
 }
 
-/// Runs one `M x NR` tile on the selected kernel. `avx2` must be the
-/// value of [`avx2_available`]; `true` on a CPU without AVX2 would be
-/// undefined behaviour.
-#[inline]
-fn tile<const M: usize>(avx2: bool, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+/// The widest SIMD tier the tile kernels may use on this CPU. A property
+/// of the machine, detected once per process; there is no setting.
+/// Every tier is bit-identical to [`Isa::Portable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Isa {
+    /// The portable loops (any target, and Miri without target features).
+    Portable,
+    /// x86-64 with AVX2: 8-lane ymm kernels.
+    Avx2,
+    /// x86-64 with AVX-512F (and AVX2): 16-lane zmm kernels.
+    Avx512,
+}
+
+impl Isa {
+    /// This CPU's tier. Under Miri, which reports no runtime CPU
+    /// features, it is the tier enabled at compile time.
+    pub(crate) fn host() -> Isa {
+        static HOST: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx512f") && has!("avx2") {
+                    return Isa::Avx512;
+                }
+                if has!("avx2") {
+                    return Isa::Avx2;
+                }
+            }
+            Isa::Portable
+        })
+    }
+}
+
+/// Output rows one tile covers on `isa`: two `MR`-row sub-panels at once
+/// on AVX-512 (twelve zmm accumulators), one elsewhere (the AVX2 tile's
+/// twelve ymm accumulators already fill its register file).
+fn tile_rows(isa: Isa) -> usize {
+    if isa == Isa::Avx512 {
+        2 * MR
+    } else {
+        MR
+    }
+}
+
+/// Runs one `mr`-row tile on `isa`'s kernel, `1 <= mr <= tile_rows(isa)`.
+///
+/// # Panics
+///
+/// Panics when `isa` is wider than [`Isa::host`]: its kernel would be
+/// undefined behaviour on this CPU.
+fn tile(isa: Isa, mr: usize, apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+    assert!(isa <= Isa::host(), "{isa:?} tile on a CPU without it");
+    debug_assert!(mr >= 1 && mr <= tile_rows(isa));
     #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `avx2` is true only when `avx2_available()` detected
-        // AVX2 on this CPU, the one precondition of `micro_avx2`.
+    if isa == Isa::Avx512 {
+        // SAFETY: `isa <= Isa::host()` (asserted above), and the host is
+        // `Avx512` only when this CPU has AVX-512F, the one precondition
+        // of `micro_avx512`.
+        unsafe {
+            match mr {
+                12 => micro_avx512::<12>(apanel, bpanel, acc),
+                11 => micro_avx512::<11>(apanel, bpanel, acc),
+                10 => micro_avx512::<10>(apanel, bpanel, acc),
+                9 => micro_avx512::<9>(apanel, bpanel, acc),
+                8 => micro_avx512::<8>(apanel, bpanel, acc),
+                7 => micro_avx512::<7>(apanel, bpanel, acc),
+                6 => micro_avx512::<6>(apanel, bpanel, acc),
+                5 => micro_avx512::<5>(apanel, bpanel, acc),
+                4 => micro_avx512::<4>(apanel, bpanel, acc),
+                3 => micro_avx512::<3>(apanel, bpanel, acc),
+                2 => micro_avx512::<2>(apanel, bpanel, acc),
+                _ => micro_avx512::<1>(apanel, bpanel, acc),
+            }
+        }
+        return;
+    }
+    match mr {
+        6 => narrow_tile::<6>(isa, apanel, bpanel, acc),
+        5 => narrow_tile::<5>(isa, apanel, bpanel, acc),
+        4 => narrow_tile::<4>(isa, apanel, bpanel, acc),
+        3 => narrow_tile::<3>(isa, apanel, bpanel, acc),
+        2 => narrow_tile::<2>(isa, apanel, bpanel, acc),
+        _ => narrow_tile::<1>(isa, apanel, bpanel, acc),
+    }
+}
+
+/// One `M <= MR`-row tile on the AVX2 or the portable kernel; `isa` is
+/// at most [`Isa::host`] (checked by [`tile`], its one caller).
+#[inline]
+fn narrow_tile<const M: usize>(isa: Isa, apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+    #[cfg(target_arch = "x86_64")]
+    if isa >= Isa::Avx2 {
+        // SAFETY: `isa <= Isa::host()` (asserted by `tile`), and the host
+        // is `Avx2` or wider only when this CPU has AVX2, the one
+        // precondition of `micro_avx2`.
         unsafe { micro_avx2::<M>(apanel, bpanel, acc) };
         return;
     }
-    let _ = avx2;
+    let _ = isa;
     micro::<M>(apanel, bpanel, acc);
 }
 
@@ -275,8 +404,8 @@ fn tile<const M: usize>(avx2: bool, apanel: &[f32], bpanel: &[f32], acc: &mut [[
 /// tensor). Bias and activation run inside the tile write-back.
 ///
 /// Rows are processed in A blocks of [`block_rows`]`(k)` rows; within a
-/// block every B panel is streamed once against each `MR`-row sub-block
-/// (see the module docs).
+/// block every B panel is streamed once against each tile of `MR` (or,
+/// on AVX-512, `2 * MR`) rows (see the module docs).
 pub(crate) fn gemm_rows(
     a: &[f32],
     lda: usize,
@@ -292,7 +421,8 @@ pub(crate) fn gemm_rows(
     }
     let rows = od.len() / n;
     let mc = block_rows(k);
-    let avx2 = avx2_available();
+    let isa = Isa::host();
+    let step = tile_rows(isa);
     let mut apack = vec![0.0f32; mc.min(rows) * k];
     for ib in (0..rows).step_by(mc) {
         let mb = mc.min(rows - ib);
@@ -313,18 +443,10 @@ pub(crate) fn gemm_rows(
             let bpanel = &b.data[p * k * NR..(p + 1) * k * NR];
             let col0 = p * NR;
             let nc = NR.min(n - col0);
-            for i0 in (0..mb).step_by(MR) {
-                let mr = MR.min(mb - i0);
-                let ap = &apack[i0 * k..(i0 + mr) * k];
-                let mut acc = [[0.0f32; NR]; MR];
-                match mr {
-                    6 => tile::<6>(avx2, ap, bpanel, &mut acc),
-                    5 => tile::<5>(avx2, ap, bpanel, &mut acc),
-                    4 => tile::<4>(avx2, ap, bpanel, &mut acc),
-                    3 => tile::<3>(avx2, ap, bpanel, &mut acc),
-                    2 => tile::<2>(avx2, ap, bpanel, &mut acc),
-                    _ => tile::<1>(avx2, ap, bpanel, &mut acc),
-                }
+            for i0 in (0..mb).step_by(step) {
+                let mr = step.min(mb - i0);
+                let mut acc = [[0.0f32; NR]; 2 * MR];
+                tile(isa, mr, &apack[i0 * k..(i0 + mr) * k], bpanel, &mut acc);
                 for (m, accrow) in acc.iter().enumerate().take(mr) {
                     let r = ib + i0 + m;
                     let orow = od[r * n + col0..r * n + col0 + nc].iter_mut().zip(accrow);
@@ -347,7 +469,7 @@ pub(crate) fn gemm_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::reference;
+    use crate::ops::reference::{self, same_bits};
     use crate::tensor::Tensor;
 
     #[test]
@@ -379,6 +501,11 @@ mod tests {
             (7, 17, 23),
             (3, 261, 11),
             (6, 2, 1),
+            // Twelve-row tiles (AVX-512) and their remainders.
+            (11, 5, 17),
+            (12, 9, 16),
+            (13, 33, 20),
+            (25, 300, 37),
         ] {
             let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, (m * 7 + n) as u64);
             let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, (k * 13 + n) as u64);
@@ -444,64 +571,86 @@ mod tests {
         }
     }
 
-    /// Bitwise equality, except that any NaN matches any NaN.
-    fn same_bits(a: &[f32], b: &[f32]) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    /// The portable kernel over one sub-panel of `mr <= MR` rows.
+    fn portable(mr: usize, ap: &[f32], bp: &[f32]) -> Acc {
+        let mut acc = [[0.0f32; NR]; 2 * MR];
+        match mr {
+            6 => micro::<6>(ap, bp, &mut acc),
+            5 => micro::<5>(ap, bp, &mut acc),
+            4 => micro::<4>(ap, bp, &mut acc),
+            3 => micro::<3>(ap, bp, &mut acc),
+            2 => micro::<2>(ap, bp, &mut acc),
+            _ => micro::<1>(ap, bp, &mut acc),
+        }
+        acc
     }
 
-    /// Runs the portable and the AVX2 kernel on the same `M`-row tile.
-    #[cfg(target_arch = "x86_64")]
-    fn both_kernels<const M: usize>(ap: &[f32], bp: &[f32]) -> ([[f32; NR]; MR], [[f32; NR]; MR]) {
-        let (mut portable, mut simd) = ([[0.0f32; NR]; MR], [[0.0f32; NR]; MR]);
-        micro::<M>(ap, bp, &mut portable);
-        // SAFETY: the only caller checks `avx2_available()` first.
-        unsafe { micro_avx2::<M>(ap, bp, &mut simd) };
-        (portable, simd)
+    /// Seeded packed operands for an `m`-row tile at depth `k`, with
+    /// inf/NaN/-0.0 at seeded positions in both operands. They land in
+    /// the first and the last rows' k-chains, so a 12-row tile carries
+    /// them in both of its sub-panels; with k = 0 there is nowhere to
+    /// put them.
+    fn tile_operands(m: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
+        const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        let seed = (m * 1000 + k) as u64;
+        let mut ap = Tensor::rand_uniform(&[k * m], -2.0, 2.0, seed)
+            .data()
+            .to_vec();
+        let mut bp = Tensor::rand_uniform(&[k * NR], -2.0, 2.0, seed + 1)
+            .data()
+            .to_vec();
+        let (alen, blen) = (ap.len(), bp.len());
+        for (i, special) in SPECIALS.iter().enumerate().take(k) {
+            ap[(i * 5 + m) % alen] = *special;
+            ap[alen - 1 - (i * 7 + m) % alen] = *special;
+            bp[(i * 37 + 3 * m) % blen] = *special;
+        }
+        (ap, bp)
+    }
+
+    /// Runs `tile` on `isa` for every tile height it takes and every
+    /// depth in {0, 1, 7, 300}, against the portable kernel over each
+    /// `MR`-row sub-panel of the same packed operands.
+    fn assert_tier_matches_portable(isa: Isa) {
+        for m in 1..=tile_rows(isa) {
+            for k in [0usize, 1, 7, 300] {
+                let (ap, bp) = tile_operands(m, k);
+                let (lo, hi) = (m.min(MR), m.saturating_sub(MR));
+                let mut want = portable(lo, &ap[..lo * k], &bp);
+                if hi > 0 {
+                    let second = portable(hi, &ap[lo * k..], &bp);
+                    want[MR..MR + hi].copy_from_slice(&second[..hi]);
+                }
+                let mut got = [[0.0f32; NR]; 2 * MR];
+                tile(isa, m, &ap, &bp, &mut got);
+                assert!(
+                    same_bits(want[..m].as_flattened(), got[..m].as_flattened()),
+                    "{isa:?} and portable kernels diverged at M={m} k={k}"
+                );
+            }
+        }
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn avx2_micro_kernel_is_bit_identical_to_portable() {
-        if !avx2_available() {
+        if Isa::host() < Isa::Avx2 {
             eprintln!(
                 "SKIPPED avx2_micro_kernel_is_bit_identical_to_portable: no AVX2 on this CPU"
             );
             return;
         }
-        const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
-        for m in 1..=MR {
-            for k in [0usize, 1, 7, 300] {
-                let seed = (m * 1000 + k) as u64;
-                let mut ap = Tensor::rand_uniform(&[k * m], -2.0, 2.0, seed)
-                    .data()
-                    .to_vec();
-                let mut bp = Tensor::rand_uniform(&[k * NR], -2.0, 2.0, seed + 1)
-                    .data()
-                    .to_vec();
-                // Specials at seeded positions in both operands; with k = 0
-                // there is nowhere to put them.
-                let (alen, blen) = (ap.len(), bp.len());
-                for (i, special) in SPECIALS.iter().enumerate().take(k) {
-                    ap[(i * 5 + m) % alen] = *special;
-                    bp[(i * 37 + 3 * m) % blen] = *special;
-                }
-                let (portable, simd) = match m {
-                    6 => both_kernels::<6>(&ap, &bp),
-                    5 => both_kernels::<5>(&ap, &bp),
-                    4 => both_kernels::<4>(&ap, &bp),
-                    3 => both_kernels::<3>(&ap, &bp),
-                    2 => both_kernels::<2>(&ap, &bp),
-                    _ => both_kernels::<1>(&ap, &bp),
-                };
-                assert!(
-                    same_bits(portable.as_flattened(), simd.as_flattened()),
-                    "AVX2 and portable kernels diverged at M={m} k={k}"
-                );
-            }
+        assert_tier_matches_portable(Isa::Avx2);
+    }
+
+    #[test]
+    fn avx512_micro_kernel_is_bit_identical_to_portable() {
+        if Isa::host() < Isa::Avx512 {
+            eprintln!(
+                "SKIPPED avx512_micro_kernel_is_bit_identical_to_portable: no AVX-512 on this CPU"
+            );
+            return;
         }
+        assert_tier_matches_portable(Isa::Avx512);
     }
 
     /// Rows spanning two or more A blocks, with every bias kind and a

@@ -157,6 +157,16 @@ pub fn ulp_diff(a: f32, b: f32) -> u32 {
     u32::try_from(d).unwrap_or(u32::MAX)
 }
 
+/// Bitwise equality of two slices, except that any NaN matches any NaN:
+/// the unit tests' check that two kernels of one tier agree.
+#[cfg(test)]
+pub(crate) fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
 /// The maximum [`ulp_diff`] over two equal-length slices.
 ///
 /// # Panics

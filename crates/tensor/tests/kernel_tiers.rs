@@ -350,7 +350,8 @@ fn separable_resize_matches_reference_on_every_small_geometry() {
 }
 
 /// Every small depthwise geometry, exhaustively: stride {1, 2} (unit
-/// stride takes the contiguous-run path, the rest the strided walk), pad
+/// stride takes the contiguous-run path, or the AVX-512 block kernel on
+/// CPUs with it; the rest the strided walk), pad
 /// {0, 1, 2}, square kernels {1, 3, 5}, odd widths and a non-square
 /// input, with bias, specials, and whole-plane tiling at every thread
 /// count.
@@ -362,7 +363,19 @@ fn depthwise_conv_matches_reference_on_every_small_geometry() {
         .flat_map(|st| [0, 1, 2].map(move |p| (st, p)))
         .flat_map(|(st, p)| [1, 3, 5].map(move |r| (st, p, r)))
     {
-        for (h, w) in [(1, 1), (3, 3), (5, 7), (4, 9), (7, 5), (6, 11)] {
+        // The last three cross the 16- and 32-lane edges and the 4-row
+        // block of the AVX-512 kernel.
+        for (h, w) in [
+            (1, 1),
+            (3, 3),
+            (5, 7),
+            (4, 9),
+            (7, 5),
+            (6, 11),
+            (9, 17),
+            (6, 33),
+            (13, 16),
+        ] {
             if h + 2 * pad < kernel || w + 2 * pad < kernel {
                 continue;
             }
