@@ -19,22 +19,37 @@
 //!   retires), replacing the `BufferPool` best-fit heuristic on this path;
 //!   the arena is recycled across runs and never re-zeroed, because every
 //!   record fully overwrites its output range;
-//! * **fused epilogues** — a `Relu`/`Gelu` whose sole producer is a
-//!   `Conv2d`/`Linear` (and which is that producer's only consumer) is
-//!   folded into the producing kernel's final store, eliminating a whole
-//!   read-modify-write pass over the activation;
+//! * **folds** — a chain of graph nodes, each the only consumer of the
+//!   one before, lowers to one record that lists the folded nodes in
+//!   [`PlanRecord::fused`]; only the chain's last node (its *sink*) gets
+//!   an arena range, so the intermediates are never stored:
+//!   - a `Relu`/`Gelu` after a `Conv2d`/`Linear` runs at the producing
+//!     kernel's final store;
+//!   - a MixFFN's `UnflattenHw → depthwise Conv2d → FlattenHw → Gelu`
+//!     runs as one token-major depthwise conv
+//!     ([`vit_tensor::ops::PackedTokenDepthwise`]) that reads `fc1`'s
+//!     `[n, h·w, c]` output, vectorizes over channels, and applies GELU at
+//!     its store through [`vit_tensor::ops::gelu_into`];
+//!   - a `Concat` whose only consumer is a pointwise conv (with no
+//!     activation epilogue) is read in place by that conv's panel pack
+//!     ([`vit_tensor::ops::PackedConv2d::run_concat`]), which takes the
+//!     parts as its inputs; a part that is a same-size `Resize` of an
+//!     `UnflattenHw` (the SegFormer decoder's stage-0 part) is read
+//!     token-major from the unflatten's input, so its transpose and copy
+//!     vanish too;
 //! * **pre-packed weights** — parameter tensors are generated once at
 //!   compile time and packed contiguously
-//!   ([`vit_tensor::ops::PackedConv2d`]/[`PackedLinear`]), so replay
-//!   touches no weight cache;
+//!   ([`vit_tensor::ops::PackedConv2d`]/[`PackedLinear`], and `[tap][c]`
+//!   for the token-major depthwise conv), so replay touches no weight
+//!   cache;
 //! * **arena-native kernels** — every op of the SegFormer and Swin
-//!   serving graphs runs straight on arena ranges through a slice kernel
-//!   the interpreter calls too: head-fused attention
-//!   ([`vit_tensor::ops::sdpa_into`], tiled by query token), LayerNorm
-//!   and BatchNorm (tiled by feature row and channel plane), bilinear
-//!   resize (tiled by plane; a same-size resize is a copy), the
-//!   `FlattenHw`/`UnflattenHw` transposes, channel concat and slice, and
-//!   Swin's cyclic shift, window partition/merge, space-to-depth and
+//!   serving graphs runs straight on arena ranges through a slice kernel:
+//!   head-fused attention ([`vit_tensor::ops::sdpa_into`], tiled by query
+//!   token), LayerNorm and BatchNorm (tiled by feature row and channel
+//!   plane), bilinear resize (tiled by plane; a same-size resize is a
+//!   copy), the `FlattenHw`/`UnflattenHw` transposes (8×8 register
+//!   blocks), channel concat (Swin's, which feeds 3×3 convs) and slice,
+//!   and Swin's cyclic shift, window partition/merge, space-to-depth and
 //!   adaptive average pool. Only `DeformAttn`, `MaxPool`,
 //!   `GlobalAvgPool`, `ConcatTokens` and `ArgmaxChannels` (detection and
 //!   classification graphs) take the *fallback* record, which copies its
@@ -44,14 +59,18 @@
 //!
 //! Replay is **bit-identical** to the interpreter at any thread count: the
 //! packed and slice kernels are the very inner loops the interpreter's
-//! kernels call, epilogue scalars are shared, fallback records dispatch
+//! kernels call, or run every element's operations in the same order
+//! (the token-major depthwise conv keeps the plane kernel's tap chain; a
+//! concat read in place fills the same GEMM panels), epilogue scalars are
+//! shared, fallback records dispatch
 //! through the same [`vit_graph::eval_op`], and threading happens only via
 //! intra-kernel output tiling (the `vit_tensor::par` determinism
 //! contract).
 //!
 //! `vit-verify`'s plan pass proves plan↔graph equivalence offline:
 //! identical FLOP/param/byte totals, every node covered exactly once by a
-//! record or fusion, and arena liveness soundness.
+//! record or fold, each record wired to its fold's external inputs and
+//! shaped as its sink, and arena liveness soundness.
 //!
 //! [`PackedLinear`]: vit_tensor::ops::PackedLinear
 //!
@@ -100,9 +119,12 @@ use std::sync::Mutex;
 use vit_fault::{check_guard, FaultCtx, FaultError};
 use vit_graph::ExecError;
 use vit_graph::{
-    eval_op, generate_node_weights, Graph, Node, Op, RunContext, WeightGen, LAYER_NORM_EPS,
+    eval_op, generate_node_weights, Graph, Node, NodeId, Op, RunContext, WeightGen, LAYER_NORM_EPS,
 };
-use vit_tensor::ops::{self, Conv2dParams, Epilogue, PackedConv2d, PackedLinear, SdpaShape};
+use vit_tensor::ops::{
+    self, ConcatPart, Conv2dParams, Epilogue, PackedConv2d, PackedLinear, PackedTokenDepthwise,
+    SdpaShape,
+};
 use vit_tensor::{BufferPool, ExecCtx, ShadowAccess, ShadowViolation, Tensor, TensorError};
 use vit_trace::{now_ns, EventKind, Phase, TraceSink};
 
@@ -143,7 +165,9 @@ pub enum ExecContract {
     /// `vit_tensor::par`).
     RowTiled {
         /// Elements per indivisible row: one output channel-plane for
-        /// convolution, resize and BatchNorm; one feature vector for
+        /// convolution, resize and BatchNorm; one output token row (`ow`
+        /// tokens of `c` channels) for the token-major depthwise conv;
+        /// one feature vector for
         /// linear, the elementwise steps and LayerNorm; one query token's
         /// merged heads for attention.
         row_len: usize,
@@ -233,6 +257,22 @@ enum Step {
     Input { pos: usize },
     /// Pre-packed convolution (epilogue possibly fused).
     Conv(PackedConv2d),
+    /// A folded `UnflattenHw → depthwise Conv2d → FlattenHw → Gelu`: the
+    /// token-major depthwise conv, GELU at its store, tiled by output
+    /// token row (`row_len` elements).
+    TokenDepthwise {
+        conv: PackedTokenDepthwise,
+        hw: (usize, usize),
+        row_len: usize,
+    },
+    /// A folded `Concat → pointwise Conv2d`: the conv's panel pack reads
+    /// each part where it lies. `(channels, token_major)` per part, in
+    /// concat order.
+    ConcatConv {
+        conv: PackedConv2d,
+        parts: Vec<(usize, bool)>,
+        hw: (usize, usize),
+    },
     /// Pre-packed linear layer (epilogue possibly fused).
     Linear(PackedLinear),
     /// Standalone elementwise relu (not fused into a producer).
@@ -306,25 +346,30 @@ enum Step {
 /// for (including any nodes fused into it).
 #[derive(Debug, Clone)]
 pub struct PlanRecord {
-    /// Graph node this record executes (the *producer* for fused pairs).
+    /// Graph node this record executes: for a fold, the node whose op and
+    /// weights it carries (the conv or linear).
     pub name: String,
-    /// The producer's operator.
+    /// That node's operator.
     pub op: Op,
-    /// Arena ranges of the inputs, in graph edge order.
+    /// Arena ranges of the inputs: the values the record reads from
+    /// outside its fold, in graph edge order expanded through the folded
+    /// nodes from the sink (for an unfolded record, its node's inputs).
     pub inputs: Vec<BufRange>,
-    /// Shapes of the inputs, in graph edge order.
+    /// Shapes of the inputs, in the same order.
     pub in_shapes: Vec<Vec<usize>>,
     /// Arena range of the output.
     pub out: BufRange,
-    /// Shape of the output (after any fused epilogue, which preserves it).
+    /// Shape of the output: that of the fold's sink, the node whose value
+    /// leaves the record.
     pub out_shape: Vec<usize>,
-    /// Names of graph nodes fused into this record's epilogue.
+    /// Names of the other graph nodes folded into this record, in graph
+    /// order.
     pub fused: Vec<String>,
-    /// Analytical FLOPs (MAC convention), producer plus fused nodes.
+    /// Analytical FLOPs (MAC convention), record node plus fused nodes.
     pub flops: u64,
-    /// Learned parameters, producer plus fused nodes.
+    /// Learned parameters, record node plus fused nodes.
     pub params: u64,
-    /// First-order DRAM traffic in bytes, producer plus fused nodes
+    /// First-order DRAM traffic in bytes, record node plus fused nodes
     /// (accounted as the interpreter would, so plan totals equal graph
     /// totals even though fusion eliminates the traffic physically).
     pub bytes: u64,
@@ -504,6 +549,170 @@ impl ArenaLayout {
     }
 }
 
+/// What a [`Fold`] lowers to.
+#[derive(Debug)]
+enum FoldKind {
+    /// A `Conv2d`/`Linear` whose sole-consumer `Relu`/`Gelu` runs at its
+    /// final store.
+    Epilogue(Epilogue),
+    /// `UnflattenHw → depthwise Conv2d → FlattenHw → Gelu` (a MixFFN's
+    /// middle) as one token-major depthwise conv with GELU at its store.
+    TokenDepthwise,
+    /// A `Concat` read in place by the pointwise conv that is its only
+    /// consumer. `token_major[i]` marks a part that is a same-size
+    /// `Resize` of an `UnflattenHw`: both fold too, and the part is read
+    /// straight from the unflatten's `[n, h·w, c]` input.
+    ConcatConv { token_major: Vec<bool> },
+}
+
+/// A run of graph nodes, each the only consumer of the one before,
+/// lowered to one record at its *sink* (the node whose value leaves the
+/// fold). Nothing outside the fold reads an intermediate, so only the
+/// sink gets an arena range.
+#[derive(Debug)]
+struct Fold {
+    /// The node whose name, op and weights the record carries.
+    anchor: usize,
+    /// The fold's other nodes in graph order: the record's `fused` list.
+    members: Vec<usize>,
+    kind: FoldKind,
+}
+
+impl Fold {
+    fn contains(&self, i: usize) -> bool {
+        i == self.anchor || self.members.contains(&i)
+    }
+
+    /// The values the fold reads from outside: the sink's inputs in edge
+    /// order, each input inside the fold replaced by its own inputs. These
+    /// are the record's input ranges.
+    fn external_inputs(&self, graph: &Graph, sink: usize) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.expand(graph, sink, &mut out);
+        out
+    }
+
+    fn expand(&self, graph: &Graph, i: usize, out: &mut Vec<NodeId>) {
+        for &j in &graph.node(NodeId::from_index(i)).inputs {
+            if self.contains(j.index()) {
+                self.expand(graph, j.index(), out);
+            } else {
+                out.push(j);
+            }
+        }
+    }
+}
+
+/// Every fold of `graph`, keyed by sink node index (`counts` are its
+/// consumer counts, the graph output counted as a consumer):
+///
+/// * a `Relu`/`Gelu` that is the only consumer of a `Conv2d`/`Linear`
+///   becomes that kernel's epilogue;
+/// * `UnflattenHw → Conv2d → FlattenHw → Gelu` with a stride-1
+///   depthwise conv (`groups` = in = out channels) becomes one
+///   token-major depthwise step;
+/// * a `Concat` whose only consumer is a pointwise, ungrouped conv with
+///   no activation epilogue becomes that conv's input, along with each
+///   part that is a same-size `Resize` of an `UnflattenHw`.
+fn find_folds(graph: &Graph, counts: &[usize]) -> Vec<Option<Fold>> {
+    let node = |i: usize| graph.node(NodeId::from_index(i));
+    // Node `i`'s producer, when `i` has one input and is its only consumer.
+    let sole_input = |i: usize| match node(i).inputs.as_slice() {
+        [p] if counts[p.index()] == 1 => Some(p.index()),
+        _ => None,
+    };
+    let in_shape = |i: usize| &graph.node(node(i).inputs[0]).shape;
+    let mut epilogue_of: Vec<Option<(usize, Epilogue)>> = vec![None; graph.len()];
+    for (id, nd) in graph.iter() {
+        let ep = match nd.op {
+            Op::Relu => Epilogue::Relu,
+            Op::Gelu => Epilogue::Gelu,
+            _ => continue,
+        };
+        let producer = sole_input(id.index())
+            .filter(|&p| matches!(node(p).op, Op::Conv2d { .. } | Op::Linear { .. }));
+        if let Some(p) = producer {
+            epilogue_of[p] = Some((id.index(), ep));
+        }
+    }
+    let mut folds: Vec<Option<Fold>> = (0..graph.len()).map(|_| None).collect();
+    for (id, nd) in graph.iter() {
+        let i = id.index();
+        match nd.op {
+            Op::Gelu => {
+                let depthwise = |d: usize| match node(d).op {
+                    Op::Conv2d {
+                        out_channels,
+                        stride: (1, 1),
+                        groups,
+                        ..
+                    } => groups == out_channels && in_shape(d)[1] == groups,
+                    _ => false,
+                };
+                let chain = sole_input(i)
+                    .filter(|&f| matches!(node(f).op, Op::FlattenHw))
+                    .and_then(|f| Some((f, sole_input(f).filter(|&d| depthwise(d))?)))
+                    .and_then(|(f, d)| Some((f, d, sole_input(d)?)))
+                    .filter(|&(_, _, u)| matches!(node(u).op, Op::UnflattenHw { .. }));
+                if let Some((f, d, u)) = chain {
+                    folds[i] = Some(Fold {
+                        anchor: d,
+                        members: vec![u, f, i],
+                        kind: FoldKind::TokenDepthwise,
+                    });
+                }
+            }
+            Op::Conv2d {
+                kernel: (1, 1),
+                stride: (1, 1),
+                pad: (0, 0),
+                groups: 1,
+                ..
+            } => {
+                let cat = sole_input(i).filter(|&c| matches!(node(c).op, Op::Concat));
+                let Some(cat) = cat.filter(|_| epilogue_of[i].is_none()) else {
+                    continue;
+                };
+                let mut members = vec![cat];
+                let same_size = |p: usize| match node(p).op {
+                    Op::Resize { out_h, out_w } => in_shape(p)[2..] == [out_h, out_w],
+                    _ => false,
+                };
+                let token_major = node(cat)
+                    .inputs
+                    .iter()
+                    .map(|p| {
+                        let p = p.index();
+                        let unflatten = (counts[p] == 1 && same_size(p))
+                            .then(|| sole_input(p))
+                            .flatten()
+                            .filter(|&u| matches!(node(u).op, Op::UnflattenHw { .. }));
+                        members.extend(unflatten.map(|u| [u, p]).into_iter().flatten());
+                        unflatten.is_some()
+                    })
+                    .collect();
+                members.sort_unstable();
+                folds[i] = Some(Fold {
+                    anchor: i,
+                    members,
+                    kind: FoldKind::ConcatConv { token_major },
+                });
+            }
+            _ => {}
+        }
+    }
+    for (p, e) in epilogue_of.into_iter().enumerate() {
+        if let Some((a, ep)) = e {
+            folds[a] = Some(Fold {
+                anchor: p,
+                members: vec![a],
+                kind: FoldKind::Epilogue(ep),
+            });
+        }
+    }
+    folds
+}
+
 /// A graph lowered into a flat, replayable instruction stream.
 ///
 /// Compile once with [`ExecPlan::compile`]; replay any number of times
@@ -542,36 +751,31 @@ impl ExecPlan {
         })?;
         let n = graph.len();
 
-        // Fusion pre-pass: `fused_into[a] = Some(p)` when activation `a`
-        // folds into producer `p`'s epilogue. Legality: `a` is a unary
-        // Relu/Gelu, its producer is a Conv2d/Linear, and `a` is that
-        // producer's *only* consumer (`consumer_counts` adds one for the
-        // graph output, so an output node can never be fused away).
+        // Fold pre-pass: `folds[sink]` lowers a run of single-consumer
+        // nodes ending at `sink` to one record; the other members hold no
+        // range of their own, because nothing outside the fold reads them
+        // (`consumer_counts` adds one for the graph output, so an output
+        // node is never folded away).
         let counts = graph.consumer_counts();
-        let mut fused_into: Vec<Option<usize>> = vec![None; n];
-        for (id, node) in graph.iter() {
-            if !matches!(node.op, Op::Relu | Op::Gelu) || node.inputs.len() != 1 {
-                continue;
-            }
-            let p = node.inputs[0].index();
-            let producer = graph.node(node.inputs[0]);
-            if matches!(producer.op, Op::Conv2d { .. } | Op::Linear { .. }) && counts[p] == 1 {
-                fused_into[id.index()] = Some(p);
-            }
-        }
-        let mut fused_children: Vec<Option<usize>> = vec![None; n];
-        for (a, p) in fused_into.iter().enumerate() {
-            if let Some(p) = p {
-                fused_children[*p] = Some(a);
+        let folds = find_folds(graph, &counts);
+        let mut inner = vec![false; n];
+        for (sink, fold) in folds.iter().enumerate() {
+            for &m in fold
+                .iter()
+                .flat_map(|f| f.members.iter().chain([&f.anchor]))
+            {
+                if m != sink {
+                    inner[m] = true;
+                }
             }
         }
 
-        // Lowering + liveness in one topological walk. A node's range is
+        // Lowering + liveness in one topological walk. A record's range is
         // allocated *before* its inputs' refcounts drop, so an output can
         // never alias a live input (kernels read inputs while storing
-        // outputs). For a fused pair the activation owns the range's
-        // lifetime: the internal producer→activation edge decrements
-        // nothing, and the activation's consumers govern the free.
+        // outputs). A fold is lowered at its sink, once every external
+        // input exists; its internal edges decrement nothing, and the
+        // sink's consumers govern the free of its range.
         let mut refcount = counts;
         let mut layout = ArenaLayout::default();
         let mut range_of: Vec<Option<BufRange>> = vec![None; n];
@@ -580,57 +784,56 @@ impl ExecPlan {
         let mut input_shapes = Vec::new();
         for (id, node) in graph.iter() {
             let i = id.index();
-            if let Some(p) = fused_into[i] {
-                // Fused activation: alias the producer's (already
-                // emitted) record output; its costs were folded there.
-                range_of[i] = range_of[p];
+            if inner[i] {
                 continue;
             }
             let numel: usize = node.shape.iter().product();
             let out = layout.alloc(numel);
             range_of[i] = Some(out);
-            let inputs: Vec<BufRange> = node
-                .inputs
+            let fold = folds[i].as_ref();
+            let anchor = graph.node(NodeId::from_index(fold.map_or(i, |f| f.anchor)));
+            let ext: Vec<NodeId> = match fold {
+                Some(f) => f.external_inputs(graph, i),
+                None => node.inputs.clone(),
+            };
+            let inputs: Vec<BufRange> = ext
                 .iter()
                 .map(|j| range_of[j.index()].expect("topological order"))
                 .collect();
-            let in_shapes: Vec<Vec<usize>> = node
-                .inputs
-                .iter()
-                .map(|j| graph.node(*j).shape.clone())
-                .collect();
-            let fused_child =
-                fused_children[i].map(|a| graph.node(vit_graph::NodeId::from_index(a)));
-            let epilogue = match fused_child.map(|c| &c.op) {
-                Some(Op::Relu) => Epilogue::Relu,
-                Some(Op::Gelu) => Epilogue::Gelu,
-                _ => Epilogue::None,
-            };
-            let step = match &node.op {
-                Op::Input { .. } => {
+            let in_shapes: Vec<Vec<usize>> =
+                ext.iter().map(|j| graph.node(*j).shape.clone()).collect();
+            let step = match (&anchor.op, fold.map(|f| &f.kind)) {
+                (Op::Input { .. }, _) => {
                     input_shapes.push(node.shape.clone());
                     input_pos += 1;
                     Step::Input { pos: input_pos - 1 }
                 }
-                op => Self::lower_step(node, op, &in_shapes, epilogue, gen)?,
+                (op, kind) => Self::lower_step(graph, anchor, op, kind, gen)?,
             };
             // The write-decomposition contract mirrors the kernels: packed
-            // conv, resize and BatchNorm tile by output channel-plane;
-            // packed linear, the elementwise steps, LayerNorm and attention
-            // by innermost row (a feature row, or one query token with all
+            // conv, resize and BatchNorm tile by output channel-plane; the
+            // token-major depthwise conv by output token row; packed
+            // linear, the elementwise steps, LayerNorm and attention by
+            // innermost row (a feature row, or one query token with all
             // its heads); everything else on the replay path writes its
             // range in one sequential pass.
             // GEMM-backed steps declare FP reassociation (tolerance tier):
             // packed linear always, conv only on its im2col path — the
-            // direct single-input-channel path is bit-identical to the
-            // reference oracle, and so is the separable resize. The
-            // elementwise steps do not reassociate either: GELU differs
-            // from its oracle by its `exp` approximation, bounded by the
-            // Activation class, not by reordered accumulation.
+            // direct single-input-channel paths (plane and token-major)
+            // are bit-identical to the reference oracle, and so is the
+            // separable resize. The elementwise steps do not reassociate
+            // either: GELU differs from its oracle by its `exp`
+            // approximation, bounded by the Activation class, not by
+            // reordered accumulation.
+            let plane_tiled = |pc: &PackedConv2d| ExecContract::RowTiled {
+                row_len: node.shape.iter().skip(2).product(),
+                reassociates: pc.reassociates(),
+            };
             let contract = match &step {
-                Step::Conv(pc) => ExecContract::RowTiled {
-                    row_len: node.shape.iter().skip(2).product(),
-                    reassociates: pc.reassociates(),
+                Step::Conv(pc) | Step::ConcatConv { conv: pc, .. } => plane_tiled(pc),
+                Step::TokenDepthwise { row_len, .. } => ExecContract::RowTiled {
+                    row_len: *row_len,
+                    reassociates: false,
                 },
                 Step::Linear(_) => ExecContract::RowTiled {
                     row_len: last_dim(&node.shape),
@@ -654,27 +857,24 @@ impl ExecPlan {
                 },
                 _ => ExecContract::Sequential,
             };
-            let mut flops = node.flops(graph);
-            let mut params = node.params(graph);
-            let mut bytes = node.io_bytes(graph);
-            let mut fused = Vec::new();
-            if let Some(c) = fused_child {
-                flops += c.flops(graph);
-                params += c.params(graph);
-                bytes += c.io_bytes(graph);
-                fused.push(c.name.clone());
-            }
+            let members: Vec<&Node> = fold.map_or(Vec::new(), |f| {
+                f.members
+                    .iter()
+                    .map(|&m| graph.node(NodeId::from_index(m)))
+                    .collect()
+            });
+            let group = || std::iter::once(anchor).chain(members.iter().copied());
             records.push(PlanRecord {
-                name: node.name.clone(),
-                op: node.op.clone(),
+                name: anchor.name.clone(),
+                op: anchor.op.clone(),
                 inputs,
                 in_shapes,
                 out,
                 out_shape: node.shape.clone(),
-                fused,
-                flops,
-                params,
-                bytes,
+                fused: members.iter().map(|m| m.name.clone()).collect(),
+                flops: group().map(|m| m.flops(graph)).sum(),
+                params: group().map(|m| m.params(graph)).sum(),
+                bytes: group().map(|m| m.io_bytes(graph)).sum(),
                 contract,
                 frees: Vec::new(),
                 step,
@@ -685,7 +885,7 @@ impl ExecPlan {
             // range is recorded on the retiring record so the liveness
             // decision survives into the plan for offline audit.
             let mut freed = Vec::new();
-            for j in &node.inputs {
+            for j in &ext {
                 let jj = j.index();
                 refcount[jj] -= 1;
                 if refcount[jj] == 0 {
@@ -715,19 +915,29 @@ impl ExecPlan {
         })
     }
 
-    /// Builds the step for one non-`Input` node, packing weights for the
-    /// kernels that support it.
+    /// Builds the step for one non-`Input` record whose op and weights
+    /// are `node`'s, packing weights for the kernels that support it.
     fn lower_step(
+        graph: &Graph,
         node: &Node,
         op: &Op,
-        in_shapes: &[Vec<usize>],
-        epilogue: Epilogue,
+        fold: Option<&FoldKind>,
         gen: WeightGen,
     ) -> Result<Step, PlanError> {
+        let in_shapes: Vec<Vec<usize>> = node
+            .inputs
+            .iter()
+            .map(|j| graph.node(*j).shape.clone())
+            .collect();
         let shape_refs: Vec<&[usize]> = in_shapes.iter().map(Vec::as_slice).collect();
         let perr = |source: TensorError| PlanError::Pack {
             node: node.name.clone(),
             source,
+        };
+        let epilogue = match fold {
+            Some(FoldKind::Epilogue(ep)) => *ep,
+            Some(FoldKind::TokenDepthwise) => Epilogue::Gelu,
+            Some(FoldKind::ConcatConv { .. }) | None => Epilogue::None,
         };
         // A norm's two per-feature (or per-channel) parameter vectors.
         let norm_weights = || -> [Vec<f32>; 2] {
@@ -744,6 +954,15 @@ impl ExecPlan {
                 ..
             } => {
                 let w = generate_node_weights(gen, &node.name, op, &shape_refs);
+                let b = bias.then(|| &w[1]);
+                let hw = (in_shapes[0][2], in_shapes[0][3]);
+                if let Some(FoldKind::TokenDepthwise) = fold {
+                    let conv =
+                        PackedTokenDepthwise::pack(&w[0], b, *pad, epilogue).map_err(perr)?;
+                    // One output token row: `ow` tokens of `c` channels.
+                    let row_len = node.shape[3] * node.shape[1];
+                    return Ok(Step::TokenDepthwise { conv, hw, row_len });
+                }
                 let p = Conv2dParams {
                     stride_h: stride.0,
                     stride_w: stride.1,
@@ -751,8 +970,20 @@ impl ExecPlan {
                     pad_w: pad.1,
                     groups: *groups,
                 };
-                let b = bias.then(|| &w[1]);
-                Step::Conv(PackedConv2d::pack(&w[0], b, p, epilogue).map_err(perr)?)
+                let conv = PackedConv2d::pack(&w[0], b, p, epilogue).map_err(perr)?;
+                match fold {
+                    Some(FoldKind::ConcatConv { token_major, .. }) => {
+                        let concat = graph.node(node.inputs[0]);
+                        let parts = concat
+                            .inputs
+                            .iter()
+                            .zip(token_major)
+                            .map(|(part, &tm)| (graph.node(*part).shape[1], tm))
+                            .collect();
+                        Step::ConcatConv { conv, parts, hw }
+                    }
+                    _ => Step::Conv(conv),
+                }
             }
             Op::Linear { bias, .. } => {
                 let w = generate_node_weights(gen, &node.name, op, &shape_refs);
@@ -947,6 +1178,22 @@ impl ExecPlan {
                 Step::Input { pos } => out.copy_from_slice(inputs[*pos].data()),
                 Step::Conv(conv) => {
                     conv.run(input(&rec.inputs[0]), &rec.in_shapes[0], out, &kctx);
+                }
+                Step::TokenDepthwise { conv, hw, .. } => {
+                    conv.run(input(&rec.inputs[0]), *hw, out, &kctx);
+                }
+                Step::ConcatConv { conv, parts, hw } => {
+                    let parts: Vec<ConcatPart<'_>> = rec
+                        .inputs
+                        .iter()
+                        .zip(parts)
+                        .map(|(r, &(channels, token_major))| ConcatPart {
+                            data: input(r),
+                            channels,
+                            token_major,
+                        })
+                        .collect();
+                    conv.run_concat(&parts, rec.out_shape[0], *hw, out, &kctx);
                 }
                 Step::Linear(lin) => lin.run(input(&rec.inputs[0]), out, &kctx),
                 Step::Relu => {
@@ -1146,7 +1393,7 @@ impl ExecPlan {
         self.total_bytes
     }
 
-    /// Number of graph nodes fused into producer epilogues.
+    /// Number of graph nodes folded into other nodes' records.
     pub fn fused_nodes(&self) -> usize {
         self.records.iter().map(|r| r.fused.len()).sum()
     }
@@ -1297,6 +1544,122 @@ mod tests {
         let plan2 = ExecPlan::compile(&g2, WeightGen::new(0)).unwrap();
         assert_eq!(plan2.fused_nodes(), 0);
         assert_eq!(plan2.records().len(), 4);
+    }
+
+    /// A token-major branch (`flatten → linear → unflatten → same-size
+    /// resize`) and a plane branch concatenated into a pointwise conv,
+    /// beside a MixFFN-style `unflatten → dwconv → flatten →
+    /// gelu` chain. With `tap` the chain's dwconv output is also read by
+    /// a second consumer, which must keep that chain unfolded.
+    fn fold_graph(tap: bool) -> Graph {
+        let r = LayerRole::Other;
+        let mut g = Graph::new("fold-test");
+        let x = g.input("image", &[2, 3, 4, 6]).unwrap();
+        let fl = g.add("fl", Op::FlattenHw, r, &[x]).unwrap();
+        let lin = Op::Linear {
+            out_features: 5,
+            bias: true,
+        };
+        let l = g.add("lin", lin, r, &[fl]).unwrap();
+        let un = g
+            .add("un", Op::UnflattenHw { h: 4, w: 6 }, r, &[l])
+            .unwrap();
+        let same = Op::Resize { out_h: 4, out_w: 6 };
+        let rs = g.add("rs", same, r, &[un]).unwrap();
+        let c = g.add("c", conv_op(2, 3, true), r, &[x]).unwrap();
+        let cat = g.add("cat", Op::Concat, r, &[c, rs]).unwrap();
+        let pw = g.add("pw", conv_op(7, 1, false), r, &[cat]).unwrap();
+        // The MixFFN-style chain on the token-major linear output.
+        let un2 = g
+            .add("un2", Op::UnflattenHw { h: 4, w: 6 }, r, &[l])
+            .unwrap();
+        let dw = Op::Conv2d {
+            out_channels: 5,
+            kernel: (3, 3),
+            stride: (1, 1),
+            pad: (1, 1),
+            groups: 5,
+            bias: true,
+        };
+        let d = g.add("dw", dw, r, &[un2]).unwrap();
+        let fl2 = g.add("fl2", Op::FlattenHw, r, &[d]).unwrap();
+        let gl = g.add("gl", Op::Gelu, r, &[fl2]).unwrap();
+        let un3 = g
+            .add("un3", Op::UnflattenHw { h: 4, w: 6 }, r, &[gl])
+            .unwrap();
+        let mut sum = g.add("sum", Op::Add, r, &[un3, un]).unwrap();
+        if tap {
+            sum = g.add("tap", Op::Add, r, &[sum, d]).unwrap();
+        }
+        let out = g.add("out", Op::Concat, r, &[pw, sum]).unwrap();
+        g.set_output(out);
+        g
+    }
+
+    #[test]
+    fn folds_lower_to_one_record_and_match_the_interpreter() {
+        let g = fold_graph(false);
+        let plan = ExecPlan::compile(&g, WeightGen::new(0)).unwrap();
+        let rec = |name: &str| plan.records().iter().find(|r| r.name == name).unwrap();
+        // `un` feeds both the resize (folded) and the sum, so it keeps its
+        // record and the resize, read as a plane part, keeps its own.
+        assert_eq!(rec("pw").fused, ["cat"]);
+        assert_eq!(rec("pw").inputs, [rec("c").out, rec("rs").out]);
+        assert_eq!(rec("dw").fused, ["un2", "fl2", "gl"]);
+        assert_eq!(rec("dw").inputs, [rec("lin").out]);
+        assert_eq!(rec("dw").out_shape, [2, 24, 5]);
+        assert_eq!(
+            rec("dw").contract,
+            ExecContract::RowTiled {
+                row_len: 6 * 5,
+                reassociates: false
+            }
+        );
+        // The resize's only consumer is the concat once `un` is private
+        // to it: then the token-major part folds too.
+        let mut g2 = Graph::new("fold-test-2");
+        let r = LayerRole::Other;
+        let x = g2.input("image", &[1, 3, 4, 6]).unwrap();
+        let fl = g2.add("fl", Op::FlattenHw, r, &[x]).unwrap();
+        let lin = Op::Linear {
+            out_features: 5,
+            bias: true,
+        };
+        let l = g2.add("lin", lin, r, &[fl]).unwrap();
+        let un = g2
+            .add("un", Op::UnflattenHw { h: 4, w: 6 }, r, &[l])
+            .unwrap();
+        let same = Op::Resize { out_h: 4, out_w: 6 };
+        let rs = g2.add("rs", same, r, &[un]).unwrap();
+        let cat = g2.add("cat", Op::Concat, r, &[x, rs]).unwrap();
+        let pw = g2.add("pw", conv_op(4, 1, true), r, &[cat]).unwrap();
+        g2.set_output(pw);
+        let plan2 = ExecPlan::compile(&g2, WeightGen::new(0)).unwrap();
+        let pw = plan2.records().last().unwrap();
+        assert_eq!(pw.fused, ["un", "rs", "cat"]);
+        assert_eq!(pw.in_shapes, [vec![1, 3, 4, 6], vec![1, 24, 5]]);
+        for (g, plan) in [(&g, &plan), (&g2, &plan2)] {
+            let shape = plan.input_shapes()[0].clone();
+            let input = Tensor::rand_uniform(&shape, -1.0, 1.0, 42);
+            let expect = Executor::new(0)
+                .run(g, std::slice::from_ref(&input))
+                .unwrap();
+            assert_eq!(
+                plan.execute(&[input], &RunContext::default()).unwrap(),
+                expect
+            );
+            for threads in [1, 2, 8] {
+                assert!(plan.shadow_replay(threads).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_read_from_outside_does_not_fold() {
+        let plan = ExecPlan::compile(&fold_graph(true), WeightGen::new(0)).unwrap();
+        let dw = plan.records().iter().find(|r| r.name == "dw").unwrap();
+        assert!(dw.fused.is_empty());
+        assert!(plan.records().iter().any(|r| r.name == "gl"));
     }
 
     #[test]

@@ -28,6 +28,11 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// every sampled thread count — neither witness may see a hazard the
 /// other misses.
 fn assert_plan_bit_identical(g: &Graph, input: Tensor, seed: u64) {
+    assert_plan_bit_identical_at(g, input, seed, &THREADS);
+}
+
+/// [`assert_plan_bit_identical`] at the given thread counts.
+fn assert_plan_bit_identical_at(g: &Graph, input: Tensor, seed: u64, threads: &[usize]) {
     let inputs = std::slice::from_ref(&input);
     let seq = Executor::new(seed)
         .run_with(
@@ -43,7 +48,7 @@ fn assert_plan_bit_identical(g: &Graph, input: Tensor, seed: u64) {
         "exec-safety pass flagged a compiled plan for `{}`: {static_diags:?}",
         g.model
     );
-    for threads in THREADS {
+    for &threads in threads {
         let violations = plan.shadow_replay(threads);
         assert!(
             violations.is_empty(),
@@ -418,6 +423,51 @@ fn segformer_b0_plans_are_native_and_bit_identical() {
     }
 }
 
+/// The plan's folds — each MixFFN's `unflatten → dwconv → flatten →
+/// gelu` as one token-major depthwise step with GELU at its store, and
+/// the decoder concat read in place by `conv_fuse` — keep replay
+/// bit-identical to the interpreter: B0 and B2, at 64² and 128², batch 1
+/// and 4, on the full path, the cheapest path and a path that prunes only
+/// `decode_linear0_in`, each at threads 1 and 2.
+#[test]
+fn folded_segformer_plans_are_bit_identical_across_geometries() {
+    let full = |v: &SegFormerVariant| SegFormerDynamic::full(v);
+    let cheapest = |v: &SegFormerVariant| SegFormerDynamic {
+        depths: [1; 4],
+        fuse_in_channels: v.full_fuse_in() / 4,
+        fuse_out_channels: v.decoder_dim / 2,
+        decode_linear0_in: v.embed_dims[0] / 2,
+    };
+    let pruned = |v: &SegFormerVariant| SegFormerDynamic {
+        decode_linear0_in: v.embed_dims[0] / 4,
+        ..SegFormerDynamic::full(v)
+    };
+    let (b0, b2) = (SegFormerVariant::b0(), SegFormerVariant::b2());
+    for (variant, side, batch, dynamic) in [
+        (b0, 64, 1, full(&b0)),
+        (b0, 64, 4, cheapest(&b0)),
+        (b0, 128, 1, pruned(&b0)),
+        (b0, 128, 4, full(&b0)),
+        (b2, 64, 1, cheapest(&b2)),
+        (b2, 64, 4, pruned(&b2)),
+        (b2, 128, 1, full(&b2)),
+    ] {
+        let g = build_segformer(&SegFormerConfig {
+            image: (side, side),
+            batch,
+            dynamic,
+            ..SegFormerConfig::ade20k(variant)
+        })
+        .unwrap();
+        let plan = ExecPlan::compile(&g, WeightGen::new(9)).unwrap();
+        // Three nodes fold into every block's dwconv, three into conv_fuse.
+        let blocks: usize = dynamic.depths.iter().sum();
+        assert_eq!(plan.fused_nodes(), 3 * blocks + 3, "{} {side}²", g.model);
+        let input = Tensor::rand_uniform(&[batch, 3, side, side], -1.0, 1.0, 13);
+        assert_plan_bit_identical_at(&g, input, 9, &[1, 2]);
+    }
+}
+
 /// The arena is recycled without re-zeroing, so every native step must
 /// write its whole output range — including the zero padding tokens of
 /// Swin's window partition (64×64 leaves padded windows at every stage).
@@ -457,9 +507,9 @@ fn segformer_b0_plan_geometry_is_pinned() {
     .unwrap();
     let plan = ExecPlan::compile(&g, WeightGen::new(0)).unwrap();
     assert_eq!(plan.graph_nodes(), g.len());
-    assert_eq!(plan.records().len(), 187);
-    assert_eq!(plan.fused_nodes(), 0);
-    assert_eq!(plan.arena_len(), 1_257_472);
+    assert_eq!(plan.records().len(), 160);
+    assert_eq!(plan.fused_nodes(), 27);
+    assert_eq!(plan.arena_len(), 995_328);
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 64);

@@ -21,10 +21,21 @@
 //!   this path claims the tolerance tier
 //!   ([`crate::ops::reference::tolerance`], class `Conv`). The GEMM's
 //!   portable, AVX2 and AVX-512 tiles are bit-identical to each other
-//!   (see `ops/pack.rs`), so the ISA tier never changes a result.
+//!   (see `ops/pack.rs`), so the ISA tier never changes a result. A
+//!   pointwise conv's pack copies whole channel runs and writes every
+//!   panel slot, so its scratch needs no zeroing; it can also read a
+//!   channel concatenation part by part where the parts lie
+//!   ([`ConcatPart`]), planes or token-major, filling the same panels.
+//!
+//! A third kernel serves compiled plans only: the **token-major
+//! depthwise** conv (`token_depthwise_rows`), which reads and writes
+//! `[n, h·w, c]` activations directly, with channels on the vector lanes
+//! (AVX-512F, or a scalar twin). It keeps the direct path's per-element
+//! tap chain, so it too is exact tier.
 
 use crate::error::{invalid_argument, invalid_shape, shape_mismatch, Result};
 use crate::ops::fused::Epilogue;
+use crate::ops::layout::transpose_block;
 use crate::ops::pack::{gemm_rows, packed_len, GemmBias, Isa, Panels, NR};
 use crate::ops::reference;
 use crate::par::{BufferPool, ExecCtx};
@@ -446,27 +457,296 @@ fn depthwise_plane_avx512(chan: &[f32], wk: &[f32], out: &mut [f32], g: &ConvGeo
     }
 }
 
+/// Geometry of a stride-1 depthwise convolution over token-major
+/// activations: `[n, h·w, c]` in, `[n, oh·ow, c]` out, one `r × s` filter
+/// per channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TokenDwGeom {
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) r: usize,
+    pub(crate) s: usize,
+    pub(crate) pad_h: usize,
+    pub(crate) pad_w: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+}
+
+impl TokenDwGeom {
+    /// The geometry for an `h × w` input, or `None` when the padded input
+    /// is smaller than the filter.
+    pub(crate) fn new(
+        c: usize,
+        (h, w): (usize, usize),
+        (r, s): (usize, usize),
+        (pad_h, pad_w): (usize, usize),
+    ) -> Option<Self> {
+        let oh = (h + 2 * pad_h).checked_sub(r)? + 1;
+        let ow = (w + 2 * pad_w).checked_sub(s)? + 1;
+        Some(TokenDwGeom {
+            c,
+            h,
+            w,
+            r,
+            s,
+            pad_h,
+            pad_w,
+            oh,
+            ow,
+        })
+    }
+
+    /// The kernel columns whose input column `ox + sx - pad_w` lies
+    /// inside the row, as the range `sx_lo..sx_hi`.
+    fn valid_sx(&self, ox: usize) -> (usize, usize) {
+        let lo = self.pad_w.saturating_sub(ox);
+        let hi = (self.w + self.pad_w).saturating_sub(ox).min(self.s);
+        (lo.min(hi), hi)
+    }
+
+    /// Input token row `iy` (an `[w, c]` slice of the item `x`) that
+    /// output row `oy` reads at kernel row `ry`, or `None` where it is
+    /// padding.
+    fn input_row<'a>(&self, x: &'a [f32], oy: usize, ry: usize) -> Option<&'a [f32]> {
+        let iy = (oy + ry).checked_sub(self.pad_h)?;
+        (iy < self.h).then(|| &x[iy * self.w * self.c..][..self.w * self.c])
+    }
+}
+
+/// Output token rows `[row0, row0 + od.len() / (ow · c))` of the
+/// flattened `(batch, oy)` axis of a token-major depthwise convolution,
+/// with weights `wt` packed `[tap][c]` (taps ascending `(ry, sx)`) and
+/// `ep` applied at the store.
+///
+/// Every output element starts at `0.0`, adds `w · x` for each in-bounds
+/// tap in ascending `(ry, sx)` order (out-of-bounds taps are skipped,
+/// never added as `0 · x`), then adds its bias: the chain
+/// `depthwise_plane` and its AVX-512 twin run per element, so the result
+/// is bit-identical to the plane-layout kernel between two transposes. A
+/// `Gelu` epilogue runs [`crate::ops::gelu_into`] over each finished row,
+/// as the standalone GELU pass does. Lanes are channels, so a tap is in
+/// or out of bounds for a whole vector at once.
+pub(crate) fn token_depthwise_rows(
+    xd: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    od: &mut [f32],
+    row0: usize,
+    g: TokenDwGeom,
+    ep: Epilogue,
+) {
+    let row_len = g.ow * g.c;
+    if row_len == 0 {
+        return;
+    }
+    let item = g.h * g.w * g.c;
+    let wide = Isa::host() == Isa::Avx512;
+    let run = |x: &[f32], oy: usize, out: &mut [f32]| {
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide` holds only when `Isa::host()` reported
+            // AVX-512F on this CPU, the one precondition of
+            // `token_depthwise_row_avx512`.
+            unsafe { token_depthwise_row_avx512(x, wt, bias, oy, &g, out) };
+            return;
+        }
+        let _ = wide;
+        token_depthwise_row(x, wt, bias, oy, &g, out);
+    };
+    let mut pre = vec![0.0f32; if ep == Epilogue::Gelu { row_len } else { 0 }];
+    for (i, orow) in od.chunks_exact_mut(row_len).enumerate() {
+        let (b, oy) = ((row0 + i) / g.oh, (row0 + i) % g.oh);
+        let x = &xd[b * item..][..item];
+        match ep {
+            Epilogue::Gelu => {
+                run(x, oy, &mut pre);
+                crate::ops::gelu_into(&pre, orow);
+            }
+            Epilogue::Relu => {
+                run(x, oy, orow);
+                orow.iter_mut().for_each(|v| *v = ep.apply(*v));
+            }
+            Epilogue::None => run(x, oy, orow),
+        }
+    }
+}
+
+/// The scalar token-major depthwise kernel: output row `oy` of the item
+/// `x` into `out` (`[ow, c]`), before any epilogue.
+fn token_depthwise_row(
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    oy: usize,
+    g: &TokenDwGeom,
+    out: &mut [f32],
+) {
+    let c = g.c;
+    out.fill(0.0);
+    for (ox, o) in out.chunks_exact_mut(c).enumerate() {
+        let (sx_lo, sx_hi) = g.valid_sx(ox);
+        for ry in 0..g.r {
+            let Some(xrow) = g.input_row(x, oy, ry) else {
+                continue;
+            };
+            for sx in sx_lo..sx_hi {
+                let xs = &xrow[(ox + sx - g.pad_w) * c..][..c];
+                let ws = &wt[(ry * g.s + sx) * c..][..c];
+                for ((o, &wv), &xv) in o.iter_mut().zip(ws).zip(xs) {
+                    *o += wv * xv;
+                }
+            }
+        }
+        if let Some(b) = bias {
+            for (o, &bv) in o.iter_mut().zip(b) {
+                *o += bv;
+            }
+        }
+    }
+}
+
+/// Channel vectors one [`token_depthwise_row_avx512`] step holds in
+/// registers: 64 channels of one output token.
+#[cfg(target_arch = "x86_64")]
+const TDW_BLOCKS: usize = 4;
+
+/// The AVX-512 twin of [`token_depthwise_row`]: up to four zmm
+/// accumulators hold 64 channels of one output token, start from `0.0`,
+/// and take one `_mm512_mul_ps` and one `_mm512_add_ps` per in-bounds
+/// tap in ascending `(ry, sx)` order, then the bias. Lane for lane the
+/// scalar `o += w * x` chain, so the two agree bit for bit. A channel
+/// count that is not a multiple of 16 masks its last vector's loads and
+/// store.
+///
+/// # Safety
+///
+/// Calling it from code not itself compiled for AVX-512F is `unsafe`: the
+/// caller must know the CPU supports AVX-512F (see [`Isa::host`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn token_depthwise_row_avx512(
+    x: &[f32],
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    oy: usize,
+    g: &TokenDwGeom,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_setzero_ps,
+    };
+    let c = g.c;
+    // The loads and stores below rely on these extents.
+    assert_eq!(out.len(), g.ow * c, "one output token row");
+    assert!(x.len() >= g.h * g.w * c && wt.len() >= g.r * g.s * c);
+    assert!(bias.is_none_or(|b| b.len() >= c));
+    let rows: Vec<Option<&[f32]>> = (0..g.r).map(|ry| g.input_row(x, oy, ry)).collect();
+    for ox in 0..g.ow {
+        let (sx_lo, sx_hi) = g.valid_sx(ox);
+        for c0 in (0..c).step_by(TDW_BLOCKS * DW_LANES) {
+            // Lanes of block `j` that hold channels `< c`; blocks wholly
+            // past `c` have an empty mask and are skipped.
+            let masks: [u16; TDW_BLOCKS] =
+                std::array::from_fn(|j| lane_mask(0, c.saturating_sub(c0 + j * DW_LANES)));
+            let mut acc = [_mm512_setzero_ps(); TDW_BLOCKS];
+            for (ry, xrow) in rows.iter().enumerate() {
+                let Some(xrow) = xrow else { continue };
+                for sx in sx_lo..sx_hi {
+                    let xs = &xrow[(ox + sx - g.pad_w) * c + c0..];
+                    let ws = &wt[(ry * g.s + sx) * c + c0..];
+                    for ((a, &m), j) in acc.iter_mut().zip(&masks).zip(0..) {
+                        if m == 0 {
+                            break;
+                        }
+                        // SAFETY: the lanes set in `m` are channels
+                        // `c0 + 16j + l < c`, so they read `xs[16j + l]`
+                        // and `ws[16j + l]`, inside this token's and this
+                        // tap's `c` channels; masked-off lanes are not
+                        // touched.
+                        let (xv, wv) = unsafe {
+                            (
+                                _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j * DW_LANES)),
+                                _mm512_maskz_loadu_ps(m, ws.as_ptr().add(j * DW_LANES)),
+                            )
+                        };
+                        *a = _mm512_add_ps(*a, _mm512_mul_ps(wv, xv));
+                    }
+                }
+            }
+            let dst = &mut out[ox * c + c0..];
+            for ((a, &m), j) in acc.iter_mut().zip(&masks).zip(0..) {
+                if m == 0 {
+                    break;
+                }
+                if let Some(b) = bias {
+                    // SAFETY: as for the tap loads, the set lanes read
+                    // `b[c0 + 16j + l]` with that index `< c <= b.len()`.
+                    let bv = unsafe { _mm512_maskz_loadu_ps(m, b.as_ptr().add(c0 + j * DW_LANES)) };
+                    *a = _mm512_add_ps(*a, bv);
+                }
+                // SAFETY: the set lanes write `dst[16j + l]`, channel
+                // `c0 + 16j + l < c` of output token `ox`, inside `out`
+                // (`ow · c` elements, asserted above).
+                unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr().add(j * DW_LANES), m, *a) };
+            }
+        }
+    }
+}
+
+/// Whether `g` is a pointwise convolution (1×1, stride 1, no padding),
+/// whose im2col rows are the input channels themselves.
+fn is_pointwise(g: &ConvGeom) -> bool {
+    let p = g.p;
+    (g.r, g.s, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (1, 1, 1, 1, 0, 0)
+}
+
+/// Copies whole channel planes (`planes` holds them back to back) into
+/// panel rows `off..` of a `crs`-row panel matrix: each panel row is one
+/// 16-float run copied whole, and the tail panel's unused lanes are
+/// written as zeros, so every slot of those rows is written.
+fn planes_to_panels(planes: &[f32], plane: usize, crs: usize, off: usize, col: &mut [f32]) {
+    for (ci, chan) in planes.chunks_exact(plane).enumerate() {
+        for (t, run) in chan.chunks(NR).enumerate() {
+            let dst = &mut col[(t * crs + off + ci) * NR..][..NR];
+            dst[..run.len()].copy_from_slice(run);
+            dst[run.len()..].fill(0.0);
+        }
+    }
+}
+
+/// [`planes_to_panels`] for a token-major `[plane, channels]` block:
+/// each run of `NR` tokens is one `NR × channels` block transposed into
+/// its panel's rows `off..off + channels`, and the tail panel's unused
+/// lanes are written as zeros.
+fn tokens_to_panels(tokens: &[f32], channels: usize, crs: usize, off: usize, col: &mut [f32]) {
+    if channels == 0 {
+        return;
+    }
+    for (t, block) in tokens.chunks(NR * channels).enumerate() {
+        let n_tok = block.len() / channels;
+        let dst = &mut col[(t * crs + off) * NR..][..channels * NR];
+        transpose_block(block, channels, dst, NR, n_tok, channels);
+        if n_tok < NR {
+            for row in dst.chunks_exact_mut(NR) {
+                row[n_tok..].fill(0.0);
+            }
+        }
+    }
+}
+
 /// Gathers the im2col matrix for one `(batch, group)` pair directly into
 /// panel layout: column `t` of the `[crs, plane]` im2col matrix (an
 /// output pixel) becomes lane `t % NR` of panel `t / NR`; padding taps
 /// are explicit zeros.
 fn im2col_panels(xd: &[f32], b: usize, g_idx: usize, g: &ConvGeom, col: &mut [f32]) {
     let crs = g.c_per_g * g.r * g.s;
-    let p = g.p;
-    if (g.r, g.s, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (1, 1, 1, 1, 0, 0) {
-        // Pointwise conv: im2col row `ci` is input channel `ci` itself, so
-        // each panel row is one 16-float run copied whole; only the tail
-        // panel's unused lanes need zeros.
+    if is_pointwise(g) {
+        // Pointwise conv: im2col row `ci` is input channel `ci` itself.
         let plane = g.h * g.w;
-        for ci in 0..g.c_per_g {
-            let cin = g_idx * g.c_per_g + ci;
-            let chan = &xd[(b * g.c + cin) * plane..][..plane];
-            for (t, run) in chan.chunks(NR).enumerate() {
-                let dst = &mut col[(t * crs + ci) * NR..][..NR];
-                dst[..run.len()].copy_from_slice(run);
-                dst[run.len()..].fill(0.0);
-            }
-        }
+        let first = b * g.c + g_idx * g.c_per_g;
+        planes_to_panels(&xd[first * plane..][..crs * plane], plane, crs, 0, col);
         return;
     }
     // `col` arrives zeroed, and the slots written below depend only on
@@ -517,18 +797,90 @@ pub(crate) fn conv2d_rows(
     ep: Epilogue,
     bufs: Option<&BufferPool>,
 ) {
-    let plane = g.oh * g.ow;
-    if plane == 0 {
+    if g.oh * g.ow == 0 {
         return;
     }
     if g.c_per_g == 1 {
         direct_plane_rows(xd, wd, bd, od, row0, g, ep);
         return;
     }
+    // The pointwise pack writes every panel slot; the general gather
+    // writes only in-bounds taps and relies on zeroed padding.
+    let pack = |b, g_idx, col: &mut [f32]| im2col_panels(xd, b, g_idx, &g, col);
+    im2col_gemm_rows(wd, bd, od, row0, &g, ep, bufs, is_pointwise(&g), pack);
+}
+
+/// One channel block of a channel concatenation that a pointwise
+/// convolution reads where it lies ([`crate::ops::PackedConv2d::run_concat`]),
+/// instead of from a materialized concat.
+#[derive(Debug, Clone, Copy)]
+pub struct ConcatPart<'a> {
+    /// The part's elements: `[n, channels, h, w]` planes, or
+    /// `[n, h·w, channels]` tokens when `token_major`.
+    pub data: &'a [f32],
+    /// The part's channel count.
+    pub channels: usize,
+    /// Whether `data` is token-major.
+    pub token_major: bool,
+}
+
+/// [`conv2d_rows`] for a pointwise, ungrouped convolution whose input is
+/// the channel concatenation of `parts`: the panel pack copies im2col row
+/// `ci` from whichever part holds channel `ci`, so the panels, and with
+/// them every output bit, equal those of the materialized concat.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn concat_pointwise_rows(
+    parts: &[ConcatPart<'_>],
+    wd: &[f32],
+    bd: Option<&[f32]>,
+    od: &mut [f32],
+    row0: usize,
+    g: ConvGeom,
+    ep: Epilogue,
+    bufs: Option<&BufferPool>,
+) {
+    debug_assert!(is_pointwise(&g) && g.p.groups == 1);
+    let plane = g.h * g.w;
+    if plane == 0 {
+        return;
+    }
+    let pack = |b: usize, _, col: &mut [f32]| {
+        let mut off = 0;
+        for part in parts {
+            let item = &part.data[b * part.channels * plane..][..part.channels * plane];
+            if part.token_major {
+                tokens_to_panels(item, part.channels, g.c, off, col);
+            } else {
+                planes_to_panels(item, plane, g.c, off, col);
+            }
+            off += part.channels;
+        }
+    };
+    im2col_gemm_rows(wd, bd, od, row0, &g, ep, bufs, true, pack);
+}
+
+/// The im2col + packed-GEMM path over output channel-planes
+/// `[row0, row0 + rows)`: `pack(b, g_idx, col)` fills the panel matrix of
+/// one `(batch, group)` pair. `overwrites` says the pack writes every
+/// panel slot, so the scratch need not arrive zeroed.
+#[allow(clippy::too_many_arguments)]
+fn im2col_gemm_rows(
+    wd: &[f32],
+    bd: Option<&[f32]>,
+    od: &mut [f32],
+    row0: usize,
+    g: &ConvGeom,
+    ep: Epilogue,
+    bufs: Option<&BufferPool>,
+    overwrites: bool,
+    pack: impl Fn(usize, usize, &mut [f32]),
+) {
+    let plane = g.oh * g.ow;
     let rows = od.len() / plane;
     let crs = g.c_per_g * g.r * g.s;
     let col_len = packed_len(crs, plane);
     let mut col = match bufs {
+        Some(pool) if overwrites => pool.take_for_overwrite(col_len),
         Some(pool) => pool.take_zeroed(col_len),
         None => vec![0.0f32; col_len],
     };
@@ -538,7 +890,7 @@ pub(crate) fn conv2d_rows(
         let g_idx = ko / g.k_per_g;
         // Rows of this chunk sharing the (batch, group) im2col matrix.
         let seg = ((g_idx + 1) * g.k_per_g - ko).min(rows - row);
-        im2col_panels(xd, b, g_idx, &g, &mut col);
+        pack(b, g_idx, &mut col);
         gemm_rows(
             wd,
             crs,
@@ -798,6 +1150,136 @@ mod tests {
                     reference::same_bits(&got, &want),
                     "{h}x{w} kernel {kernel} pad {pad}: AVX-512 and scalar depthwise diverged"
                 );
+            }
+        }
+    }
+
+    /// Seeded token-major operands for a `c`-channel `h × w` depthwise
+    /// conv with a `k × k` filter: input `[2, h·w, c]` with inf/NaN/-0.0
+    /// at seeded positions, packed `[tap][c]` weights (one infinite, so a
+    /// `0 · w` term from a padding tap would turn its sum into NaN), and
+    /// a bias.
+    fn token_dw_operands(c: usize, h: usize, w: usize, k: usize) -> [Tensor; 3] {
+        const SPECIALS: [f32; 4] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+        let seed = (c * 10_000 + h * 100 + w * 10 + k) as u64;
+        let mut x = Tensor::rand_uniform(&[2, h * w, c], -2.0, 2.0, seed);
+        let len = x.numel();
+        for (i, &sp) in SPECIALS.iter().enumerate() {
+            x.data_mut()[(i * 7919 + seed as usize) % len] = sp;
+        }
+        let mut wt = Tensor::rand_uniform(&[c, 1, k, k], -2.0, 2.0, seed + 1);
+        wt.data_mut()[0] = f32::INFINITY;
+        let b = Tensor::rand_uniform(&[c], -1.0, 1.0, seed + 2);
+        [x, wt, b]
+    }
+
+    /// The geometries the token-major twin tests sweep: channel counts
+    /// 1-40 (so some are not multiples of 16, and some span several
+    /// 64-channel steps), planes 1-9 on a side and padding 0-2 around a
+    /// 3×3 filter. Miri interprets a thinned grid.
+    fn token_dw_grid() -> Vec<(usize, usize, usize, usize)> {
+        let (cs, sides): (Vec<usize>, Vec<usize>) = if cfg!(miri) {
+            (vec![1, 16, 17], vec![1, 3, 5])
+        } else {
+            ((1..=40).collect(), (1..=9).collect())
+        };
+        let mut grid = Vec::new();
+        for &c in &cs {
+            for &h in &sides {
+                for &w in &sides {
+                    for pad in 0..=2 {
+                        if h + 2 * pad >= 3 && w + 2 * pad >= 3 {
+                            grid.push((c, h, w, pad));
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    /// Runs `token_depthwise_rows` on a NaN-prefilled output, so an
+    /// element the kernel forgets to write shows up.
+    fn token_dw_run(ops: &[Tensor; 3], g: TokenDwGeom, bias: bool, ep: Epilogue) -> Vec<f32> {
+        let [x, wt, b] = ops;
+        let taps = g.r * g.s;
+        let mut packed = vec![0.0f32; taps * g.c];
+        for (ch, filter) in wt.data().chunks_exact(taps).enumerate() {
+            for (tap, &v) in filter.iter().enumerate() {
+                packed[tap * g.c + ch] = v;
+            }
+        }
+        let mut out = vec![f32::NAN; 2 * g.oh * g.ow * g.c];
+        let bias = bias.then(|| b.data());
+        token_depthwise_rows(x.data(), &packed, bias, &mut out, 0, g, ep);
+        out
+    }
+
+    #[test]
+    fn token_depthwise_matches_the_plane_kernel_between_transposes() {
+        for (c, h, w, pad) in token_dw_grid() {
+            let ops = token_dw_operands(c, h, w, 3);
+            let g = TokenDwGeom::new(c, (h, w), (3, 3), (pad, pad)).unwrap();
+            // The oracle: tokens to planes, the reference conv, planes back
+            // to tokens, then the standalone GELU pass.
+            let [x, wt, b] = &ops;
+            let planes = x
+                .reshape(&[2, h, w, c])
+                .unwrap()
+                .permute(&[0, 3, 1, 2])
+                .unwrap();
+            for bias in [true, false] {
+                let p = Conv2dParams::new().pad(pad).groups(c);
+                let y = reference::conv2d(&planes, wt, bias.then_some(b), p).unwrap();
+                let mut want = vec![0.0f32; y.numel()];
+                crate::ops::transpose_into(y.data(), c, g.oh * g.ow, &mut want);
+                let got = token_dw_run(&ops, g, bias, Epilogue::None);
+                assert!(
+                    reference::same_bits(&got, &want),
+                    "c={c} {h}x{w} pad {pad} bias {bias}: token-major depthwise diverged"
+                );
+                let mut act = vec![0.0f32; want.len()];
+                crate::ops::gelu_into(&want, &mut act);
+                let got = token_dw_run(&ops, g, bias, Epilogue::Gelu);
+                assert!(
+                    reference::same_bits(&got, &act),
+                    "c={c} {h}x{w} pad {pad} bias {bias}: GELU at the store diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_token_depthwise_kernel_is_bit_identical_to_scalar() {
+        if Isa::host() < Isa::Avx512 {
+            eprintln!(
+                "SKIPPED avx512_token_depthwise_kernel_is_bit_identical_to_scalar: no AVX-512 on this CPU"
+            );
+            return;
+        }
+        for (c, h, w, pad) in token_dw_grid() {
+            let [x, wt, b] = token_dw_operands(c, h, w, 3);
+            let g = TokenDwGeom::new(c, (h, w), (3, 3), (pad, pad)).unwrap();
+            let mut packed = vec![0.0f32; 9 * c];
+            for (ch, filter) in wt.data().chunks_exact(9).enumerate() {
+                for (tap, &v) in filter.iter().enumerate() {
+                    packed[tap * c + ch] = v;
+                }
+            }
+            let item = &x.data()[h * w * c..];
+            for bias in [Some(b.data()), None] {
+                for oy in 0..g.oh {
+                    let mut want = vec![f32::NAN; g.ow * c];
+                    let mut got = want.clone();
+                    token_depthwise_row(item, &packed, bias, oy, &g, &mut want);
+                    // SAFETY: `Isa::host()` reported AVX-512F on this CPU.
+                    unsafe { token_depthwise_row_avx512(item, &packed, bias, oy, &g, &mut got) };
+                    assert!(
+                        reference::same_bits(&got, &want),
+                        "c={c} {h}x{w} pad {pad} row {oy}: AVX-512 and scalar diverged"
+                    );
+                }
             }
         }
     }

@@ -8,6 +8,9 @@
 //! [`PackedLinear`] is `vit-plan`'s pack hook for the GEMM micro-kernel:
 //! its weight is laid out in [`crate::ops::pack::PackedB`] column panels
 //! **once at plan-compile time**, so plan replay never re-packs.
+//! [`PackedTokenDepthwise`] packs a depthwise filter `[tap][c]` for the
+//! token-major kernel a plan runs in place of `unflatten → depthwise
+//! conv → flatten`.
 //!
 //! Bit-identity: the epilogue scalar functions are the *same definitions*
 //! the standalone [`crate::ops::relu`]/[`crate::ops::gelu`] passes use
@@ -22,7 +25,9 @@
 
 use crate::error::{invalid_shape, shape_mismatch, Result};
 use crate::ops::activation::{gelu_scalar, relu_scalar};
-use crate::ops::conv::{conv2d_rows, ConvGeom};
+use crate::ops::conv::{
+    concat_pointwise_rows, conv2d_rows, token_depthwise_rows, ConcatPart, ConvGeom, TokenDwGeom,
+};
 use crate::ops::pack::{gemm_rows, GemmBias, PackedB};
 use crate::ops::Conv2dParams;
 use crate::par::ExecCtx;
@@ -181,6 +186,158 @@ impl PackedConv2d {
     }
 }
 
+impl PackedConv2d {
+    /// Runs a pointwise, ungrouped convolution whose input is the channel
+    /// concatenation of `parts` (each holding `batch` items of `h × w`
+    /// pixels), read where they lie: no concat is materialized, and the
+    /// result equals [`PackedConv2d::run`] on the concat bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel is not 1×1, unit-stride, unpadded and
+    /// ungrouped, or when the parts' channels do not sum to its input
+    /// channels.
+    pub fn run_concat(
+        &self,
+        parts: &[ConcatPart<'_>],
+        batch: usize,
+        (h, w): (usize, usize),
+        out: &mut [f32],
+        ctx: &ExecCtx<'_>,
+    ) {
+        let p = self.params;
+        assert_eq!(
+            (self.r, self.s, p.stride_h, p.stride_w, p.pad_h, p.pad_w, p.groups),
+            (1, 1, 1, 1, 0, 0, 1),
+            "run_concat needs a pointwise, ungrouped conv"
+        );
+        let c: usize = parts.iter().map(|part| part.channels).sum();
+        assert_eq!(
+            c, self.c_per_g,
+            "concat parts hold the conv's input channels"
+        );
+        debug_assert_eq!(out.len(), batch * self.k * h * w);
+        let geom = ConvGeom {
+            c,
+            h,
+            w,
+            k: self.k,
+            c_per_g: c,
+            k_per_g: self.k,
+            r: 1,
+            s: 1,
+            oh: h,
+            ow: w,
+            p,
+        };
+        let wd = &self.data[..self.k * c];
+        let bd = self.has_bias.then(|| &self.data[self.k * c..]);
+        let plane = h * w;
+        let (ep, bufs) = (self.epilogue, ctx.bufs);
+        ctx.for_each_row_chunk(out, plane, |_, start, piece| {
+            let row0 = start / plane.max(1);
+            concat_pointwise_rows(parts, wd, bd, piece, row0, geom, ep, bufs);
+        });
+    }
+}
+
+/// A stride-1 depthwise convolution over token-major activations
+/// (`[n, h·w, c]` in, `[n, oh·ow, c]` out), with weights packed
+/// `[tap][c]` at plan time and a fused [`Epilogue`].
+///
+/// It is a transformer MixFFN's `unflatten → depthwise conv → flatten`
+/// without the two transposes: each element runs the same tap chain as
+/// the plane-layout depthwise kernel, so the result equals
+/// `flatten(conv(unflatten(x)))` bit for bit, and a `Gelu` epilogue
+/// equals the standalone GELU pass after it.
+#[derive(Debug, Clone)]
+pub struct PackedTokenDepthwise {
+    /// Weights `[r·s][c]`, taps ascending `(ry, sx)`, then the bias `[c]`
+    /// when present.
+    data: Box<[f32]>,
+    c: usize,
+    r: usize,
+    s: usize,
+    pad: (usize, usize),
+    has_bias: bool,
+    epilogue: Epilogue,
+}
+
+impl PackedTokenDepthwise {
+    /// Packs a depthwise `weight` (`[c, 1, r, s]`) and optional `bias`
+    /// (`[c]`) for stride 1 and padding `pad` (rows, columns).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the weight is not `[c, 1, r, s]` or the bias
+    /// length is not `c`.
+    pub fn pack(
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        pad: (usize, usize),
+        epilogue: Epilogue,
+    ) -> Result<Self> {
+        let &[c, 1, r, s] = weight.shape() else {
+            return Err(invalid_shape(
+                "packed_token_depthwise",
+                format!("weight must be [c, 1, r, s], got {:?}", weight.shape()),
+            ));
+        };
+        if let Some(b) = bias {
+            if b.numel() != c {
+                return Err(shape_mismatch(
+                    "packed_token_depthwise",
+                    format!("bias of {c} elements"),
+                    format!("{:?}", b.shape()),
+                ));
+            }
+        }
+        let taps = r * s;
+        let mut data = vec![0.0f32; taps * c];
+        for (ch, filter) in weight.data().chunks_exact(taps.max(1)).enumerate() {
+            for (tap, &v) in filter.iter().enumerate() {
+                data[tap * c + ch] = v;
+            }
+        }
+        data.extend_from_slice(bias.map_or(&[][..], Tensor::data));
+        Ok(PackedTokenDepthwise {
+            data: data.into_boxed_slice(),
+            c,
+            r,
+            s,
+            pad,
+            has_bias: bias.is_some(),
+            epilogue,
+        })
+    }
+
+    /// The fused epilogue.
+    pub fn epilogue(&self) -> Epilogue {
+        self.epilogue
+    }
+
+    /// Runs the convolution from `input` (`[n, h·w, c]`) into `out`
+    /// (`[n, oh·ow, c]`). Output token rows (`ow · c` elements each) are
+    /// tiled across the context's thread pool; bit-identical at any
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the padded input is smaller than the filter.
+    pub fn run(&self, input: &[f32], hw: (usize, usize), out: &mut [f32], ctx: &ExecCtx<'_>) {
+        let g = TokenDwGeom::new(self.c, hw, (self.r, self.s), self.pad)
+            .expect("filter fits the padded input");
+        let taps = self.r * self.s * self.c;
+        let (wt, bias) = self.data.split_at(taps);
+        let bias = self.has_bias.then_some(bias);
+        let row = g.ow * g.c;
+        let ep = self.epilogue;
+        ctx.for_each_row_chunk(out, row, |_, start, piece| {
+            token_depthwise_rows(input, wt, bias, piece, start / row.max(1), g, ep);
+        });
+    }
+}
+
 /// A linear layer packed for the GEMM micro-kernel at plan time, plus a
 /// fused [`Epilogue`].
 ///
@@ -322,6 +479,101 @@ mod tests {
         packed.run(x.data(), x.shape(), &mut seq, &ExecCtx::default());
         packed.run(x.data(), x.shape(), &mut par, &ctx);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn run_concat_reads_planes_and_tokens_in_place_bitwise() {
+        use crate::ops::{concat_channels, transpose_into, ConcatPart};
+        // Parts of 3 planes, 5 token-major channels and 2 planes over a
+        // 5×7 image (35 pixels: a ragged tail panel), two items.
+        let (n, h, w) = (2, 5, 7);
+        let a = Tensor::rand_uniform(&[n, 3, h, w], -1.0, 1.0, 41);
+        let t = Tensor::rand_uniform(&[n, h * w, 5], -1.0, 1.0, 42);
+        let c = Tensor::rand_uniform(&[n, 2, h, w], -1.0, 1.0, 43);
+        let mut t_planes = vec![0.0f32; t.numel()];
+        transpose_into(t.data(), h * w, 5, &mut t_planes);
+        let t_planes = Tensor::from_vec(t_planes, &[n, 5, h, w]).unwrap();
+        let cat = concat_channels(&[&a, &t_planes, &c]).unwrap();
+        let wt = Tensor::rand_uniform(&[6, 10, 1, 1], -0.5, 0.5, 44);
+        let b = Tensor::rand_uniform(&[6], -0.1, 0.1, 45);
+        let packed =
+            PackedConv2d::pack(&wt, Some(&b), Conv2dParams::new(), Epilogue::Relu).unwrap();
+        let mut want = vec![0.0f32; n * 6 * h * w];
+        packed.run(cat.data(), cat.shape(), &mut want, &ExecCtx::default());
+        let parts = [
+            ConcatPart {
+                data: a.data(),
+                channels: 3,
+                token_major: false,
+            },
+            ConcatPart {
+                data: t.data(),
+                channels: 5,
+                token_major: true,
+            },
+            ConcatPart {
+                data: c.data(),
+                channels: 2,
+                token_major: false,
+            },
+        ];
+        // A pool whose recycled scratch is dirty: the pack must overwrite
+        // every slot, tail lanes included.
+        let bufs = crate::par::BufferPool::new();
+        bufs.recycle(vec![f32::NAN; 4096]);
+        let pool = crate::par::ThreadPool::new(2);
+        for ctx in [
+            ExecCtx::default(),
+            ExecCtx {
+                pool: None,
+                bufs: Some(&bufs),
+                reference: false,
+            },
+            ExecCtx {
+                pool: Some(&pool),
+                bufs: Some(&bufs),
+                reference: false,
+            },
+        ] {
+            let mut got = vec![f32::NAN; want.len()];
+            packed.run_concat(&parts, n, (h, w), &mut got, &ctx);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn token_depthwise_equals_the_plane_conv_between_transposes() {
+        use crate::ops::{gelu_into, transpose_into};
+        let (n, c, h, w) = (2, 24, 6, 5);
+        let x = Tensor::rand_uniform(&[n, h * w, c], -1.0, 1.0, 51);
+        let wt = Tensor::rand_uniform(&[c, 1, 3, 3], -0.5, 0.5, 52);
+        let b = Tensor::rand_uniform(&[c], -0.1, 0.1, 53);
+        let p = Conv2dParams::new().pad(1).groups(c);
+        let plane = PackedConv2d::pack(&wt, Some(&b), p, Epilogue::None).unwrap();
+        let mut planes = vec![0.0f32; x.numel()];
+        transpose_into(x.data(), h * w, c, &mut planes);
+        let mut y = vec![0.0f32; x.numel()];
+        plane.run(&planes, &[n, c, h, w], &mut y, &ExecCtx::default());
+        let mut tokens = vec![0.0f32; y.len()];
+        transpose_into(&y, c, h * w, &mut tokens);
+        let mut want = vec![0.0f32; y.len()];
+        gelu_into(&tokens, &mut want);
+        let tdw = PackedTokenDepthwise::pack(&wt, Some(&b), (1, 1), Epilogue::Gelu).unwrap();
+        let pool = crate::par::ThreadPool::new(3);
+        let par = ExecCtx {
+            pool: Some(&pool),
+            bufs: None,
+            reference: false,
+        };
+        for ctx in [ExecCtx::default(), par] {
+            let mut got = vec![f32::NAN; want.len()];
+            tdw.run(x.data(), (h, w), &mut got, &ctx);
+            assert_eq!(got, want);
+        }
+        let bad = Tensor::zeros(&[c, 2, 3, 3]);
+        assert!(PackedTokenDepthwise::pack(&bad, None, (1, 1), Epilogue::None).is_err());
+        let short = Tensor::zeros(&[c - 1]);
+        assert!(PackedTokenDepthwise::pack(&wt, Some(&short), (1, 1), Epilogue::None).is_err());
     }
 
     #[test]

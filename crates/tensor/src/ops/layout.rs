@@ -12,10 +12,17 @@
 /// destination rows stay in L1 together.
 const TILE: usize = 32;
 
+/// Edge of the in-register block of [`transpose_block_avx`]: eight rows
+/// of one 8-lane ymm each.
+const LANES: usize = 8;
+
 /// Batched transpose `[n, a, b] -> [n, b, a]` of raw row-major buffers,
 /// `n = src.len() / (a * b)`, in 32×32 tiles.
 ///
-/// A pure data movement: every output element is a copy of one input
+/// Inside a tile, whole 8×8 blocks move through eight ymm registers when
+/// the CPU has AVX (eight row loads, a shuffle network, eight row
+/// stores), and the tile's ragged edges element by element. A pure data
+/// movement either way: every output element is a copy of one input
 /// element, so the result equals the generic [`crate::Tensor::permute`]
 /// index walk bit for bit, with no per-element division.
 ///
@@ -32,16 +39,123 @@ pub fn transpose_into(src: &[f32], a: usize, b: usize, dst: &mut [f32]) {
     assert_eq!(src.len() % mat, 0, "transpose_into: not whole [a, b] items");
     for (s, d) in src.chunks_exact(mat).zip(dst.chunks_exact_mut(mat)) {
         for i0 in (0..a).step_by(TILE) {
-            let i1 = (i0 + TILE).min(a);
             for j0 in (0..b).step_by(TILE) {
-                let j1 = (j0 + TILE).min(b);
-                for i in i0..i1 {
-                    let row = &s[i * b..(i + 1) * b];
-                    for j in j0..j1 {
-                        d[j * a + i] = row[j];
-                    }
-                }
+                let (rows, cols) = ((a - i0).min(TILE), (b - j0).min(TILE));
+                transpose_block(&s[i0 * b + j0..], b, &mut d[j0 * a + i0..], a, rows, cols);
             }
+        }
+    }
+}
+
+/// Transposes the `rows × cols` block at the start of `src` (row stride
+/// `ss`) into the start of `dst` (row stride `ds`):
+/// `dst[j * ds + i] = src[i * ss + j]`.
+///
+/// # Panics
+///
+/// Panics when either slice is too short for its block.
+pub(crate) fn transpose_block(
+    src: &[f32],
+    ss: usize,
+    dst: &mut [f32],
+    ds: usize,
+    rows: usize,
+    cols: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(src.len() >= (rows - 1) * ss + cols, "transpose source");
+    assert!(dst.len() >= (cols - 1) * ds + rows, "transpose destination");
+    // The rows and columns covered by whole 8×8 register blocks.
+    #[cfg(target_arch = "x86_64")]
+    let wide = crate::ops::pack::Isa::host() >= crate::ops::pack::Isa::Avx2;
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = false;
+    let (vr, vc) = if wide {
+        (rows / LANES * LANES, cols / LANES * LANES)
+    } else {
+        (0, 0)
+    };
+    #[cfg(target_arch = "x86_64")]
+    for i0 in (0..vr).step_by(LANES) {
+        for j0 in (0..vc).step_by(LANES) {
+            // SAFETY: `vr` and `vc` are nonzero only when the host has AVX2
+            // (hence AVX), the one precondition of `transpose_block_avx`;
+            // the block's rows `i0..i0 + 8` and columns `j0..j0 + 8` lie
+            // inside the `rows × cols` block the asserts above bound.
+            unsafe { transpose_block_avx(&src[i0 * ss + j0..], ss, &mut dst[j0 * ds + i0..], ds) };
+        }
+    }
+    // The ragged edges: columns past the last whole 8-block in every row,
+    // and rows past the last whole 8-block in the vector columns.
+    for i in 0..rows {
+        let first = if i < vr { vc } else { 0 };
+        for j in first..cols {
+            dst[j * ds + i] = src[i * ss + j];
+        }
+    }
+}
+
+/// One 8×8 block through eight ymm registers: row loads, the
+/// unpack/shuffle/half-swap network, row stores. Pure data movement.
+///
+/// # Safety
+///
+/// Calling it from code not itself compiled for AVX is `unsafe`: the
+/// caller must know the CPU supports AVX (see
+/// [`crate::ops::pack::Isa::host`]).
+///
+/// # Panics
+///
+/// Panics when `src` does not hold 8 rows of 8 at stride `ss`, or `dst`
+/// 8 rows of 8 at stride `ds`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn transpose_block_avx(src: &[f32], ss: usize, dst: &mut [f32], ds: usize) {
+    use std::arch::x86_64::{
+        __m256, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_insertf128_ps,
+        _mm256_loadu_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps,
+    };
+    assert!(src.len() >= 7 * ss + LANES && dst.len() >= 7 * ds + LANES);
+    // SAFETY: row `i` reads `src[i * ss..i * ss + 8]`, inside `src` by the
+    // assert above.
+    let r: [__m256; LANES] =
+        std::array::from_fn(|i| unsafe { _mm256_loadu_ps(src.as_ptr().add(i * ss)) });
+    // Interleave row pairs, then row quads: `q[k]` (`q[k + 4]`) holds
+    // column `k` of rows 0-3 (4-7) in its low half and column `k + 4` in
+    // its high half.
+    let t = [
+        _mm256_unpacklo_ps(r[0], r[1]),
+        _mm256_unpackhi_ps(r[0], r[1]),
+        _mm256_unpacklo_ps(r[2], r[3]),
+        _mm256_unpackhi_ps(r[2], r[3]),
+        _mm256_unpacklo_ps(r[4], r[5]),
+        _mm256_unpackhi_ps(r[4], r[5]),
+        _mm256_unpacklo_ps(r[6], r[7]),
+        _mm256_unpackhi_ps(r[6], r[7]),
+    ];
+    let q = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+    ];
+    // Output row `j < 4` joins the low halves of `q[j]` (rows 0-3) and
+    // `q[j + 4]` (rows 4-7); row `j + 4` joins their high halves.
+    for j in 0..4 {
+        let lo = _mm256_insertf128_ps::<1>(q[j], _mm256_castps256_ps128(q[j + 4]));
+        let hi = _mm256_insertf128_ps::<0>(q[j + 4], _mm256_extractf128_ps::<1>(q[j]));
+        // SAFETY: output rows `j` and `j + 4` write
+        // `dst[row * ds..row * ds + 8]`, inside `dst` by the assert above.
+        unsafe {
+            _mm256_storeu_ps(dst.as_mut_ptr().add(j * ds), lo);
+            _mm256_storeu_ps(dst.as_mut_ptr().add((j + 4) * ds), hi);
         }
     }
 }
@@ -213,6 +327,58 @@ mod tests {
             dst,
             [1.0, 4.0, 2.0, 5.0, 3.0, 6.0, 7.0, 10.0, 8.0, 11.0, 9.0, 12.0]
         );
+    }
+
+    /// The transpose against the generic index walk of
+    /// [`crate::Tensor::permute`] (a trailing unit axis keeps `permute`
+    /// off its transpose fast path), compared bit for bit so a NaN payload
+    /// that changed would show: the stage-0 token counts of a 128×128
+    /// image (1024 tokens) against its channel widths, a shape with ragged
+    /// edges on both axes, and several batch items.
+    #[test]
+    fn register_blocked_transpose_matches_generic_permute() {
+        let shapes: &[(usize, usize, usize)] = if cfg!(miri) {
+            &[(1, 37, 45), (2, 9, 17)]
+        } else {
+            &[
+                (1, 1024, 256),
+                (1, 1024, 32),
+                (1, 37, 45),
+                (3, 37, 45),
+                (4, 64, 40),
+            ]
+        };
+        for &(n, a, b) in shapes {
+            for (a, b) in [(a, b), (b, a)] {
+                let mut x = crate::Tensor::rand_uniform(&[n, a, b], -2.0, 2.0, (a * b) as u64);
+                let len = x.numel();
+                x.data_mut()[len / 3] = f32::from_bits(0x7fc0_1234);
+                x.data_mut()[len / 2] = -0.0;
+                let want = x
+                    .reshape(&[n, a, b, 1])
+                    .and_then(|t| t.permute(&[0, 2, 1, 3]))
+                    .unwrap();
+                let mut got = vec![f32::NAN; len];
+                transpose_into(x.data(), a, b, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(want.data()), "n={n} a={a} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn strided_block_transpose_leaves_the_rest_of_dst_alone() {
+        // A 19×13 block out of a wider source into a wider destination.
+        let (rows, cols, ss, ds) = (19, 13, 21, 24);
+        let src: Vec<f32> = (0..rows * ss).map(|v| v as f32).collect();
+        let mut dst = vec![-1.0; cols * ds];
+        transpose_block(&src, ss, &mut dst, ds, rows, cols);
+        for j in 0..cols {
+            for i in 0..ds {
+                let want = if i < rows { src[i * ss + j] } else { -1.0 };
+                assert_eq!(dst[j * ds + i], want, "row {j} col {i}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ mod resize;
 
 pub use activation::{gelu, gelu_into, relu, softmax_last_dim};
 pub use attention::{sdpa, sdpa_into, SdpaShape};
-pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, Conv2dParams};
-pub use fused::{Epilogue, PackedConv2d, PackedLinear};
+pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, ConcatPart, Conv2dParams};
+pub use fused::{Epilogue, PackedConv2d, PackedLinear, PackedTokenDepthwise};
 pub use layout::{
     cyclic_shift_into, slice_channels_into, space_to_depth_into, transpose_into, window_merge_into,
     window_partition_into,

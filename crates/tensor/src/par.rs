@@ -362,7 +362,8 @@ impl Drop for ThreadPool {
 /// the tensor it backed (the graph executor recycles a node's output when
 /// its last consumer finishes), and leaves it zeroed and resized before
 /// it backs a new tensor — recycling is therefore invisible to kernel
-/// results.
+/// results. The one exception, [`BufferPool::take_for_overwrite`], skips
+/// the zeroing for scratch its caller overwrites whole.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Mutex<Vec<Vec<f32>>>,
@@ -376,12 +377,12 @@ pub struct BufferPool {
 /// to attribute pool behavior to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// `take_zeroed` calls served by reusing a free allocation.
+    /// Takes served by reusing a free allocation.
     pub hits: u64,
-    /// `take_zeroed` calls that had to allocate fresh.
+    /// Takes that had to allocate fresh.
     pub misses: u64,
-    /// Total f32 elements zeroed across all `take_zeroed` calls (the
-    /// pool's main hidden cost).
+    /// Total f32 elements zeroed by `take_zeroed` calls and fresh
+    /// allocations (the pool's main hidden cost).
     pub zeroed_elems: u64,
 }
 
@@ -399,6 +400,19 @@ impl BufferPool {
     /// A zeroed buffer of exactly `numel` elements, reusing the best
     /// fitting free allocation when one exists.
     pub fn take_zeroed(&self, numel: usize) -> Vec<f32> {
+        self.take(numel, true)
+    }
+
+    /// A buffer of exactly `numel` elements for a caller that overwrites
+    /// every one before reading any: a reused allocation keeps whatever
+    /// its previous user left (initialized `f32`s, so no `unsafe`), and
+    /// only the part it grows by is zeroed. Saves the memset of
+    /// [`BufferPool::take_zeroed`] on large scratch.
+    pub fn take_for_overwrite(&self, numel: usize) -> Vec<f32> {
+        self.take(numel, false)
+    }
+
+    fn take(&self, numel: usize, zeroed: bool) -> Vec<f32> {
         let reused = {
             let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
             // Best fit: the smallest capacity that already holds `numel`,
@@ -417,16 +431,21 @@ impl BufferPool {
                 });
             best.map(|i| free.swap_remove(i))
         };
-        self.zeroed_elems.fetch_add(numel as u64, Ordering::Relaxed);
         match reused {
             Some(mut v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                v.clear();
+                if zeroed {
+                    self.zeroed_elems.fetch_add(numel as u64, Ordering::Relaxed);
+                    v.clear();
+                } else {
+                    v.truncate(numel);
+                }
                 v.resize(numel, 0.0);
                 v
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                self.zeroed_elems.fetch_add(numel as u64, Ordering::Relaxed);
                 vec![0.0; numel]
             }
         }
@@ -734,6 +753,25 @@ mod tests {
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
         assert_eq!(st.zeroed_elems, 150);
+    }
+
+    #[test]
+    fn take_for_overwrite_skips_the_memset_of_a_reused_buffer() {
+        let pool = BufferPool::new();
+        let mut a = pool.take_for_overwrite(8); // miss: fresh and zeroed
+        assert_eq!(a, vec![0.0; 8]);
+        a.fill(7.0);
+        pool.recycle(a);
+        // A reused buffer keeps its old contents, and zeroes only what it
+        // grows by.
+        let mut b = pool.take_for_overwrite(4);
+        assert_eq!(b, vec![7.0; 4]);
+        b.fill(5.0);
+        pool.recycle(b);
+        let c = pool.take_for_overwrite(6);
+        assert_eq!(c, [5.0, 5.0, 5.0, 5.0, 0.0, 0.0]);
+        let st = pool.stats();
+        assert_eq!((st.hits, st.misses, st.zeroed_elems), (2, 1, 8));
     }
 
     #[test]

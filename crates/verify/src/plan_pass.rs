@@ -2,15 +2,18 @@
 //!
 //! A compiled [`ExecPlan`] replaces the interpreter for serving, so it
 //! must be provably the *same program* as the graph it was lowered from:
-//! identical cost totals (`V040`), every non-fused graph node covered by
-//! exactly one record and every fused node folded into exactly one
-//! epilogue (`V041`), a sound arena layout in which simultaneously live
+//! identical cost totals (`V040`), every graph node covered by exactly
+//! one record — as the record's own node or folded into it — with each
+//! record's nodes forming one fold whose intermediates nothing outside
+//! reads (`V041`), a sound arena layout in which simultaneously live
 //! ranges never overlap (`V042`), and record shapes/buffer wiring that
-//! match the graph's edges (`V043`).
+//! match the graph (`V043`): a record's output holds its fold's sink
+//! shape, and its input ranges are the fold's external inputs in edge
+//! order.
 
 use crate::diag::{Code, Diagnostic, Span};
 use std::collections::HashMap;
-use vit_graph::Graph;
+use vit_graph::{Graph, NodeId};
 use vit_plan::ExecPlan;
 
 /// Runs the plan-equivalence pass: checks `plan` against the `graph` it
@@ -52,6 +55,25 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
             ));
         }
     }
+    // Fold structure: a record's nodes (its own and its fused ones) must
+    // form one chain whose intermediates nothing outside reads, so that
+    // exactly one of them, the sink, leaves the record.
+    let consumers = consumers_of(graph);
+    let mut views = Vec::with_capacity(plan.records().len());
+    for (ri, rec) in plan.records().iter().enumerate() {
+        let members: Vec<NodeId> = std::iter::once(&rec.name)
+            .chain(&rec.fused)
+            .filter_map(|name| graph.find(name))
+            .collect();
+        match fold_view(graph, &consumers, &members) {
+            Ok(view) => views.push(view),
+            Err(why) => diags.push(Diagnostic::new(
+                Code::PlanCoverage,
+                Span::Global,
+                format!("record {ri} `{}`: {why}", rec.name),
+            )),
+        }
+    }
     if !diags.is_empty() {
         // Wiring and liveness below navigate graph edges through the
         // coverage map; with coverage broken they would only re-report
@@ -80,14 +102,14 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
         }
     }
 
-    // Shapes and buffer wiring: each record's output range must be the
-    // node's stored shape, and each input range must be the producing
-    // record's output range (fused nodes alias their producer's range).
-    for rec in plan.records() {
-        let id = graph.find(&rec.name).expect("coverage checked");
-        let node = graph.node(id);
+    // Shapes and buffer wiring: each record's output range must hold its
+    // sink node's shape, and its input ranges must be the fold's external
+    // inputs, in edge order, each the producing record's output range
+    // (fused nodes alias their record's range).
+    for (rec, view) in plan.records().iter().zip(&views) {
+        let node = graph.node(view.sink);
         let span = || Span::Node {
-            index: id.index(),
+            index: view.sink.index(),
             name: node.name.clone(),
         };
         if rec.out_shape != node.shape {
@@ -123,20 +145,21 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
                 ),
             ));
         }
-        if rec.inputs.len() != node.inputs.len() || rec.in_shapes.len() != node.inputs.len() {
+        let ext = &view.external;
+        if rec.inputs.len() != ext.len() || rec.in_shapes.len() != ext.len() {
             diags.push(Diagnostic::new(
                 Code::PlanShapeMismatch,
                 span(),
                 format!(
-                    "record has {} input ranges / {} input shapes for a {}-input node",
+                    "record has {} input ranges / {} input shapes for {} external inputs",
                     rec.inputs.len(),
                     rec.in_shapes.len(),
-                    node.inputs.len()
+                    ext.len()
                 ),
             ));
             continue;
         }
-        for (k, producer_id) in node.inputs.iter().enumerate() {
+        for (k, producer_id) in ext.iter().enumerate() {
             let producer = graph.node(*producer_id);
             let producing = plan.records()[covering[producer.name.as_str()]].out;
             if rec.inputs[k] != producing {
@@ -172,9 +195,8 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
     // with intersecting intervals never share arena elements.
     let records = plan.records();
     let mut last_use: Vec<usize> = (0..records.len()).collect();
-    for (ri, rec) in records.iter().enumerate() {
-        let id = graph.find(&rec.name).expect("coverage checked");
-        for producer_id in &graph.node(id).inputs {
+    for (ri, view) in views.iter().enumerate() {
+        for producer_id in &view.external {
             let p = covering[graph.node(*producer_id).name.as_str()];
             last_use[p] = last_use[p].max(ri);
         }
@@ -209,6 +231,67 @@ pub fn verify_plan(graph: &Graph, plan: &ExecPlan) -> Vec<Diagnostic> {
     }
 
     diags
+}
+
+/// Every node's consumers, in graph order.
+fn consumers_of(graph: &Graph) -> Vec<Vec<NodeId>> {
+    let mut consumers = vec![Vec::new(); graph.len()];
+    for (id, node) in graph.iter() {
+        for j in &node.inputs {
+            consumers[j.index()].push(id);
+        }
+    }
+    consumers
+}
+
+/// How the graph sees one record's nodes.
+struct FoldView {
+    /// The one node whose value leaves the record.
+    sink: NodeId,
+    /// The values the record reads from outside, in edge order expanded
+    /// through its own nodes from the sink.
+    external: Vec<NodeId>,
+}
+
+/// The sink and external inputs of the record owning `members`, or why
+/// they do not form a fold: more or fewer than one node leaves it, or a
+/// value inside it is read from outside.
+fn fold_view(
+    graph: &Graph,
+    consumers: &[Vec<NodeId>],
+    members: &[NodeId],
+) -> Result<FoldView, String> {
+    let inside = |id: &NodeId| members.contains(id);
+    let mut sinks = Vec::new();
+    for &m in members {
+        let readers = &consumers[m.index()];
+        if !readers.iter().any(inside) {
+            sinks.push(m);
+        } else if graph.output() == Some(m) || !readers.iter().all(inside) {
+            return Err(format!(
+                "fused `{}` is read outside the record",
+                graph.node(m).name
+            ));
+        }
+    }
+    let [sink] = sinks[..] else {
+        return Err(format!(
+            "{} of its nodes leave the record, not one",
+            sinks.len()
+        ));
+    };
+    // Depth first from the sink; pushing inputs reversed pops them in
+    // edge order.
+    let mut external = Vec::new();
+    let mut stack: Vec<NodeId> = graph.node(sink).inputs.iter().rev().copied().collect();
+    while let Some(id) = stack.pop() {
+        if inside(&id) {
+            stack.extend(graph.node(id).inputs.iter().rev());
+        } else {
+            external.push(id);
+        }
+    }
+    Ok(FoldView { sink, external })
 }
 
 #[cfg(test)]

@@ -613,3 +613,205 @@ fn every_code_documents_its_invariant() {
         assert!(!code.invariant().is_empty(), "{code} lacks an invariant");
     }
 }
+
+/// A compiled SegFormer-B0 plan at 64×64 on the full path: eight MixFFN
+/// folds (`unflatten → dwconv → flatten → gelu`) and the decoder's
+/// concat folded into `conv_fuse`, which reads its four parts in place.
+fn b0_folded_plan() -> (Graph, ExecPlan) {
+    use vit_models::{build_segformer, SegFormerConfig, SegFormerVariant};
+    let g = build_segformer(&SegFormerConfig {
+        image: (64, 64),
+        ..SegFormerConfig::ade20k(SegFormerVariant::b0())
+    })
+    .expect("b0 builds");
+    let plan = ExecPlan::compile(&g, WeightGen::new(0)).expect("b0 compiles");
+    (g, plan)
+}
+
+/// `plan` with the record named `name` changed by `f`.
+fn break_record(plan: &ExecPlan, name: &str, f: impl FnOnce(&mut PlanRecord)) -> ExecPlan {
+    let mut records = plan.records().to_vec();
+    f(records
+        .iter_mut()
+        .find(|r| r.name == name)
+        .expect("record exists"));
+    ExecPlan::from_raw_parts(
+        plan.model(),
+        records,
+        plan.arena_len(),
+        plan.output_range(),
+        plan.output_shape().to_vec(),
+    )
+}
+
+const DWCONV: &str = "encoder.stage0.block0.ffn.dwconv";
+
+#[test]
+fn compiled_folds_pass_the_plan_and_exec_safety_passes() {
+    let (g, plan) = b0_folded_plan();
+    let dw = plan.records().iter().find(|r| r.name == DWCONV).unwrap();
+    assert_eq!(
+        dw.fused,
+        [
+            "encoder.stage0.block0.ffn.unflatten",
+            "encoder.stage0.block0.ffn.flatten",
+            "encoder.stage0.block0.ffn.gelu"
+        ]
+    );
+    let fuse = plan
+        .records()
+        .iter()
+        .find(|r| r.name == "decoder.conv_fuse")
+        .unwrap();
+    assert_eq!(fuse.inputs.len(), 4, "the concat's parts, read in place");
+    assert_eq!(
+        fuse.fused,
+        [
+            "decoder.linear0.to_nchw",
+            "decoder.linear0.resize",
+            "decoder.concat"
+        ]
+    );
+    assert!(vit_verify::verify_plan(&g, &plan).is_empty());
+    assert!(verify_exec_safety(&plan).is_empty());
+}
+
+#[test]
+fn v041_fires_when_a_fold_drops_a_covered_node() {
+    let (g, plan) = b0_folded_plan();
+    // The MixFFN fold forgets its flatten: no record covers it any more.
+    let broken = break_record(&plan, DWCONV, |r| {
+        r.fused.retain(|n| !n.ends_with("ffn.flatten"));
+    });
+    let diags = vit_verify::verify_plan(&g, &broken);
+    assert!(has(&diags, Code::PlanCoverage), "{diags:?}");
+    // A fold that claims a node read from outside it: the concat fold
+    // swallowing the stage-1 `to_nchw`, whose resize still reads it.
+    let mut records: Vec<PlanRecord> = plan
+        .records()
+        .iter()
+        .filter(|r| r.name != "decoder.linear1.to_nchw")
+        .cloned()
+        .collect();
+    let fuse = records
+        .iter_mut()
+        .find(|r| r.name == "decoder.conv_fuse")
+        .unwrap();
+    fuse.fused.push("decoder.linear1.to_nchw".to_string());
+    let broken = ExecPlan::from_raw_parts(
+        plan.model(),
+        records,
+        plan.arena_len(),
+        plan.output_range(),
+        plan.output_shape().to_vec(),
+    );
+    let diags = vit_verify::verify_plan(&g, &broken);
+    assert!(has(&diags, Code::PlanCoverage), "{diags:?}");
+}
+
+#[test]
+fn v043_fires_when_a_fold_is_wired_to_the_wrong_range() {
+    let (g, plan) = b0_folded_plan();
+    // Two of the concat fold's parts swapped: every range is some live
+    // record's output, but not the one the edge order names.
+    let broken = break_record(&plan, "decoder.conv_fuse", |r| r.inputs.swap(0, 1));
+    let diags = vit_verify::verify_plan(&g, &broken);
+    let wiring = diags
+        .iter()
+        .filter(|d| d.code == Code::PlanShapeMismatch)
+        .count();
+    assert_eq!(wiring, 2, "{diags:?}");
+    // The MixFFN fold reading the block's norm instead of its fc1.
+    let norm = plan
+        .records()
+        .iter()
+        .find(|r| r.name == "encoder.stage0.block0.norm2")
+        .unwrap()
+        .out;
+    let broken = break_record(&plan, DWCONV, |r| r.inputs[0] = norm);
+    assert!(has(
+        &vit_verify::verify_plan(&g, &broken),
+        Code::PlanShapeMismatch
+    ));
+}
+
+#[test]
+fn v043_fires_when_a_fold_has_the_wrong_sink_shape() {
+    let (g, plan) = b0_folded_plan();
+    // The MixFFN fold's output declared in the dwconv's own NCHW shape:
+    // same element count, but the sink (the gelu) is token-major.
+    let conv_shape = g.node(g.find(DWCONV).unwrap()).shape.clone();
+    let broken = break_record(&plan, DWCONV, |r| r.out_shape = conv_shape);
+    let diags = vit_verify::verify_plan(&g, &broken);
+    assert_eq!(
+        diags
+            .iter()
+            .filter(|d| d.code == Code::PlanShapeMismatch)
+            .count(),
+        1,
+        "{diags:?}"
+    );
+}
+
+#[test]
+fn shadow_replay_checks_every_input_range_of_a_multi_input_conv() {
+    // input -> two relus -> one conv reading both: sound as built, and a
+    // stale second input (a range no record writes) is invisible to the
+    // static checks but caught by the shadow replay.
+    let input = PlanRecord::from_raw_parts(
+        "in",
+        Op::Input { shape: vec![8] },
+        vec![],
+        vec![],
+        BufRange { offset: 0, len: 8 },
+        vec![8],
+    );
+    let relu = |name: &str, offset| {
+        PlanRecord::from_raw_parts(
+            name,
+            Op::Relu,
+            vec![BufRange { offset: 0, len: 8 }],
+            vec![vec![8]],
+            BufRange { offset, len: 8 },
+            vec![8],
+        )
+    };
+    let conv = PlanRecord::from_raw_parts(
+        "fuse",
+        Op::Conv2d {
+            out_channels: 1,
+            kernel: (1, 1),
+            stride: (1, 1),
+            pad: (0, 0),
+            groups: 1,
+            bias: false,
+        },
+        vec![
+            BufRange { offset: 8, len: 8 },
+            BufRange { offset: 16, len: 8 },
+        ],
+        vec![vec![1, 1, 2, 4], vec![1, 1, 2, 4]],
+        BufRange { offset: 24, len: 8 },
+        vec![1, 1, 2, 4],
+    );
+    let plan = |conv: PlanRecord| {
+        ExecPlan::from_raw_parts(
+            "multi-input",
+            vec![input.clone(), relu("a", 8), relu("b", 16), conv],
+            40,
+            BufRange { offset: 24, len: 8 },
+            vec![1, 1, 2, 4],
+        )
+    };
+    let sound = plan(conv.clone());
+    assert!(verify_exec_safety(&sound).is_empty());
+    let mut stale = conv;
+    stale.inputs[1] = BufRange { offset: 32, len: 8 };
+    let broken = plan(stale);
+    let static_diags = verify_plan_exec(&broken);
+    assert!(static_diags.is_empty(), "{static_diags:?}");
+    assert!(has(
+        &verify_shadow(&broken, &static_diags, &[1, 2, 8]),
+        Code::ShadowDivergence
+    ));
+}
