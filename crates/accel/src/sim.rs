@@ -311,11 +311,11 @@ fn mapped_work(graph: &Graph, node: &Node) -> Vec<MappedWork> {
 }
 
 /// Elements a node processes on the per-PE post-processing units (fused
-/// activations, normalization, pooling, resizing, softmax, argmax).
+/// activations, normalization, pooling, resizing, softmax).
 fn ppu_elements(graph: &Graph, node: &Node) -> u64 {
     let in0 = || numel(&graph.node(node.inputs[0]).shape);
     match &node.op {
-        Op::Relu | Op::Gelu | Op::BatchNorm | Op::ArgmaxChannels => in0(),
+        Op::Relu | Op::Gelu | Op::BatchNorm => in0(),
         Op::LayerNorm => 2 * in0(),
         Op::Add => numel(&node.shape),
         Op::MaxPool { window, .. } => numel(&node.shape) * (*window * *window) as u64,

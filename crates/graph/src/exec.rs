@@ -391,11 +391,6 @@ impl ExecScratch {
         self.cache.len()
     }
 
-    /// The parameter-tensor shapes a node of this op/input signature owns.
-    fn weight_shapes(op: &Op, in_shapes: &[&[usize]]) -> Vec<Vec<usize>> {
-        node_weight_shapes(op, in_shapes)
-    }
-
     /// Whether a cached weight set matches the shapes this graph needs.
     fn cache_entry_valid(w: &[Tensor], expected: &[Vec<usize>]) -> bool {
         w.len() == expected.len()
@@ -415,7 +410,7 @@ impl ExecScratch {
         // configurations with different widths (that is the point of the
         // shared-weights design), so a cache hit is only valid when the
         // cached shapes match this graph's shapes.
-        let expected = Self::weight_shapes(op, in_shapes);
+        let expected = node_weight_shapes(op, in_shapes);
         if let Some(w) = self.cache.get(node_name) {
             if Self::cache_entry_valid(w, &expected) {
                 return Arc::clone(w);
@@ -439,7 +434,7 @@ impl ExecScratch {
                 .iter()
                 .map(|i| graph.node(*i).shape.as_slice())
                 .collect();
-            let expected = Self::weight_shapes(&node.op, &in_shapes);
+            let expected = node_weight_shapes(&node.op, &in_shapes);
             if expected.is_empty() {
                 continue;
             }
@@ -759,7 +754,7 @@ impl ExecScratch {
                     bufs: Some(&self.bufs),
                     reference: ctx.exec.reference_kernels(),
                 };
-                eval_node(node, weights.as_slice(), &in_tensors, &kctx)?
+                eval_op(&node.name, &node.op, &weights, &in_tensors, &kctx)?
             };
             if flip_at == Some(id.index()) {
                 fault.corrupt(out.data_mut());
@@ -825,36 +820,14 @@ pub fn check_node_guard(node: &str, out: &Tensor, guard: GuardConfig) -> Result<
     })
 }
 
-/// Evaluates one non-[`Op::Input`] node on already-computed input tensors.
-fn eval_node(
-    node: &crate::graph::Node,
-    w: &[Tensor],
-    in_tensors: &[&Tensor],
-    ctx: &ExecCtx<'_>,
-) -> Result<Tensor, ExecError> {
-    eval_op(&node.name, &node.op, w, in_tensors, ctx)
-}
-
 /// Evaluates one non-[`Op::Input`] operator on already-computed input
-/// tensors — the single kernel-dispatch point both the interpreter and
-/// `vit-plan`'s fallback records call, which is what keeps the two
-/// backends bit-identical on ops without a packed kernel.
-///
-/// `w` must match [`node_weight_shapes`] for the op (empty for
-/// parameter-free ops); `name` labels kernel errors. The heavy kernels
-/// tile across `ctx`'s pool and draw outputs from its buffer pool; every
-/// other op runs sequentially.
-///
-/// # Errors
-///
-/// Returns [`ExecError::Kernel`] when the underlying kernel rejects the
-/// input/weight shapes.
-///
-/// # Panics
-///
-/// Panics on [`Op::Input`], which has no computation — callers route
-/// graph inputs themselves.
-pub fn eval_op(
+/// tensors and its weights `w` (as [`node_weight_shapes`] lists them),
+/// through the same `vit-tensor` inner loops as `vit-plan`'s replay step
+/// for the op. The heavy kernels tile across `ctx`'s pool and draw
+/// outputs from its buffer pool; every other op runs sequentially. A
+/// kernel that rejects its shapes fails as [`ExecError::Kernel`] at
+/// `name`.
+fn eval_op(
     name: &str,
     op: &Op,
     w: &[Tensor],
@@ -907,19 +880,20 @@ pub fn eval_op(
             levels,
             points,
             ..
-        } => deform_attn(
-            in_tensors[0],
-            in_tensors[1],
-            &w[0],
-            &w[1],
-            &w[2],
-            &w[3],
-            *heads,
-            *levels,
-            *points,
-            ctx,
-        )
-        .map_err(kerr)?,
+        } => {
+            // `w` holds the value, output, offset and weight projections.
+            let (q, v) = (in_tensors[0], in_tensors[1]);
+            let s = ops::SdpaShape::new(q.shape(), v.shape(), v.shape(), *heads).map_err(kerr)?;
+            let proj = |x: &Tensor, w: &Tensor| ops::linear_ctx(x, w, None, ctx).map_err(kerr);
+            let value = proj(v, &w[0])?;
+            let offsets = proj(q, &w[2])?;
+            let mut logits = proj(q, &w[3])?;
+            let mut gathered = ctx.alloc_zeroed(q.shape());
+            let (vd, od, samples) = (value.data(), offsets.data(), levels * points);
+            let ld = logits.data_mut();
+            ops::deform_gather_into(vd, od, ld, s, samples, gathered.data_mut());
+            proj(&gathered, &w[1])?
+        }
         Op::MaxPool {
             window,
             stride,
@@ -931,46 +905,51 @@ pub fn eval_op(
         Op::Resize { out_h, out_w } => {
             ops::bilinear_resize(in_tensors[0], *out_h, *out_w).map_err(kerr)?
         }
-        Op::Concat => ops::concat_channels(in_tensors).map_err(kerr)?,
-        Op::Add => in_tensors[0].add(in_tensors[1]).map_err(kerr)?,
-        Op::FlattenHw => {
-            let s = in_tensors[0].shape();
-            let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-            in_tensors[0]
-                .reshape(&[n, c, h * w])
-                .and_then(|t| t.permute(&[0, 2, 1]))
-                .map_err(kerr)?
+        // A `[b, n, c]` part's per-item segment is its `n·c` contiguous
+        // tokens, so token concat is channel concat of rank-3 parts.
+        Op::Concat | Op::ConcatTokens => {
+            let mut out = output_for(name, op, in_tensors);
+            let parts: Vec<&[f32]> = in_tensors.iter().map(|t| t.data()).collect();
+            ops::concat_channels_into(&parts, out.shape()[0], out.data_mut());
+            out
         }
-        Op::UnflattenHw { h, w } => {
-            let s = in_tensors[0].shape();
-            let (n, c) = (s[0], s[2]);
-            in_tensors[0]
-                .permute(&[0, 2, 1])
-                .and_then(|t| t.reshape(&[n, c, *h, *w]))
-                .map_err(kerr)?
+        Op::Add => in_tensors[0].add(in_tensors[1]).map_err(kerr)?,
+        // Each item's `[c, h·w]` planes to `[h·w, c]` tokens, and back.
+        Op::FlattenHw | Op::UnflattenHw { .. } => {
+            let x = in_tensors[0];
+            let (rows, cols) = (x.shape()[1], x.shape()[2..].iter().product());
+            let mut out = output_for(name, op, in_tensors);
+            ops::transpose_into(x.data(), rows, cols, out.data_mut());
+            out
         }
         Op::WindowPartition { window } => {
             let x = in_tensors[0];
             let (c, hw) = (x.shape()[1], (x.shape()[2], x.shape()[3]));
-            let mut out = output_for(name, op, x);
+            let mut out = output_for(name, op, in_tensors);
             ops::window_partition_into(x.data(), c, hw, *window, out.data_mut());
             out
         }
         Op::WindowMerge { window, h, w } => {
             let x = in_tensors[0];
-            let mut out = output_for(name, op, x);
+            let mut out = output_for(name, op, in_tensors);
             ops::window_merge_into(x.data(), x.shape()[2], (*h, *w), *window, out.data_mut());
             out
         }
         Op::CyclicShift { dy, dx } => {
             let x = in_tensors[0];
-            let mut out = output_for(name, op, x);
+            let mut out = output_for(name, op, in_tensors);
             let hw = (x.shape()[2], x.shape()[3]);
             ops::cyclic_shift_into(x.data(), hw, (*dy, *dx), out.data_mut());
             out
         }
-        Op::GlobalAvgPool => ops::global_avg_pool(in_tensors[0]).map_err(kerr)?,
-        Op::ArgmaxChannels => in_tensors[0].argmax_channels().map_err(kerr)?,
+        // `[n, c]` is the layout of `[n, c, 1, 1]`.
+        Op::GlobalAvgPool => {
+            let x = in_tensors[0];
+            let mut out = output_for(name, op, in_tensors);
+            let hw = (x.shape()[2], x.shape()[3]);
+            ops::adaptive_avg_pool2d_into(x.data(), hw, (1, 1), out.data_mut());
+            out
+        }
         Op::Identity => in_tensors[0].clone(),
         Op::SliceChannels { keep } => {
             let x = in_tensors[0];
@@ -979,18 +958,17 @@ pub fn eval_op(
                 [_, c, h, w] => (*c, h * w),
                 s => (s[2], 1),
             };
-            let mut out = output_for(name, op, x);
+            let mut out = output_for(name, op, in_tensors);
             ops::slice_channels_into(x.data(), c, *keep, inner, out.data_mut());
             out
         }
         Op::SpaceToDepth { block } => {
             let x = in_tensors[0];
-            let mut out = output_for(name, op, x);
+            let mut out = output_for(name, op, in_tensors);
             let hw = (x.shape()[2], x.shape()[3]);
             ops::space_to_depth_into(x.data(), hw, *block, out.data_mut());
             out
         }
-        Op::ConcatTokens => concat_tokens(in_tensors),
     };
     Ok(out)
 }
@@ -1058,85 +1036,12 @@ impl Executor {
     }
 }
 
-/// A zeroed tensor of `op`'s output shape on input `x`, for the layout
+/// A zeroed tensor of `op`'s output shape on `inputs`, for the layout
 /// ops, which only ever run on shape-validated graphs.
-fn output_for(name: &str, op: &Op, x: &Tensor) -> Tensor {
-    let shape = op.infer_shape(name, &[x.shape()]);
+fn output_for(name: &str, op: &Op, inputs: &[&Tensor]) -> Tensor {
+    let shapes: Vec<&[usize]> = inputs.iter().map(|t| t.shape()).collect();
+    let shape = op.infer_shape(name, &shapes);
     Tensor::zeros(&shape.expect("validated by shape inference"))
-}
-
-fn concat_tokens(inputs: &[&Tensor]) -> Tensor {
-    let (b, c) = (inputs[0].shape()[0], inputs[0].shape()[2]);
-    let total_n: usize = inputs.iter().map(|t| t.shape()[1]).sum();
-    let mut out = Tensor::zeros(&[b, total_n, c]);
-    let od = out.data_mut();
-    for bi in 0..b {
-        let mut tok_off = 0;
-        for t in inputs {
-            let n = t.shape()[1];
-            let src = &t.data()[bi * n * c..(bi + 1) * n * c];
-            od[(bi * total_n + tok_off) * c..(bi * total_n + tok_off + n) * c].copy_from_slice(src);
-            tok_off += n;
-        }
-    }
-    out
-}
-
-/// Multi-scale deformable attention with nearest-token sampling.
-///
-/// The true kernel samples values at fractional spatial locations with
-/// bilinear interpolation; here sampling locations are reduced to a
-/// deterministic nearest token index, which preserves the op's cost
-/// structure (the only thing the paper's experiments depend on) while
-/// remaining a real, executable gather-and-weight computation.
-#[allow(clippy::too_many_arguments)]
-fn deform_attn(
-    query: &Tensor,
-    value: &Tensor,
-    wv: &Tensor,
-    wo: &Tensor,
-    woff: &Tensor,
-    wattn: &Tensor,
-    heads: usize,
-    levels: usize,
-    points: usize,
-    ctx: &ExecCtx<'_>,
-) -> Result<Tensor, TensorError> {
-    let (b, n, d) = (query.shape()[0], query.shape()[1], query.shape()[2]);
-    let m = value.shape()[1];
-    let hd = d / heads;
-    let v = ops::linear_ctx(value, wv, None, ctx)?;
-    let offsets = ops::linear_ctx(query, woff, None, ctx)?; // [b, n, h*l*p*2]
-    let attn_logits = ops::linear_ctx(query, wattn, None, ctx)?; // [b, n, h*l*p]
-    let attn = ops::softmax_last_dim(&attn_logits)?;
-    let mut out = Tensor::zeros(&[b, n, d]);
-    let od = out.data_mut();
-    let vd = v.data();
-    let offd = offsets.data();
-    let ad = attn.data();
-    let hlp = heads * levels * points;
-    for bi in 0..b {
-        for qi in 0..n {
-            for h in 0..heads {
-                for lp in 0..levels * points {
-                    let s = h * levels * points + lp;
-                    let off_x = offd[(bi * n + qi) * hlp * 2 + s * 2];
-                    let off_y = offd[(bi * n + qi) * hlp * 2 + s * 2 + 1];
-                    // Deterministic token index derived from the predicted
-                    // offsets (nearest-token stand-in for bilinear sampling).
-                    let raw = (qi as f32 + off_x * 8.0 + off_y * 64.0).abs() as usize;
-                    let tok = raw % m;
-                    let wgt = ad[(bi * n + qi) * hlp + s];
-                    let vbase = (bi * m + tok) * d + h * hd;
-                    let obase = (bi * n + qi) * d + h * hd;
-                    for e in 0..hd {
-                        od[obase + e] += wgt * vd[vbase + e];
-                    }
-                }
-            }
-        }
-    }
-    ops::linear_ctx(&out, wo, None, ctx)
 }
 
 #[cfg(test)]

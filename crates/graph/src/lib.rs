@@ -45,7 +45,7 @@ mod graph;
 mod op;
 
 pub use exec::{
-    check_node_guard, eval_op, generate_node_weights, node_weight_shapes, ExecBackend, ExecError,
+    check_node_guard, generate_node_weights, node_weight_shapes, ExecBackend, ExecError,
     ExecOptions, ExecScratch, Executor, RunContext, WeightGen, LAYER_NORM_EPS,
 };
 pub use graph::{Graph, Node, NodeId};

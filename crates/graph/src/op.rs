@@ -223,8 +223,6 @@ pub enum Op {
     },
     /// Global average pooling: `[n, c, h, w]` -> `[n, c]`.
     GlobalAvgPool,
-    /// Per-pixel argmax over channels: `[n, c, h, w]` -> `[n, h, w]`.
-    ArgmaxChannels,
     /// Identity (used to bypass a layer in a dynamic execution path).
     Identity,
     /// Keeps the first `keep` channels: dim 1 of an NCHW tensor or the last
@@ -295,7 +293,6 @@ impl Op {
             Op::WindowMerge { .. } => "WindowMerge",
             Op::CyclicShift { .. } => "CyclicShift",
             Op::GlobalAvgPool => "GlobalAvgPool",
-            Op::ArgmaxChannels => "ArgmaxChannels",
             Op::Identity => "Identity",
             Op::SliceChannels { .. } => "SliceChannels",
             Op::SpaceToDepth { .. } => "SpaceToDepth",
@@ -403,28 +400,23 @@ impl Op {
                 // Output embeds the value dimension per token.
                 Ok(vec![s.batch, s.n, s.dv])
             }
-            Op::DeformAttn { heads, dim, .. } => {
-                let q = inputs[0];
-                let v = inputs[1];
-                if q.len() != 3 || v.len() != 3 {
-                    return Err(err(
-                        name,
-                        format!("deform-attn expects rank-3 inputs, got {q:?} {v:?}"),
-                    ));
+            Op::DeformAttn {
+                heads,
+                levels,
+                points,
+                dim,
+            } => {
+                // Attention's validation with the value tokens as keys and
+                // values (so there is at least one), plus the op's width
+                // and at least one sample.
+                let s = vit_tensor::ops::SdpaShape::new(inputs[0], inputs[1], inputs[1], *heads)
+                    .map_err(|e| err(name, e.to_string()))?;
+                if s.d != *dim || levels * points == 0 {
+                    let got = format!("width {} and {levels}×{points} samples", s.d);
+                    let want = format!("width {dim} and at least one sample");
+                    return Err(err(name, format!("expected {want}, got {got}")));
                 }
-                if q[0] != v[0] || q[2] != *dim || v[2] != *dim {
-                    return Err(err(
-                        name,
-                        format!("inconsistent deform-attn inputs q={q:?} v={v:?} dim={dim}"),
-                    ));
-                }
-                if *heads == 0 || dim % heads != 0 {
-                    return Err(err(
-                        name,
-                        format!("dim {dim} not divisible by heads {heads}"),
-                    ));
-                }
-                Ok(q.to_vec())
+                Ok(inputs[0].to_vec())
             }
             Op::MaxPool {
                 window,
@@ -434,6 +426,12 @@ impl Op {
                 let (n, c, h, w) = nchw(inputs[0])?;
                 if *window == 0 || *stride == 0 {
                     return Err(err(name, "window and stride must be nonzero"));
+                }
+                if h + 2 * pad < *window || w + 2 * pad < *window {
+                    return Err(err(
+                        name,
+                        format!("window {window} larger than padded input {h}x{w}"),
+                    ));
                 }
                 let oh = (h + 2 * pad - window) / stride + 1;
                 let ow = (w + 2 * pad - window) / stride + 1;
@@ -517,10 +515,6 @@ impl Op {
             Op::GlobalAvgPool => {
                 let (n, c, _, _) = nchw(inputs[0])?;
                 Ok(vec![n, c])
-            }
-            Op::ArgmaxChannels => {
-                let (n, _, h, w) = nchw(inputs[0])?;
-                Ok(vec![n, h, w])
             }
             Op::SliceChannels { keep } => {
                 let s = inputs[0];
@@ -645,7 +639,6 @@ impl Op {
             Op::MaxPool { window, .. } => numel(output) * (*window as u64).pow(2),
             Op::AdaptiveAvgPool { .. } | Op::GlobalAvgPool => numel(inputs[0]),
             Op::Resize { .. } => 8 * numel(output),
-            Op::ArgmaxChannels => numel(inputs[0]),
             // Pure data movement.
             Op::Input { .. }
             | Op::Concat
@@ -792,6 +785,43 @@ mod tests {
             op.infer_shape("attn", &[&q, &k, &[1, 3, 12]]).unwrap(),
             vec![1, 4, 12]
         );
+    }
+
+    #[test]
+    fn max_pool_rejects_a_window_larger_than_the_padded_input() {
+        let op = |window, pad| Op::MaxPool {
+            window,
+            stride: 1,
+            pad,
+        };
+        assert!(op(4, 0).infer_shape("p", &[&[1, 2, 3, 5]]).is_err());
+        assert!(op(6, 1).infer_shape("p", &[&[1, 2, 5, 3]]).is_err());
+        assert_eq!(
+            op(4, 1).infer_shape("p", &[&[1, 2, 3, 5]]).unwrap(),
+            vec![1, 2, 2, 4]
+        );
+    }
+
+    #[test]
+    fn deform_attn_rejects_an_empty_value_set() {
+        let op = Op::DeformAttn {
+            heads: 2,
+            levels: 2,
+            points: 2,
+            dim: 8,
+        };
+        let q = [1usize, 4, 8];
+        assert!(op.infer_shape("d", &[&q, &[1, 0, 8]]).is_err());
+        assert!(op.infer_shape("d", &[&q, &[1, 3, 6]]).is_err());
+        assert!(op.infer_shape("d", &[&[1, 4, 6], &[1, 3, 6]]).is_err());
+        let no_samples = Op::DeformAttn {
+            heads: 2,
+            levels: 0,
+            points: 2,
+            dim: 8,
+        };
+        assert!(no_samples.infer_shape("d", &[&q, &[1, 3, 8]]).is_err());
+        assert_eq!(op.infer_shape("d", &[&q, &[1, 3, 8]]).unwrap(), q);
     }
 
     #[test]

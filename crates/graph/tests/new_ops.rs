@@ -62,7 +62,7 @@ fn space_to_depth_preserves_elements() {
 }
 
 #[test]
-fn concat_tokens_stacks_sequences() {
+fn token_concat_stacks_sequences() {
     let mut g = Graph::new("t");
     let a = g.input("a", &[1, 2, 3]).unwrap();
     let b = g.input("b", &[1, 1, 3]).unwrap();

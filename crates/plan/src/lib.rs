@@ -42,30 +42,26 @@
 //!   ([`vit_tensor::ops::PackedConv2d`]/[`PackedLinear`], and `[tap][c]`
 //!   for the token-major depthwise conv), so replay touches no weight
 //!   cache;
-//! * **arena-native kernels** — every op of the SegFormer and Swin
-//!   serving graphs runs straight on arena ranges through a slice kernel:
-//!   head-fused attention ([`vit_tensor::ops::sdpa_into`], tiled by query
-//!   token), LayerNorm and BatchNorm (tiled by feature row and channel
-//!   plane), bilinear resize (tiled by plane; a same-size resize is a
-//!   copy), the `FlattenHw`/`UnflattenHw` transposes (8×8 register
-//!   blocks), channel concat (Swin's, which feeds 3×3 convs) and slice,
-//!   and Swin's cyclic shift, window partition/merge, space-to-depth and
-//!   adaptive average pool. Only `DeformAttn`, `MaxPool`,
-//!   `GlobalAvgPool`, `ConcatTokens` and `ArgmaxChannels` (detection and
-//!   classification graphs) take the *fallback* record, which copies its
-//!   inputs out of the arena into tensors, dispatches through
-//!   [`vit_graph::eval_op`], and copies the result back
-//!   ([`PlanRecord::is_fallback`]).
+//! * **arena-native kernels** — every op runs straight on arena ranges
+//!   through a slice kernel: head-fused attention
+//!   ([`vit_tensor::ops::sdpa_into`], tiled by query token), LayerNorm
+//!   and BatchNorm (tiled by feature row and channel plane), bilinear
+//!   resize (tiled by plane; a same-size resize is a copy), the
+//!   `FlattenHw`/`UnflattenHw` transposes (8×8 register blocks), channel
+//!   and token concat, channel slice, Swin's cyclic shift, window
+//!   partition/merge and space-to-depth, max and adaptive average pool
+//!   (global average pool is its 1×1 case), and deformable attention
+//!   (packed projections around [`vit_tensor::ops::deform_gather_into`],
+//!   its temporaries drawn from the plan's scratch pool). No record
+//!   copies values out of the arena.
 //!
 //! Replay is **bit-identical** to the interpreter at any thread count: the
 //! packed and slice kernels are the very inner loops the interpreter's
 //! kernels call, or run every element's operations in the same order
 //! (the token-major depthwise conv keeps the plane kernel's tap chain; a
 //! concat read in place fills the same GEMM panels), epilogue scalars are
-//! shared, fallback records dispatch
-//! through the same [`vit_graph::eval_op`], and threading happens only via
-//! intra-kernel output tiling (the `vit_tensor::par` determinism
-//! contract).
+//! shared, and threading happens only via intra-kernel output tiling (the
+//! `vit_tensor::par` determinism contract).
 //!
 //! `vit-verify`'s plan pass proves plan↔graph equivalence offline:
 //! identical FLOP/param/byte totals, every node covered exactly once by a
@@ -119,7 +115,7 @@ use std::sync::Mutex;
 use vit_fault::{check_guard, FaultCtx, FaultError};
 use vit_graph::ExecError;
 use vit_graph::{
-    eval_op, generate_node_weights, Graph, Node, NodeId, Op, RunContext, WeightGen, LAYER_NORM_EPS,
+    generate_node_weights, Graph, Node, NodeId, Op, RunContext, WeightGen, LAYER_NORM_EPS,
 };
 use vit_tensor::ops::{
     self, ConcatPart, Conv2dParams, Epilogue, PackedConv2d, PackedLinear, PackedTokenDepthwise,
@@ -155,8 +151,9 @@ impl BufRange {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecContract {
     /// One sequential pass over the whole output range (copies,
-    /// transposes, concat, channel slice, Swin's index remappings, fallback
-    /// dispatch). Never reassociates.
+    /// transposes, concat, channel slice, Swin's index remappings, pooling,
+    /// and deformable attention, whose projections tile internally).
+    /// Never reassociates.
     Sequential,
     /// Row tiling through [`vit_tensor::row_chunks`]: the output splits
     /// into row-aligned chunks of whole `row_len`-element rows, each
@@ -249,8 +246,8 @@ fn last_dim(shape: &[usize]) -> usize {
     shape.last().copied().unwrap_or(0)
 }
 
-/// How one record computes its output range. Every step but `Fallback`
-/// reads and writes arena ranges directly.
+/// How one record computes its output range, reading and writing arena
+/// ranges directly.
 #[derive(Debug, Clone)]
 enum Step {
     /// Copy graph input `pos` into the output range.
@@ -292,8 +289,8 @@ enum Step {
     /// Batched transpose `[n, rows, cols] -> [n, cols, rows]`
     /// (`FlattenHw`, `UnflattenHw`).
     Transpose { rows: usize, cols: usize },
-    /// Channel concatenation: each input's per-item segment is copied
-    /// into its channel offset of every batch item.
+    /// Channel (or token) concatenation: each input's per-item segment is
+    /// copied into its offset of every batch item.
     Concat { batch: usize },
     /// Head-fused attention: q/k/v read head-strided, the merged-head
     /// output written directly, tiled by query token.
@@ -328,17 +325,26 @@ enum Step {
     },
     /// `block×block` neighbourhoods folded into channels.
     SpaceToDepth { hw: (usize, usize), block: usize },
-    /// The pyramid pooling module's per-plane average pool.
+    /// Per-plane average pool (the pyramid pooling module's, and global
+    /// average pool as its `(1, 1)` case).
     AdaptiveAvgPool {
         in_hw: (usize, usize),
         out_hw: (usize, usize),
     },
-    /// Ops without a native step — `DeformAttn`, `MaxPool`,
-    /// `GlobalAvgPool`, `ConcatTokens` and `ArgmaxChannels`, which only
-    /// the detection and classification graphs use: copy the inputs out
-    /// of the arena into tensors, dispatch through [`vit_graph::eval_op`]
-    /// with weights generated at compile time, and copy the result back.
-    Fallback { weights: Vec<Tensor> },
+    /// Per-plane max pool with a `(window, stride, pad)` geometry.
+    MaxPool {
+        hw: (usize, usize),
+        geometry: (usize, usize, usize),
+    },
+    /// Deformable attention, boxed so `Step` stays small: the queries'
+    /// geometry over the value tokens, the samples per head, and the
+    /// packed value, output, offset and sampling-weight projections (in
+    /// that order) around the softmax-and-gather core. Its temporaries
+    /// come from the plan's scratch.
+    DeformAttn(Box<(SdpaShape, usize, [PackedLinear; 4])>),
+    /// The step of a record assembled by [`PlanRecord::from_raw_parts`]:
+    /// it has no kernel, and replaying it fails.
+    AnalysisOnly,
 }
 
 /// One flat instruction of a compiled plan: which op to run, where its
@@ -390,10 +396,8 @@ impl PlanRecord {
     /// [`ExecPlan::from_raw_parts`] that [`ExecPlan::compile`] could never
     /// produce (vit-verify's broken-artifact tests). The contract defaults
     /// to [`ExecContract::Sequential`] and `frees` to empty; both fields
-    /// are public, so adjust them after construction. The step is always
-    /// the fallback (whatever `op` is, so [`PlanRecord::is_fallback`]
-    /// holds) and carries no weights: executing such a record fails for
-    /// every op that needs weights.
+    /// are public, so adjust them after construction. The record has no
+    /// kernel: replaying it fails with an [`ExecError`] naming it.
     pub fn from_raw_parts(
         name: &str,
         op: Op,
@@ -415,22 +419,8 @@ impl PlanRecord {
             bytes: 0,
             contract: ExecContract::Sequential,
             frees: Vec::new(),
-            step: Step::Fallback {
-                weights: Vec::new(),
-            },
+            step: Step::AnalysisOnly,
         }
-    }
-}
-
-impl PlanRecord {
-    /// Whether this record replays through the generic fallback: its
-    /// inputs copied out of the arena into tensors, the op dispatched
-    /// through [`vit_graph::eval_op`], and the result copied back. Only
-    /// `DeformAttn`, `MaxPool`, `GlobalAvgPool`, `ConcatTokens` and
-    /// `ArgmaxChannels` (detection and classification graphs) still do;
-    /// every other record runs a native kernel straight on arena ranges.
-    pub fn is_fallback(&self) -> bool {
-        matches!(self.step, Step::Fallback { .. })
     }
 }
 
@@ -734,7 +724,8 @@ pub struct ExecPlan {
     /// Recycled arenas from finished runs (never re-zeroed: every record
     /// fully overwrites its output range before any consumer reads it).
     arena_pool: Mutex<Vec<Vec<f32>>>,
-    /// Allocation free-list for fallback records' intermediate tensors.
+    /// Scratch for kernel temporaries: the conv im2col and pointwise pack
+    /// panels, and deformable attention's projections.
     scratch: BufferPool,
 }
 
@@ -930,6 +921,7 @@ impl ExecPlan {
             .map(|j| graph.node(*j).shape.clone())
             .collect();
         let shape_refs: Vec<&[usize]> = in_shapes.iter().map(Vec::as_slice).collect();
+        let hw = || (in_shapes[0][2], in_shapes[0][3]);
         let perr = |source: TensorError| PlanError::Pack {
             node: node.name.clone(),
             source,
@@ -955,7 +947,7 @@ impl ExecPlan {
             } => {
                 let w = generate_node_weights(gen, &node.name, op, &shape_refs);
                 let b = bias.then(|| &w[1]);
-                let hw = (in_shapes[0][2], in_shapes[0][3]);
+                let hw = hw();
                 if let Some(FoldKind::TokenDepthwise) = fold {
                     let conv =
                         PackedTokenDepthwise::pack(&w[0], b, *pad, epilogue).map_err(perr)?;
@@ -995,7 +987,7 @@ impl ExecPlan {
             Op::Add => Step::Add,
             Op::Identity => Step::Copy,
             Op::Resize { out_h, out_w } => {
-                let in_hw = (in_shapes[0][2], in_shapes[0][3]);
+                let in_hw = hw();
                 if in_hw == (*out_h, *out_w) {
                     Step::Copy
                 } else {
@@ -1005,15 +997,11 @@ impl ExecPlan {
                     }
                 }
             }
-            Op::FlattenHw => Step::Transpose {
+            Op::FlattenHw | Op::UnflattenHw { .. } => Step::Transpose {
                 rows: in_shapes[0][1],
-                cols: in_shapes[0][2] * in_shapes[0][3],
+                cols: in_shapes[0][2..].iter().product(),
             },
-            Op::UnflattenHw { .. } => Step::Transpose {
-                rows: in_shapes[0][1],
-                cols: in_shapes[0][2],
-            },
-            Op::Concat => Step::Concat {
+            Op::Concat | Op::ConcatTokens => Step::Concat {
                 batch: node.shape[0],
             },
             Op::Sdpa { heads } => Step::Attention(
@@ -1029,7 +1017,7 @@ impl ExecPlan {
                 Step::BatchNorm {
                     scale,
                     shift,
-                    plane: in_shapes[0][2] * in_shapes[0][3],
+                    plane: in_shapes[0][2..].iter().product(),
                 }
             }
             Op::SliceChannels { keep } => {
@@ -1045,12 +1033,12 @@ impl ExecPlan {
                 }
             }
             Op::CyclicShift { dy, dx } => Step::CyclicShift {
-                hw: (in_shapes[0][2], in_shapes[0][3]),
+                hw: hw(),
                 shift: (*dy, *dx),
             },
             Op::WindowPartition { window } => Step::WindowPartition {
                 c: in_shapes[0][1],
-                hw: (in_shapes[0][2], in_shapes[0][3]),
+                hw: hw(),
                 window: *window,
             },
             Op::WindowMerge { window, h, w } => Step::WindowMerge {
@@ -1059,16 +1047,39 @@ impl ExecPlan {
                 window: *window,
             },
             Op::SpaceToDepth { block } => Step::SpaceToDepth {
-                hw: (in_shapes[0][2], in_shapes[0][3]),
+                hw: hw(),
                 block: *block,
             },
             Op::AdaptiveAvgPool { out_h, out_w } => Step::AdaptiveAvgPool {
-                in_hw: (in_shapes[0][2], in_shapes[0][3]),
+                in_hw: hw(),
                 out_hw: (*out_h, *out_w),
             },
-            _ => Step::Fallback {
-                weights: generate_node_weights(gen, &node.name, op, &shape_refs),
+            Op::GlobalAvgPool => Step::AdaptiveAvgPool {
+                in_hw: hw(),
+                out_hw: (1, 1),
             },
+            Op::MaxPool {
+                window,
+                stride,
+                pad,
+            } => Step::MaxPool {
+                hw: hw(),
+                geometry: (*window, *stride, *pad),
+            },
+            Op::DeformAttn {
+                heads,
+                levels,
+                points,
+                ..
+            } => {
+                let shape = SdpaShape::new(&in_shapes[0], &in_shapes[1], &in_shapes[1], *heads)
+                    .map_err(perr)?;
+                let w = generate_node_weights(gen, &node.name, op, &shape_refs);
+                let pack = |t: &Tensor| PackedLinear::pack(t, None, Epilogue::None).map_err(perr);
+                let proj = [pack(&w[0])?, pack(&w[1])?, pack(&w[2])?, pack(&w[3])?];
+                Step::DeformAttn(Box::new((shape, levels * points, proj)))
+            }
+            Op::Input { .. } => unreachable!("graph inputs lower to `Step::Input`"),
         })
     }
 
@@ -1082,7 +1093,8 @@ impl ExecPlan {
     /// # Errors
     ///
     /// Returns [`ExecError`] when input count/shapes mismatch the graph
-    /// the plan was compiled from, or when a fallback kernel fails.
+    /// the plan was compiled from, or when a record assembled by
+    /// [`PlanRecord::from_raw_parts`] is replayed.
     pub fn execute(&self, inputs: &[Tensor], ctx: &RunContext) -> Result<Tensor, ExecError> {
         if inputs.len() != self.input_shapes.len() {
             return Err(ExecError::BadInputs {
@@ -1280,22 +1292,32 @@ impl ExecPlan {
                 Step::AdaptiveAvgPool { in_hw, out_hw } => {
                     ops::adaptive_avg_pool2d_into(input(&rec.inputs[0]), *in_hw, *out_hw, out);
                 }
-                Step::Fallback { weights } => {
-                    let ins: Vec<Tensor> = rec
-                        .inputs
-                        .iter()
-                        .zip(&rec.in_shapes)
-                        .map(|(r, s)| {
-                            Tensor::from_vec(input(r).to_vec(), s).expect("range sized by shape")
-                        })
-                        .collect();
-                    let refs: Vec<&Tensor> = ins.iter().collect();
-                    let t = eval_op(&rec.name, &rec.op, weights, &refs, &kctx)?;
-                    out.copy_from_slice(t.data());
-                    for v in ins {
-                        self.scratch.recycle(v.into_vec());
+                Step::MaxPool { hw, geometry } => {
+                    ops::max_pool2d_into(input(&rec.inputs[0]), *hw, *geometry, out);
+                }
+                Step::DeformAttn(d) => {
+                    let (s, samples, [value, output, offsets, weights]) = &**d;
+                    let (q, v) = (input(&rec.inputs[0]), input(&rec.inputs[1]));
+                    let (rows, hs) = (s.batch * s.n, s.heads * samples);
+                    let lens = [v.len(), rows * hs * 2, rows * hs, q.len()];
+                    let [mut vp, mut off, mut logits, mut gathered] =
+                        lens.map(|len| self.scratch.take_for_overwrite(len));
+                    value.run(v, &mut vp, &kctx);
+                    offsets.run(q, &mut off, &kctx);
+                    weights.run(q, &mut logits, &kctx);
+                    ops::deform_gather_into(&vp, &off, &mut logits, *s, *samples, &mut gathered);
+                    output.run(&gathered, out, &kctx);
+                    for buf in [vp, off, logits, gathered] {
+                        self.scratch.recycle(buf);
                     }
-                    self.scratch.recycle(t.into_vec());
+                }
+                Step::AnalysisOnly => {
+                    let msg = "an analysis-only record has no kernel".to_string();
+                    let source = TensorError::InvalidArgument { op: "replay", msg };
+                    return Err(ExecError::Kernel {
+                        node: rec.name.clone(),
+                        source,
+                    });
                 }
             }
             if flip_at == Some(rec_idx) {
@@ -1404,8 +1426,8 @@ impl ExecPlan {
     /// could never emit (overlapping chunks, premature frees, bad
     /// wiring). Totals and input shapes are derived from the records.
     /// Such plans are for analysis and [`ExecPlan::shadow_replay`], not
-    /// execution: records built via [`PlanRecord::from_raw_parts`] carry
-    /// stub steps.
+    /// execution: a record built via [`PlanRecord::from_raw_parts`] fails
+    /// when replayed.
     pub fn from_raw_parts(
         model: &str,
         records: Vec<PlanRecord>,
@@ -1927,6 +1949,22 @@ mod tests {
         assert!(v
             .iter()
             .all(|v| v.kind == vit_tensor::ShadowViolationKind::DoubleWrite));
+    }
+
+    #[test]
+    fn replaying_an_analysis_only_record_fails_by_name() {
+        let stub = PlanRecord::from_raw_parts(
+            "stub",
+            Op::Relu,
+            vec![],
+            vec![],
+            BufRange { offset: 0, len: 4 },
+            vec![4],
+        );
+        let out = BufRange { offset: 0, len: 4 };
+        let plan = ExecPlan::from_raw_parts("raw", vec![stub], 4, out, vec![4]);
+        let err = plan.execute(&[], &RunContext::default());
+        assert!(matches!(err, Err(ExecError::Kernel { node, .. }) if node == "stub"));
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! output element must come from the same floating-point operation
 //! sequence.
 //!
+//! Whole models replay bit-identically too: the two serving models, and
+//! small configurations of DETR, Deformable DETR, the ResNet-50
+//! classifier and ViT.
+//!
 //! The golden pins at the bottom freeze the plan geometry (record count,
 //! fusion count, arena size) for the two serving models, so an
 //! unintentional change to fusion legality or the liveness allocator
@@ -13,8 +17,9 @@
 use proptest::prelude::*;
 use vit_graph::{ExecOptions, Executor, Graph, LayerRole, Op, RunContext, WeightGen};
 use vit_models::{
-    build_segformer, build_swin_upernet, SegFormerConfig, SegFormerDynamic, SegFormerVariant,
-    SwinConfig, SwinVariant,
+    build_deformable_detr, build_detr, build_resnet, build_segformer, build_swin_upernet,
+    build_vit, DetrConfig, EncoderStackConfig, ResNetConfig, SegFormerConfig, SegFormerDynamic,
+    SegFormerVariant, SwinConfig, SwinVariant, VitConfig,
 };
 use vit_plan::ExecPlan;
 use vit_tensor::Tensor;
@@ -28,12 +33,12 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// every sampled thread count — neither witness may see a hazard the
 /// other misses.
 fn assert_plan_bit_identical(g: &Graph, input: Tensor, seed: u64) {
-    assert_plan_bit_identical_at(g, input, seed, &THREADS);
+    assert_plan_bit_identical_at(g, &[input], seed, &THREADS);
 }
 
-/// [`assert_plan_bit_identical`] at the given thread counts.
-fn assert_plan_bit_identical_at(g: &Graph, input: Tensor, seed: u64, threads: &[usize]) {
-    let inputs = std::slice::from_ref(&input);
+/// [`assert_plan_bit_identical`] on all of the graph's inputs, at the
+/// given thread counts.
+fn assert_plan_bit_identical_at(g: &Graph, inputs: &[Tensor], seed: u64, threads: &[usize]) {
     let seq = Executor::new(seed)
         .run_with(
             g,
@@ -412,7 +417,6 @@ fn segformer_b0_plans_are_native_and_bit_identical() {
     .unwrap();
     for (g, batch) in [(segformer_b0_cheapest(1), 1), (full_b2, 2)] {
         let plan = ExecPlan::compile(&g, WeightGen::new(3)).unwrap();
-        assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
         let sliced = plan
             .records()
             .iter()
@@ -464,7 +468,7 @@ fn folded_segformer_plans_are_bit_identical_across_geometries() {
         let blocks: usize = dynamic.depths.iter().sum();
         assert_eq!(plan.fused_nodes(), 3 * blocks + 3, "{} {side}²", g.model);
         let input = Tensor::rand_uniform(&[batch, 3, side, side], -1.0, 1.0, 13);
-        assert_plan_bit_identical_at(&g, input, 9, &[1, 2]);
+        assert_plan_bit_identical_at(&g, &[input], 9, &[1, 2]);
     }
 }
 
@@ -483,7 +487,6 @@ fn swin_tiny_replay_on_a_recycled_arena_matches_a_fresh_one() {
     let a = Tensor::rand_uniform(&[1, 3, 64, 64], -1.0, 1.0, 11);
     let b = Tensor::rand_uniform(&[1, 3, 64, 64], -1.0, 1.0, 12);
     let plan = ExecPlan::compile(&g, WeightGen::new(5)).unwrap();
-    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
     plan.execute(&[a], &ctx).unwrap();
     let reused = plan.execute(std::slice::from_ref(&b), &ctx).unwrap();
     let fresh = ExecPlan::compile(&g, WeightGen::new(5))
@@ -491,6 +494,78 @@ fn swin_tiny_replay_on_a_recycled_arena_matches_a_fresh_one() {
         .execute(&[b], &ctx)
         .unwrap();
     assert_eq!(reused, fresh);
+}
+
+/// A detection or classification model at 64×64 (one-layer transformers)
+/// replays bit-identically at threads {1, 2}. On a recycled arena, still
+/// dirty from another input, replay matches the first replay of the same
+/// input on a fresh arena, so every step (max pool, global average pool,
+/// token concat and deformable attention among them) writes its whole
+/// output range.
+fn assert_model_plan_replays(g: &Graph, ops: &[&str]) {
+    let kinds: Vec<&str> = g.iter().map(|(_, n)| n.op.kind_name()).collect();
+    for op in ops {
+        assert!(kinds.contains(op), "`{}` has no {op} node", g.model);
+    }
+    let inputs = |seed: u64| -> Vec<Tensor> {
+        g.input_ids()
+            .iter()
+            .zip(seed..)
+            .map(|(id, s)| Tensor::rand_uniform(&g.node(*id).shape, -1.0, 1.0, s))
+            .collect()
+    };
+    let (a, b) = (inputs(21), inputs(31));
+    assert_plan_bit_identical_at(g, &b, 4, &[1, 2]);
+    let plan = ExecPlan::compile(g, WeightGen::new(4)).unwrap();
+    let ctx = RunContext::default();
+    let fresh = plan.execute(&b, &ctx).unwrap();
+    plan.execute(&a, &ctx).unwrap();
+    assert_eq!(plan.execute(&b, &ctx).unwrap(), fresh, "`{}`", g.model);
+}
+
+/// DETR and Deformable DETR with one encoder and one decoder layer.
+fn small_detr(cfg: DetrConfig) -> DetrConfig {
+    DetrConfig {
+        encoder_layers: 1,
+        decoder_layers: 1,
+        num_queries: 8,
+        ..cfg.with_image(64, 64)
+    }
+}
+
+#[test]
+fn detr_plan_replays_bit_identically() {
+    let g = build_detr(&small_detr(DetrConfig::detr_coco())).unwrap();
+    assert_model_plan_replays(&g, &["MaxPool", "Sdpa"]);
+}
+
+#[test]
+fn deformable_detr_plan_replays_bit_identically() {
+    let g = build_deformable_detr(&small_detr(DetrConfig::deformable_coco())).unwrap();
+    assert_model_plan_replays(&g, &["MaxPool", "ConcatTokens", "DeformAttn"]);
+}
+
+#[test]
+fn resnet50_classifier_plan_replays_bit_identically() {
+    let g = build_resnet(&ResNetConfig::imagenet().with_image(64, 64))
+        .unwrap()
+        .graph;
+    assert_model_plan_replays(&g, &["MaxPool", "GlobalAvgPool"]);
+}
+
+#[test]
+fn vit_plan_replays_bit_identically() {
+    let base = VitConfig::base16();
+    let g = build_vit(&VitConfig {
+        image: (64, 64),
+        stack: EncoderStackConfig {
+            layers: 1,
+            ..base.stack
+        },
+        ..base
+    })
+    .unwrap();
+    assert_model_plan_replays(&g, &["SpaceToDepth", "GlobalAvgPool"]);
 }
 
 /// Golden pins: the plan geometry of the two serving models at the bench
@@ -513,20 +588,6 @@ fn segformer_b0_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 64);
-    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
-}
-
-/// The op kinds that still replay through the copy-in/copy-out fallback
-/// step. Memory ops (resize, flatten/unflatten, concat) have native steps;
-/// one showing up here means it was silently routed back.
-fn fallback_kinds(plan: &ExecPlan) -> Vec<&'static str> {
-    let kinds: std::collections::BTreeSet<&'static str> = plan
-        .records()
-        .iter()
-        .filter(|r| r.is_fallback())
-        .map(|r| r.op.kind_name())
-        .collect();
-    kinds.into_iter().collect()
 }
 
 /// Records whose contract routes them to the tolerance tier — the
@@ -555,5 +616,4 @@ fn swin_tiny_plan_geometry_is_pinned() {
     assert_eq!(plan.total_flops(), g.total_flops());
     assert_eq!(plan.total_params(), g.total_params());
     assert_eq!(reassociating_records(&plan), 89);
-    assert_eq!(fallback_kinds(&plan), [] as [&str; 0]);
 }

@@ -215,21 +215,22 @@ pub fn softmax_last_dim(input: &Tensor) -> Result<Tensor> {
         ));
     }
     let mut out = input.clone();
-    let rows = out.numel() / last;
-    let data = out.data_mut();
-    for r in 0..rows {
-        let row = &mut data[r * last..(r + 1) * last];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
+    out.data_mut().chunks_exact_mut(last).for_each(softmax_row);
     Ok(out)
+}
+
+/// Softmax of one row in place: `fold(-inf, f32::max)`, then `exp(x -
+/// max)` with a running sum, then a divide by the sum.
+pub(crate) fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,12 @@
 //! exact tier: every score, softmax and output element is produced by the
 //! oracle's operation sequence, and vectorization runs only across
 //! independent lanes (keys for the scores, output columns for `attn @ v`).
+//!
+//! [`deform_gather_into`] is deformable attention's softmax-and-gather
+//! core, on projections the caller has already computed.
 
 use crate::error::{invalid_shape, shape_mismatch, Result};
+use crate::ops::activation::softmax_row;
 use crate::par::ExecCtx;
 use crate::tensor::Tensor;
 
@@ -281,6 +285,51 @@ fn head_rows<const R: usize>(
     }
 }
 
+/// Deformable attention's core on projected tensors. `s` is the
+/// geometry of the queries over the value tokens (`d == dv`): `value` is
+/// `[batch, m, d]`, `offsets` the predicted `[batch, n, heads·samples·2]`
+/// sampling offsets and `logits` the `[batch, n, heads·samples]`
+/// sampling-weight logits, softmaxed here in place over each query's
+/// whole row (`samples > 0`). Each head of each query sums its samples'
+/// weighted value slices, in sample order from `0.0`, into `out`
+/// (`[batch, n, d]`, fully overwritten).
+///
+/// Sampling is nearest-token: query `q` of an item reads value token
+/// `|q + 8·dx + 64·dy| mod m` of that item, a deterministic stand-in for
+/// bilinear sampling that keeps the op's cost structure.
+///
+/// # Panics
+///
+/// Panics when a slice is shorter than `s` implies.
+pub fn deform_gather_into(
+    value: &[f32],
+    offsets: &[f32],
+    logits: &mut [f32],
+    s: SdpaShape,
+    samples: usize,
+    out: &mut [f32],
+) {
+    if s.d == 0 {
+        return;
+    }
+    let (hs, hd) = (s.heads * samples, s.d / s.heads);
+    out.fill(0.0);
+    let rows = out.chunks_exact_mut(s.d).zip(logits.chunks_exact_mut(hs));
+    for (row, (o, weights)) in rows.enumerate() {
+        softmax_row(weights);
+        let (item, q) = (row / s.n, row % s.n);
+        let off = offsets[row * hs * 2..][..hs * 2].chunks_exact(2);
+        for (i, (&wgt, d)) in weights.iter().zip(off).enumerate() {
+            let tok = (q as f32 + d[0] * 8.0 + d[1] * 64.0).abs() as usize % s.m;
+            let h = i / samples;
+            let v = &value[(item * s.m + tok) * s.d + h * hd..][..hd];
+            for (o, &v) in o[h * hd..][..hd].iter_mut().zip(v) {
+                *o += wgt * v;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,5 +354,21 @@ mod tests {
         assert!(SdpaShape::new(&q, &[1, 0, 8], &[1, 0, 8], 2).is_err());
         assert!(SdpaShape::new(&q, &[1, 3, 8], &[1, 3, 8], 0).is_err());
         assert!(SdpaShape::new(&q, &[1, 3, 8], &[1, 3, 12], 4).is_ok());
+    }
+
+    #[test]
+    fn deform_gather_weights_the_sampled_tokens() {
+        // One item, two queries, three value tokens 2 wide, one head of
+        // two samples. Equal logits weight both samples 0.5. Query 0
+        // samples tokens |0 + 8·0| = 0 and |0 + 8·0.25| = 2; query 1
+        // samples |1 + 64·0.5| % 3 = 0 and |1 - 8·0.25| % 3 = 1.
+        let s = SdpaShape::new(&[1, 2, 2], &[1, 3, 2], &[1, 3, 2], 1).unwrap();
+        let value = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let offsets = [0.0, 0.0, 0.25, 0.0, 0.0, 0.5, -0.25, 0.0];
+        let mut logits = [0.3, 0.3, -1.0, -1.0];
+        let mut out = [f32::NAN; 4];
+        deform_gather_into(&value, &offsets, &mut logits, s, 2, &mut out);
+        assert_eq!(logits, [0.5; 4]);
+        assert_eq!(out, [3.0, 4.0, 2.0, 3.0]);
     }
 }

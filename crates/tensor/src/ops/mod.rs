@@ -13,7 +13,7 @@ pub mod reference;
 mod resize;
 
 pub use activation::{gelu, gelu_into, relu, softmax_last_dim};
-pub use attention::{sdpa, sdpa_into, SdpaShape};
+pub use attention::{deform_gather_into, sdpa, sdpa_into, SdpaShape};
 pub use conv::{conv2d, conv2d_ctx, depthwise_conv2d, ConcatPart, Conv2dParams};
 pub use fused::{Epilogue, PackedConv2d, PackedLinear, PackedTokenDepthwise};
 pub use layout::{
@@ -23,5 +23,5 @@ pub use layout::{
 pub use matmul::{linear, linear_ctx, matmul, matmul_ctx};
 pub use norm::{batch_norm_inference, batch_norm_into, layer_norm, layer_norm_into};
 pub use pack::{block_rows, PackedB, A_BLOCK_BYTES, MR, NR};
-pub use pool::{adaptive_avg_pool2d, adaptive_avg_pool2d_into, global_avg_pool, max_pool2d};
+pub use pool::{adaptive_avg_pool2d, adaptive_avg_pool2d_into, max_pool2d, max_pool2d_into};
 pub use resize::{bilinear_resize, bilinear_resize_into, concat_channels, concat_channels_into};

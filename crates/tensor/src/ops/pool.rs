@@ -36,33 +36,46 @@ pub fn max_pool2d(input: &Tensor, window: usize, stride: usize, pad: usize) -> R
     let oh = (h + 2 * pad).saturating_sub(window) / stride + 1;
     let ow = (w + 2 * pad).saturating_sub(window) / stride + 1;
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let xd = input.data();
-    let od = out.data_mut();
-    for b in 0..n {
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..window {
-                        let iy = oy * stride + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        for kx in 0..window {
-                            let ix = ox * stride + kx;
-                            if ix < pad || ix >= w + pad {
-                                continue;
-                            }
-                            let v = xd[((b * c + ch) * h + (iy - pad)) * w + (ix - pad)];
-                            best = best.max(v);
-                        }
+    max_pool2d_into(input.data(), (h, w), (window, stride, pad), out.data_mut());
+    Ok(out)
+}
+
+/// Max pooling of whole planes: `src` holds `k` contiguous `h×w` planes
+/// and `dst` the `k` matching pooled planes, with [`max_pool2d`]'s
+/// `(window, stride, pad)` geometry. Every output cell is written.
+///
+/// # Panics
+///
+/// Panics when the buffers hold different plane counts.
+pub fn max_pool2d_into(
+    src: &[f32],
+    (h, w): (usize, usize),
+    (window, stride, pad): (usize, usize, usize),
+    dst: &mut [f32],
+) {
+    let oh = (h + 2 * pad).saturating_sub(window) / stride + 1;
+    let ow = (w + 2 * pad).saturating_sub(window) / stride + 1;
+    assert_eq!(
+        src.len() / (h * w).max(1),
+        dst.len() / (oh * ow),
+        "max_pool2d_into: plane count mismatch"
+    );
+    for (p, plane) in dst.chunks_exact_mut(oh * ow).enumerate() {
+        let xd = &src[p * h * w..];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                for iy in (oy * stride..oy * stride + window).filter(|&i| i >= pad && i < h + pad) {
+                    for ix in
+                        (ox * stride..ox * stride + window).filter(|&i| i >= pad && i < w + pad)
+                    {
+                        best = best.max(xd[(iy - pad) * w + (ix - pad)]);
                     }
-                    od[((b * c + ch) * oh + oy) * ow + ox] = best;
                 }
+                plane[oy * ow + ox] = best;
             }
         }
     }
-    Ok(out)
 }
 
 /// Adaptive average pooling to an exact output size, matching PyTorch's
@@ -127,18 +140,6 @@ pub fn adaptive_avg_pool2d_into(
     }
 }
 
-/// Global average pooling: adaptive average pooling to 1x1, flattened to
-/// `[n, c]`. Used by classification heads (e.g. ResNet-50).
-///
-/// # Errors
-///
-/// Returns an error for non-NCHW input.
-pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
-    let (n, c, _, _) = check_nchw("global_avg_pool", input)?;
-    let pooled = adaptive_avg_pool2d(input, 1, 1)?;
-    pooled.reshape(&[n, c])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,11 +190,23 @@ mod tests {
     }
 
     #[test]
-    fn global_avg_pool_flattens() {
+    fn adaptive_pool_to_one_by_one_is_the_plane_mean() {
         let x =
             Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0, 2.0, 4.0, 6.0, 8.0], &[1, 2, 2, 2]).unwrap();
-        let y = global_avg_pool(&x).unwrap();
-        assert_eq!(y.shape(), &[1, 2]);
+        let y = adaptive_avg_pool2d(&x, 1, 1).unwrap();
+        assert_eq!(y.shape(), &[1, 2, 1, 1]);
         assert_eq!(y.data(), &[4.0, 5.0]);
+    }
+
+    #[test]
+    fn max_pool_into_pools_every_plane_of_a_dirty_buffer() {
+        // Two 3x3 planes, window 2, stride 2, pad 1: each 2x2 output cell
+        // sees one to four real pixels, never a padding value.
+        let src: Vec<f32> = (0..18).map(|v| v as f32 - 9.0).collect();
+        let mut dst = vec![f32::NAN; 8];
+        max_pool2d_into(&src, (3, 3), (2, 2, 1), &mut dst);
+        assert_eq!(dst, [-9.0, -7.0, -3.0, -1.0, 0.0, 2.0, 6.0, 8.0]);
+        let x = Tensor::from_vec(src, &[1, 2, 3, 3]).unwrap();
+        assert_eq!(max_pool2d(&x, 2, 2, 1).unwrap().data(), dst.as_slice());
     }
 }
