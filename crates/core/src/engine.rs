@@ -488,15 +488,23 @@ impl EngineCore {
     ) -> Result<Vec<Inference>, EngineError> {
         let sink = ctx.sink.as_ref();
         let enabled = sink.enabled();
+        let batch = images.len();
         // Injected hard failures (crash; poisoned plan replay under the Plan
-        // backend) kill the attempt before any kernel runs.
+        // backend) kill the attempt before any kernel runs. A poisoned plan
+        // is evicted, so the next run of this path compiles a fresh one;
+        // workers already holding the old `Arc` finish on it.
         if let Some(f) = ctx
             .fault
             .injected_failure(ctx.exec.backend() == ExecBackend::Plan)
         {
+            if matches!(f, FaultError::InjectedReplayFailure { .. }) {
+                self.plan_cache
+                    .write()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .remove(&(entry.config, batch));
+            }
             return Err(EngineError::Fault(f));
         }
-        let batch = images.len();
         let stacked;
         let input = if batch == 1 {
             images

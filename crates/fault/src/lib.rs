@@ -100,7 +100,7 @@ pub struct FaultPlan {
     /// Service-time multiplier of a stalled attempt (must be >= 1).
     pub stall_factor: f64,
     /// Probability a plan replay fails (only drawn under the `Plan`
-    /// backend; interpreted runs skip this slice).
+    /// backend; the reference interpreter skips this slice).
     pub replay_rate: f64,
 }
 
@@ -310,7 +310,8 @@ pub enum FaultError {
         run: u64,
     },
     /// An injected plan-replay failure (poisoned plan) aborted the
-    /// attempt; callers should fall back to the interpreter backend.
+    /// attempt; the engine evicts the plan, so a retry compiles a fresh
+    /// one.
     InjectedReplayFailure {
         /// The request/run the fault plan scheduled the failure for.
         run: u64,

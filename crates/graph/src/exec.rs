@@ -25,10 +25,10 @@ use vit_trace::{now_ns, null_sink, EventKind, Phase as TracePhase, TraceSink};
 /// much per-run work happens outside the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecBackend {
-    /// Walk the graph node by node per run: per-node weight-cache lookups
-    /// and buffer-pool allocation. This is the reference oracle the
-    /// differential suites compare against and the serving breaker's
-    /// fallback when plan replay keeps failing.
+    /// Walk the graph node by node per run: per-node weight-cache lookups,
+    /// per-call weight packing and buffer-pool allocation. This is the
+    /// reference oracle the differential suites compare against; serving
+    /// runs it only when a server is started without plans.
     #[default]
     Interpret,
     /// Replay a compiled `vit-plan` `ExecPlan`: a flat record loop over a
@@ -752,9 +752,16 @@ impl ExecScratch {
                 let kctx = ExecCtx {
                     pool: ctx.exec.active_pool(),
                     bufs: Some(&self.bufs),
-                    reference: ctx.exec.reference_kernels(),
                 };
-                eval_op(&node.name, &node.op, &weights, &in_tensors, &kctx)?
+                let reference = ctx.exec.reference_kernels();
+                eval_op(
+                    &node.name,
+                    &node.op,
+                    &weights,
+                    &in_tensors,
+                    &kctx,
+                    reference,
+                )?
             };
             if flip_at == Some(id.index()) {
                 fault.corrupt(out.data_mut());
@@ -822,21 +829,36 @@ pub fn check_node_guard(node: &str, out: &Tensor, guard: GuardConfig) -> Result<
 
 /// Evaluates one non-[`Op::Input`] operator on already-computed input
 /// tensors and its weights `w` (as [`node_weight_shapes`] lists them),
-/// through the same `vit-tensor` inner loops as `vit-plan`'s replay step
-/// for the op. The heavy kernels tile across `ctx`'s pool and draw
-/// outputs from its buffer pool; every other op runs sequentially. A
-/// kernel that rejects its shapes fails as [`ExecError::Kernel`] at
-/// `name`.
+/// through the same `vit-tensor` entry points as `vit-plan`'s replay step
+/// for the op: convolutions and linear layers are packed per call and run
+/// through [`ops::PackedConv2d`]/[`ops::PackedLinear`] without an
+/// epilogue. The heavy kernels tile across `ctx`'s pool and draw outputs
+/// from its buffer pool; every other op runs sequentially. `reference`
+/// routes convolution, linear, GELU and attention to the
+/// [`ops::reference`] oracle instead. A kernel that rejects its shapes
+/// fails as [`ExecError::Kernel`] at `name`.
 fn eval_op(
     name: &str,
     op: &Op,
     w: &[Tensor],
     in_tensors: &[&Tensor],
     ctx: &ExecCtx<'_>,
+    reference: bool,
 ) -> Result<Tensor, ExecError> {
     let kerr = |source: TensorError| ExecError::Kernel {
         node: name.to_string(),
         source,
+    };
+    let linear = |x: &Tensor, w: &Tensor, b: Option<&Tensor>| {
+        if reference {
+            return ops::reference::linear(x, w, b).map_err(kerr);
+        }
+        let lin = ops::PackedLinear::pack(w, b, ops::Epilogue::None).map_err(kerr)?;
+        let mut shape = x.shape().to_vec();
+        *shape.last_mut().expect("linear input has a feature axis") = lin.out_features();
+        let mut out = ctx.alloc_zeroed(&shape);
+        lin.run(x.data(), out.data_mut(), ctx);
+        Ok(out)
     };
     let out = match op {
         Op::Input { .. } => unreachable!("Op::Input is handled by the caller"),
@@ -854,21 +876,29 @@ fn eval_op(
                 pad_w: pad.1,
                 groups: *groups,
             };
-            let b = if *bias { Some(&w[1]) } else { None };
-            ops::conv2d_ctx(in_tensors[0], &w[0], b, p, ctx).map_err(kerr)?
+            let (x, b) = (in_tensors[0], if *bias { Some(&w[1]) } else { None });
+            if reference {
+                ops::reference::conv2d(x, &w[0], b, p).map_err(kerr)?
+            } else {
+                let conv = ops::PackedConv2d::pack(&w[0], b, p, ops::Epilogue::None);
+                let conv = conv.map_err(kerr)?;
+                let mut out = ctx.alloc_zeroed(&conv.out_shape(x.shape()));
+                conv.run(x.data(), x.shape(), out.data_mut(), ctx);
+                out
+            }
         }
         Op::Linear { bias, .. } => {
             let b = if *bias { Some(&w[1]) } else { None };
-            ops::linear_ctx(in_tensors[0], &w[0], b, ctx).map_err(kerr)?
+            linear(in_tensors[0], &w[0], b)?
         }
         Op::LayerNorm => {
             ops::layer_norm(in_tensors[0], &w[0], &w[1], LAYER_NORM_EPS).map_err(kerr)?
         }
         Op::BatchNorm => ops::batch_norm_inference(in_tensors[0], &w[0], &w[1]).map_err(kerr)?,
         Op::Relu => ops::relu(in_tensors[0]),
-        Op::Gelu if ctx.reference => ops::reference::gelu(in_tensors[0]),
+        Op::Gelu if reference => ops::reference::gelu(in_tensors[0]),
         Op::Gelu => ops::gelu(in_tensors[0]),
-        Op::Sdpa { heads } if ctx.reference => {
+        Op::Sdpa { heads } if reference => {
             ops::reference::sdpa(in_tensors[0], in_tensors[1], in_tensors[2], *heads)
                 .map_err(kerr)?
         }
@@ -884,7 +914,7 @@ fn eval_op(
             // `w` holds the value, output, offset and weight projections.
             let (q, v) = (in_tensors[0], in_tensors[1]);
             let s = ops::SdpaShape::new(q.shape(), v.shape(), v.shape(), *heads).map_err(kerr)?;
-            let proj = |x: &Tensor, w: &Tensor| ops::linear_ctx(x, w, None, ctx).map_err(kerr);
+            let proj = |x: &Tensor, w: &Tensor| linear(x, w, None);
             let value = proj(v, &w[0])?;
             let offsets = proj(q, &w[2])?;
             let mut logits = proj(q, &w[3])?;
@@ -1163,7 +1193,49 @@ mod tests {
     }
 
     fn eval1(op: Op, x: &Tensor) -> Tensor {
-        eval_op("t", &op, &[], &[x], &ExecCtx::default()).unwrap()
+        eval_op("t", &op, &[], &[x], &ExecCtx::default(), false).unwrap()
+    }
+
+    /// Reference mode routes convolution and linear layers to the oracle;
+    /// otherwise they run the packed kernels the plan replays, which equal
+    /// the classic sequential entry points.
+    #[test]
+    fn reference_mode_routes_conv_and_linear_to_the_oracle() {
+        let eval = |op: &Op, x: &Tensor, w: &[Tensor], reference| {
+            eval_op("t", op, w, &[x], &ExecCtx::default(), reference).unwrap()
+        };
+        let x = Tensor::rand_uniform(&[1, 4, 6, 6], -1.0, 1.0, 5);
+        let w = [
+            Tensor::rand_uniform(&[3, 4, 3, 3], -1.0, 1.0, 6),
+            Tensor::rand_uniform(&[3], -1.0, 1.0, 7),
+        ];
+        let conv = Op::Conv2d {
+            out_channels: 3,
+            kernel: (3, 3),
+            stride: (1, 1),
+            pad: (1, 1),
+            groups: 1,
+            bias: true,
+        };
+        let p = ops::Conv2dParams::new().pad(1);
+        let oracle = ops::reference::conv2d(&x, &w[0], Some(&w[1]), p).unwrap();
+        assert_eq!(eval(&conv, &x, &w, true), oracle);
+        let packed = ops::conv2d(&x, &w[0], Some(&w[1]), p).unwrap();
+        assert_eq!(eval(&conv, &x, &w, false), packed);
+
+        let t = Tensor::rand_uniform(&[2, 5, 7], -1.0, 1.0, 8);
+        let w = [
+            Tensor::rand_uniform(&[3, 7], -1.0, 1.0, 9),
+            Tensor::rand_uniform(&[3], -1.0, 1.0, 10),
+        ];
+        let linear = Op::Linear {
+            out_features: 3,
+            bias: true,
+        };
+        let oracle = ops::reference::linear(&t, &w[0], Some(&w[1])).unwrap();
+        assert_eq!(eval(&linear, &t, &w, true), oracle);
+        let packed = ops::linear(&t, &w[0], Some(&w[1])).unwrap();
+        assert_eq!(eval(&linear, &t, &w, false), packed);
     }
 
     fn cyclic_shift(x: &Tensor, dy: isize, dx: isize) -> Tensor {

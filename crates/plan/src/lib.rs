@@ -152,7 +152,7 @@ impl BufRange {
 pub enum ExecContract {
     /// One sequential pass over the whole output range (copies,
     /// transposes, concat, channel slice, Swin's index remappings, pooling,
-    /// and deformable attention, whose projections tile internally).
+    /// and deformable attention, whose projections run in that one pass).
     /// Never reassociates.
     Sequential,
     /// Row tiling through [`vit_tensor::row_chunks`]: the output splits
@@ -1184,7 +1184,6 @@ impl ExecPlan {
             let kctx = ExecCtx {
                 pool,
                 bufs: Some(&self.scratch),
-                reference: false,
             };
             match &rec.step {
                 Step::Input { pos } => out.copy_from_slice(inputs[*pos].data()),
@@ -1302,11 +1301,14 @@ impl ExecPlan {
                     let lens = [v.len(), rows * hs * 2, rows * hs, q.len()];
                     let [mut vp, mut off, mut logits, mut gathered] =
                         lens.map(|len| self.scratch.take_for_overwrite(len));
-                    value.run(v, &mut vp, &kctx);
-                    offsets.run(q, &mut off, &kctx);
-                    weights.run(q, &mut logits, &kctx);
+                    // The step's contract is `Sequential`: the projections
+                    // run in the one chunk that exec-safety proves.
+                    let seq = ExecCtx { pool: None, ..kctx };
+                    value.run(v, &mut vp, &seq);
+                    offsets.run(q, &mut off, &seq);
+                    weights.run(q, &mut logits, &seq);
                     ops::deform_gather_into(&vp, &off, &mut logits, *s, *samples, &mut gathered);
-                    output.run(&gathered, out, &kctx);
+                    output.run(&gathered, out, &seq);
                     for buf in [vp, off, logits, gathered] {
                         self.scratch.recycle(buf);
                     }

@@ -55,9 +55,9 @@ pub struct FaultToleranceConfig {
     /// the true abort.
     pub watchdog_grace: f64,
     /// Consecutive failures on one worker that open its circuit breaker.
-    /// An open breaker forces that worker onto the conservative
-    /// interpreter path until a success closes it; when every worker's
-    /// breaker is open, [`crate::Server::submit`] refuses new work.
+    /// A success closes it again. An open breaker does not change how its
+    /// worker executes; when every worker's breaker is open,
+    /// [`crate::Server::submit`] refuses new work.
     pub breaker_threshold: usize,
 }
 

@@ -66,13 +66,12 @@ pub(crate) trait DispatchEnv {
     ) -> Option<Job<Self::Payload>>;
 
     /// Runs `members` as one pass of `entry`; `attempt` keys a single
-    /// request's fault draws, `interpret` forces the interpreting backend.
+    /// request's fault draws.
     fn run(
         &mut self,
         members: &[Job<Self::Payload>],
         entry: &LutEntry,
         attempt: u32,
-        interpret: bool,
     ) -> Result<(), FailureReason>;
 
     fn record(&mut self, outcome: Outcome);
@@ -155,7 +154,7 @@ impl Dispatcher<'_> {
         if batch.len() == 1 {
             return self.serve(env, &batch[0]);
         }
-        match env.run(&batch, &entry, 0, false) {
+        match env.run(&batch, &entry, 0) {
             Ok(()) => {
                 let finish = env.now();
                 for job in &batch {
@@ -214,11 +213,11 @@ impl Dispatcher<'_> {
 
     /// Serves one request to its terminal outcome. Each attempt re-checks
     /// admissibility and re-selects against the *remaining* slack, so a
-    /// retry degrades to a cheaper configuration by construction; a
-    /// plan-replay failure moves the remaining attempts to the interpreter.
+    /// retry degrades to a cheaper configuration by construction. A
+    /// plan-replay failure is retried like any other: the engine has
+    /// already evicted the failed plan, so the retry runs a fresh one.
     fn serve<E: DispatchEnv>(&self, env: &mut E, job: &Job<E::Payload>) {
         let (mut attempt, mut faults_seen) = (0, 0);
-        let mut interpret = false;
         let mut last_reason = FailureReason::Engine;
         loop {
             let slack = self.slack(job.deadline, env.now());
@@ -244,7 +243,7 @@ impl Dispatcher<'_> {
                 return;
             }
             let entry = self.select(slack);
-            let Err(reason) = env.run(std::slice::from_ref(job), &entry, attempt, interpret) else {
+            let Err(reason) = env.run(std::slice::from_ref(job), &entry, attempt) else {
                 if attempt > 0 {
                     fault_event(env, RecoveryAction::Degraded, || {
                         format!("retries={attempt}")
@@ -261,14 +260,7 @@ impl Dispatcher<'_> {
                 env.record(failed(job, reason, attempt, faults_seen));
                 return;
             }
-            if reason == FailureReason::PlanReplay && !interpret {
-                interpret = true;
-                fault_event(env, RecoveryAction::BackendFallback, || {
-                    "plan -> interpret".to_string()
-                });
-            } else {
-                fault_event(env, RecoveryAction::Retry, || reason.name().to_string());
-            }
+            fault_event(env, RecoveryAction::Retry, || reason.name().to_string());
             attempt += 1;
         }
     }

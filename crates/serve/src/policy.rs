@@ -39,8 +39,8 @@ pub enum RecoveryPolicy {
     /// The self-healing policy: retry the request with its *remaining*
     /// slack as a tighter budget, so the Pareto LUT picks a cheaper
     /// configuration for the retry (the serving analog of the paper's
-    /// graceful degradation), falling back `Plan → Interpret` after a
-    /// plan-replay failure.
+    /// graceful degradation). A plan-replay failure is retried the same
+    /// way, on a plan the engine compiles afresh.
     DegradedRetry {
         /// Maximum re-attempts after the first failed one.
         max_retries: u32,

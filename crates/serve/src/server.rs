@@ -555,30 +555,24 @@ impl DispatchEnv for Worker<'_> {
         }
     }
 
-    /// One engine pass under the output guard, fault injection armed per
-    /// `(request, attempt)`, on the interpreter while the breaker is open
-    /// or after a replay failure. A panic inside the pass is contained: it
+    /// One engine pass under the output guard, with fault injection armed
+    /// per `(request, attempt)`. A panic inside the pass is contained: it
     /// becomes an [`FailureReason::Engine`] failure, and the worker goes on
-    /// with a fresh scratch.
+    /// with a fresh scratch. The breaker only counts: it never changes how
+    /// the pass executes.
     fn run(
         &mut self,
         members: &[Job<Payload>],
         entry: &LutEntry,
         attempt: u32,
-        interpret: bool,
     ) -> Result<(), FailureReason> {
         let shared = self.shared;
         let ft = &shared.config.fault_tolerance;
-        let mut ctx = shared.ctx.clone();
-        if self.breaker_open || interpret {
-            let exec = ctx.exec.clone().with_backend(ExecBackend::Interpret);
-            ctx = ctx.with_exec(exec);
-        }
         let mut fault = FaultCtx::new().with_guard(GuardConfig::default());
         if let Some(plan) = ft.fault {
             fault = fault.armed(plan, members[0].seq, attempt);
         }
-        let ctx = ctx.with_fault(fault);
+        let ctx = shared.ctx.clone().with_fault(fault);
         let began = self.now();
         let (pass, scratch) = (self.pass, &mut self.scratch);
         let result = catch_unwind(AssertUnwindSafe(|| {

@@ -275,15 +275,9 @@ impl DispatchEnv for Replica<'_> {
         members: &[Job<()>],
         entry: &LutEntry,
         attempt: u32,
-        interpret: bool,
     ) -> Result<(), FailureReason> {
         let expected = entry.resource * self.config.secs_per_unit;
-        let drawn = match self.fault.and_then(|p| p.decide(members[0].seq, attempt)) {
-            // Replay faults stop arising once recovery fell back to the
-            // interpreting backend.
-            Some(FaultKind::PlanReplay) if interpret => None,
-            d => d,
-        };
+        let drawn = self.fault.and_then(|p| p.decide(members[0].seq, attempt));
         let (burned, result) = match drawn {
             Some(FaultKind::Crash) => (CRASH_BURN * expected, Err(FailureReason::Crash)),
             // Corruption runs to completion; the output guard catches it
@@ -536,10 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_failure_falls_back_to_interpreter() {
+    fn replay_failure_is_retried_like_any_other_failure() {
         let core = tiny_core();
-        // Replay always fails; the fallback must land every request on a
-        // successful (interpreted) retry.
+        // Replay always fails and every attempt draws its fault afresh, so
+        // each request exhausts its retries and fails on the replay fault.
         let plan = FaultPlan {
             seed: 5,
             crash_rate: 0.0,
@@ -548,12 +542,16 @@ mod tests {
             stall_factor: 1.0,
             replay_rate: 1.0,
         };
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0).with_fault(plan);
+        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
+            .with_fault(plan)
+            .with_recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 });
         let m = simulate(&core, &cfg, &uniform_arrivals(10, 50.0, 40.0));
-        assert_eq!(m.completed, 10);
-        assert_eq!(m.fault_failures, 0);
-        assert_eq!(m.degraded_completions, 10, "every completion retried once");
-        assert_eq!(m.faults_seen, 10);
+        assert!(m.accounts_for_all_submissions());
+        assert_eq!(m.completed, 0);
+        assert_eq!(m.fault_failures, 10);
+        assert_eq!(m.failure_histogram, vec![(FailureReason::PlanReplay, 10)]);
+        assert_eq!(m.faults_seen, 30, "three attempts per request");
+        assert_eq!(m.retries, 20, "two retries per request");
     }
 
     #[test]

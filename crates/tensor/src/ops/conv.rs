@@ -37,8 +37,7 @@ use crate::error::{invalid_argument, invalid_shape, shape_mismatch, Result};
 use crate::ops::fused::Epilogue;
 use crate::ops::layout::transpose_block;
 use crate::ops::pack::{gemm_rows, packed_len, GemmBias, Isa, Panels, NR};
-use crate::ops::reference;
-use crate::par::{BufferPool, ExecCtx};
+use crate::par::BufferPool;
 use crate::tensor::Tensor;
 
 /// Convolution hyper-parameters.
@@ -112,7 +111,9 @@ impl Default for Conv2dParams {
 /// 2-D convolution.
 ///
 /// `input` is NCHW `[n, c, h, w]`; `weight` is `[k, c/groups, r, s]`;
-/// `bias` is `[k]` or `None`. Returns `[n, k, oh, ow]`.
+/// `bias` is `[k]` or `None`. Returns `[n, k, oh, ow]`. Runs sequentially;
+/// bit-identical to [`crate::ops::PackedConv2d::run`] without an
+/// epilogue, which is the entry point executors tile across a pool.
 ///
 /// # Errors
 ///
@@ -140,10 +141,14 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     p: Conv2dParams,
 ) -> Result<Tensor> {
-    conv2d_ctx(input, weight, bias, p, &ExecCtx::default())
+    let (geom, n) = conv_geometry(input, weight, bias, p)?;
+    let mut out = Tensor::zeros(&[n, geom.k, geom.oh, geom.ow]);
+    let (xd, wd, bd) = (input.data(), weight.data(), bias.map(Tensor::data));
+    conv2d_rows(xd, wd, bd, out.data_mut(), 0, geom, Epilogue::None, None);
+    Ok(out)
 }
 
-/// Geometry of one [`conv2d_ctx`] call, shared by every output chunk.
+/// Geometry of one convolution call, shared by every output chunk.
 #[derive(Clone, Copy)]
 pub(crate) struct ConvGeom {
     pub(crate) c: usize,
@@ -280,9 +285,9 @@ fn valid_ox_range(sx: usize, g: &ConvGeom) -> (usize, usize) {
 /// Direct single-input-channel kernel for whole output planes: replays
 /// the oracle's per-element tap order exactly (taps ascending `(ry, sx)`,
 /// out-of-bounds taps skipped), so the result is bit-identical to
-/// [`reference::conv2d_rows`]. Unit-stride planes run on the AVX-512
-/// kernel when the CPU has it, everything else on the scalar one; the two
-/// agree bit for bit.
+/// [`crate::ops::reference::conv2d_rows`]. Unit-stride planes run on the
+/// AVX-512 kernel when the CPU has it, everything else on the scalar one;
+/// the two agree bit for bit.
 fn direct_plane_rows(
     xd: &[f32],
     wd: &[f32],
@@ -911,40 +916,6 @@ fn im2col_gemm_rows(
     }
 }
 
-/// [`conv2d`] with an execution context: output channel-planes are tiled
-/// across the context's thread pool and scratch (output and im2col
-/// panels) is drawn from its buffer pool. Bit-identical to [`conv2d`] at
-/// any thread count.
-///
-/// # Errors
-///
-/// Returns the same validation errors as [`conv2d`].
-pub fn conv2d_ctx(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: Conv2dParams,
-    ctx: &ExecCtx<'_>,
-) -> Result<Tensor> {
-    let (geom, n) = conv_geometry(input, weight, bias, p)?;
-    let mut out = ctx.alloc_zeroed(&[n, geom.k, geom.oh, geom.ow]);
-    let xd = input.data();
-    let wd = weight.data();
-    let bd = bias.map(Tensor::data);
-    let plane = geom.oh * geom.ow;
-    let reference = ctx.reference;
-    let bufs = ctx.bufs;
-    ctx.for_each_row_chunk(out.data_mut(), plane, |_, start, piece| {
-        let row0 = start / plane.max(1);
-        if reference {
-            reference::conv2d_rows(xd, wd, bd, piece, row0, geom, Epilogue::None);
-        } else {
-            conv2d_rows(xd, wd, bd, piece, row0, geom, Epilogue::None, bufs);
-        }
-    });
-    Ok(out)
-}
-
 /// Depthwise 2-D convolution: one filter per channel
 /// (`groups == in_channels == out_channels`).
 ///
@@ -971,6 +942,7 @@ pub fn depthwise_conv2d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::reference;
 
     #[test]
     fn conv_1x1_is_channel_mix() {

@@ -467,7 +467,6 @@ mod tests {
         let ctx = ExecCtx {
             pool: Some(&pool),
             bufs: None,
-            reference: false,
         };
         let x = Tensor::rand_uniform(&[2, 4, 6, 6], -1.0, 1.0, 31);
         let w = Tensor::rand_uniform(&[8, 4, 3, 3], -0.5, 0.5, 32);
@@ -527,12 +526,10 @@ mod tests {
             ExecCtx {
                 pool: None,
                 bufs: Some(&bufs),
-                reference: false,
             },
             ExecCtx {
                 pool: Some(&pool),
                 bufs: Some(&bufs),
-                reference: false,
             },
         ] {
             let mut got = vec![f32::NAN; want.len()];
@@ -563,7 +560,6 @@ mod tests {
         let par = ExecCtx {
             pool: Some(&pool),
             bufs: None,
-            reference: false,
         };
         for ctx in [ExecCtx::default(), par] {
             let mut got = vec![f32::NAN; want.len()];

@@ -1,16 +1,13 @@
 //! Matrix multiplication and linear (fully-connected) kernels.
 //!
-//! The production path packs the right operand into `NR`-wide column
-//! panels ([`crate::ops::pack::PackedB`]) and runs the register-blocked
-//! micro-kernel; [`crate::par::ExecCtx::reference`] reroutes every entry
-//! point to the naive oracle loops in [`crate::ops::reference`] so whole
-//! models can be replayed against the tolerance tier's oracle.
+//! Both entry points pack the right operand into `NR`-wide column panels
+//! ([`crate::ops::pack::PackedB`]) and run the register-blocked
+//! micro-kernel sequentially; the naive oracle loops live in
+//! [`crate::ops::reference`].
 
 use crate::error::{invalid_shape, shape_mismatch, Result};
 use crate::ops::fused::Epilogue;
 use crate::ops::pack::{gemm_rows, GemmBias, PackedB};
-use crate::ops::reference;
-use crate::par::ExecCtx;
 use crate::tensor::Tensor;
 
 /// Validates a `[m, k] x [k, n]` product, returning `(m, k, n)`.
@@ -98,40 +95,18 @@ pub(crate) fn validate_linear(
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_ctx(a, b, &ExecCtx::default())
-}
-
-/// [`matmul`] with an execution context: `b` is panel-packed once, then
-/// output rows are tiled across the context's thread pool. Blocking
-/// geometry depends only on shapes, so the result is bit-identical to
-/// [`matmul`] at any thread count.
-///
-/// # Errors
-///
-/// Returns the same validation errors as [`matmul`].
-pub fn matmul_ctx(a: &Tensor, b: &Tensor, ctx: &ExecCtx<'_>) -> Result<Tensor> {
     let (m, k, n) = validate_matmul(a, b)?;
-    let mut out = ctx.alloc_zeroed(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    if ctx.reference {
-        ctx.for_each_row_chunk(out.data_mut(), n, |_, start, piece| {
-            reference::matmul_rows(ad, bd, piece, start / n.max(1), k, n);
-        });
-        return Ok(out);
-    }
-    let packed = PackedB::pack(bd, k, n);
-    ctx.for_each_row_chunk(out.data_mut(), n, |_, start, piece| {
-        gemm_rows(
-            ad,
-            k,
-            start / n.max(1),
-            packed.panels(),
-            piece,
-            GemmBias::None,
-            Epilogue::None,
-        );
-    });
+    let mut out = Tensor::zeros(&[m, n]);
+    let packed = PackedB::pack(b.data(), k, n);
+    gemm_rows(
+        a.data(),
+        k,
+        0,
+        packed.panels(),
+        out.data_mut(),
+        GemmBias::None,
+        Epilogue::None,
+    );
     Ok(out)
 }
 
@@ -140,62 +115,27 @@ pub fn matmul_ctx(a: &Tensor, b: &Tensor, ctx: &ExecCtx<'_>) -> Result<Tensor> {
 /// `input` is `[..., in_features]`, `weight` is
 /// `[out_features, in_features]` (PyTorch convention), `bias` is
 /// `[out_features]` or `None`. The result replaces the last dimension with
-/// `out_features`.
+/// `out_features`. Bit-identical to [`crate::ops::PackedLinear::run`]
+/// without an epilogue, which is the entry point executors tile across a
+/// pool.
 ///
 /// # Errors
 ///
 /// Returns [`crate::TensorError::ShapeMismatch`] when `in_features` or the
 /// bias length disagree.
 pub fn linear(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Result<Tensor> {
-    linear_ctx(input, weight, bias, &ExecCtx::default())
-}
-
-/// [`linear`] with an execution context: the weight is packed as `W^T`
-/// column panels once, then output rows are tiled across the context's
-/// thread pool. Bit-identical to [`linear`] at any thread count.
-///
-/// # Errors
-///
-/// Returns the same validation errors as [`linear`].
-pub fn linear_ctx(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    ctx: &ExecCtx<'_>,
-) -> Result<Tensor> {
     let (out_shape, in_features, out_features) = validate_linear(input, weight, bias)?;
-    let mut out = ctx.alloc_zeroed(&out_shape);
-    let xd = input.data();
-    let wd = weight.data();
-    let bd = bias.map(Tensor::data);
-    if ctx.reference {
-        ctx.for_each_row_chunk(out.data_mut(), out_features, |_, start, piece| {
-            let r0 = start / out_features.max(1);
-            reference::linear_rows(
-                xd,
-                wd,
-                bd,
-                piece,
-                r0,
-                in_features,
-                out_features,
-                Epilogue::None,
-            );
-        });
-        return Ok(out);
-    }
-    let packed = PackedB::pack_transposed(wd, out_features, in_features);
-    ctx.for_each_row_chunk(out.data_mut(), out_features, |_, start, piece| {
-        gemm_rows(
-            xd,
-            in_features,
-            start / out_features.max(1),
-            packed.panels(),
-            piece,
-            bd.map_or(GemmBias::None, GemmBias::PerCol),
-            Epilogue::None,
-        );
-    });
+    let mut out = Tensor::zeros(&out_shape);
+    let packed = PackedB::pack_transposed(weight.data(), out_features, in_features);
+    gemm_rows(
+        input.data(),
+        in_features,
+        0,
+        packed.panels(),
+        out.data_mut(),
+        bias.map_or(GemmBias::None, |b| GemmBias::PerCol(b.data())),
+        Epilogue::None,
+    );
     Ok(out)
 }
 
@@ -263,18 +203,5 @@ mod tests {
         let w = Tensor::zeros(&[2, 4]);
         let b = Tensor::zeros(&[3]);
         assert!(linear(&x, &w, Some(&b)).is_err());
-    }
-
-    #[test]
-    fn reference_ctx_reroutes_to_oracle() {
-        let a = Tensor::rand_uniform(&[5, 7], -1.0, 1.0, 21);
-        let b = Tensor::rand_uniform(&[7, 6], -1.0, 1.0, 22);
-        let ref_ctx = ExecCtx {
-            reference: true,
-            ..ExecCtx::default()
-        };
-        let via_ctx = matmul_ctx(&a, &b, &ref_ctx).unwrap();
-        let oracle = crate::ops::reference::matmul(&a, &b).unwrap();
-        assert_eq!(via_ctx.data(), oracle.data());
     }
 }

@@ -486,19 +486,14 @@ impl BufferPool {
 /// pool) and where to allocate outputs (an optional buffer pool).
 ///
 /// `ExecCtx::default()` is the sequential, plainly-allocating context;
-/// every `*_ctx` kernel called with it behaves exactly like its classic
-/// counterpart.
+/// a packed kernel run with it is bit-identical to its classic
+/// counterpart (and, by the determinism contract, at any thread count).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecCtx<'a> {
     /// Worker pool for intra-kernel tiling; `None` runs sequentially.
     pub pool: Option<&'a ThreadPool>,
     /// Allocation free-list for kernel outputs; `None` allocates fresh.
     pub bufs: Option<&'a BufferPool>,
-    /// Route GEMM-backed kernels to the naive oracle loops in
-    /// [`crate::ops::reference`] instead of the packed micro-kernels.
-    /// Used by the tolerance tier to replay whole models against the
-    /// oracle; production paths leave this `false`.
-    pub reference: bool,
 }
 
 impl<'a> ExecCtx<'a> {

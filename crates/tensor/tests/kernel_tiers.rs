@@ -26,7 +26,9 @@ use proptest::prelude::*;
 use vit_tensor::ops::reference::{
     self, max_input_ulp, max_ulp, tolerance, within_tolerance, KernelClass,
 };
-use vit_tensor::ops::{self, block_rows, Conv2dParams, Epilogue, PackedB, MR, NR};
+use vit_tensor::ops::{
+    self, block_rows, Conv2dParams, Epilogue, PackedB, PackedConv2d, PackedLinear, MR, NR,
+};
 use vit_tensor::{corrupt, ExecCtx, Tensor, ThreadPool};
 
 /// Thread counts every differential claim is proved at — the same sample
@@ -43,6 +45,38 @@ fn with_ctx<R>(threads: usize, f: impl FnOnce(&ExecCtx) -> R) -> R {
             ..ExecCtx::default()
         })
     }
+}
+
+/// [`PackedLinear::run`] without an epilogue — the entry point both
+/// executors call for a linear layer — into a fresh zeroed output.
+fn packed_linear(x: &Tensor, w: &Tensor, b: Option<&Tensor>, ctx: &ExecCtx) -> Tensor {
+    let lin = PackedLinear::pack(w, b, Epilogue::None).unwrap();
+    let mut shape = x.shape().to_vec();
+    *shape.last_mut().unwrap() = lin.out_features();
+    let mut out = Tensor::zeros(&shape);
+    lin.run(x.data(), out.data_mut(), ctx);
+    out
+}
+
+/// `a · b` through [`packed_linear`]: `b` is the transpose of the
+/// linear layer's `[out, in]` weight.
+fn packed_matmul(a: &Tensor, b: &Tensor, ctx: &ExecCtx) -> Tensor {
+    packed_linear(a, &b.transpose2().unwrap(), None, ctx)
+}
+
+/// [`PackedConv2d::run`] without an epilogue — the entry point both
+/// executors call for a convolution — into a fresh zeroed output.
+fn packed_conv(
+    x: &Tensor,
+    w: &Tensor,
+    b: Option<&Tensor>,
+    p: Conv2dParams,
+    ctx: &ExecCtx,
+) -> Tensor {
+    let conv = PackedConv2d::pack(w, b, p, Epilogue::None).unwrap();
+    let mut out = Tensor::zeros(&conv.out_shape(x.shape()));
+    conv.run(x.data(), x.shape(), out.data_mut(), ctx);
+    out
 }
 
 /// Inner dimensions that cross every blocking boundary: unit, non-unit
@@ -114,8 +148,9 @@ proptest! {
         let a = Tensor::rand_uniform(&[m, k], -2.0, 2.0, seed);
         let b = Tensor::rand_uniform(&[k, n], -2.0, 2.0, seed.wrapping_add(1));
         let want = reference::matmul(&a, &b).unwrap();
+        prop_assert_eq!(ops::matmul(&a, &b).unwrap().data(), want.data());
         for threads in THREADS {
-            let got = with_ctx(threads, |ctx| ops::matmul_ctx(&a, &b, ctx).unwrap());
+            let got = with_ctx(threads, |ctx| packed_matmul(&a, &b, ctx));
             prop_assert_eq!(
                 got.data(), want.data(),
                 "packed matmul diverged from the oracle at {} thread(s)", threads
@@ -137,7 +172,7 @@ proptest! {
             .then(|| Tensor::rand_uniform(&[out_features], -1.0, 1.0, seed.wrapping_add(2)));
         let want = reference::linear(&x, &w, b.as_ref()).unwrap();
         for threads in THREADS {
-            let got = with_ctx(threads, |ctx| ops::linear_ctx(&x, &w, b.as_ref(), ctx).unwrap());
+            let got = with_ctx(threads, |ctx| packed_linear(&x, &w, b.as_ref(), ctx));
             prop_assert_eq!(got.data(), want.data());
         }
     }
@@ -155,7 +190,7 @@ proptest! {
         let p = Conv2dParams::new().pad(pad).stride(stride).groups(c);
         let want = reference::conv2d(&x, &k, None, p).unwrap();
         for threads in THREADS {
-            let got = with_ctx(threads, |ctx| ops::conv2d_ctx(&x, &k, None, p, ctx).unwrap());
+            let got = with_ctx(threads, |ctx| packed_conv(&x, &k, None, p, ctx));
             prop_assert_eq!(got.data(), want.data());
         }
     }
@@ -293,7 +328,7 @@ proptest! {
         let want = reference::conv2d(&x, &wt, b.as_ref(), p).unwrap();
         let tol = tolerance(KernelClass::Conv);
         for threads in THREADS {
-            let got = with_ctx(threads, |ctx| ops::conv2d_ctx(&x, &wt, b.as_ref(), p, ctx).unwrap());
+            let got = with_ctx(threads, |ctx| packed_conv(&x, &wt, b.as_ref(), p, ctx));
             prop_assert!(
                 within_tolerance(got.data(), want.data(), tol),
                 "conv GEMM path exceeded the Conv tolerance at {} thread(s): {} ULP",
@@ -390,7 +425,7 @@ fn depthwise_conv_matches_reference_on_every_small_geometry() {
             for b in [None, Some(&bias)] {
                 let want = reference::conv2d(&x, &k, b, p).unwrap();
                 for threads in THREADS {
-                    let got = with_ctx(threads, |ctx| ops::conv2d_ctx(&x, &k, b, p, ctx).unwrap());
+                    let got = with_ctx(threads, |ctx| packed_conv(&x, &k, b, p, ctx));
                     assert!(
                         same_bits(got.data(), want.data()),
                         "depthwise {h}x{w} kernel {kernel} stride {stride} pad {pad} \
@@ -639,7 +674,7 @@ const GOLDEN_MAX_ULP_ACTIVATION: f64 = 2.0;
 fn golden_ulp_pin_gemm_class() {
     let a = Tensor::rand_uniform(&[13, 263], -2.0, 2.0, 11);
     let b = Tensor::rand_uniform(&[263, 3 * NR + 5], -2.0, 2.0, 12);
-    let got = ops::matmul_ctx(&a, &b, &ExecCtx::default()).unwrap();
+    let got = packed_matmul(&a, &b, &ExecCtx::default());
     let want = reference::matmul(&a, &b).unwrap();
     let measured = max_ulp(got.data(), want.data());
     assert!(
@@ -656,7 +691,7 @@ fn golden_ulp_pin_conv_class() {
     let w = Tensor::rand_uniform(&[8, 3, 3, 3], -2.0, 2.0, 22);
     let bias = Tensor::rand_uniform(&[8], -1.0, 1.0, 23);
     let p = Conv2dParams::new().pad(1).groups(2);
-    let got = ops::conv2d_ctx(&x, &w, Some(&bias), p, &ExecCtx::default()).unwrap();
+    let got = packed_conv(&x, &w, Some(&bias), p, &ExecCtx::default());
     let want = reference::conv2d(&x, &w, Some(&bias), p).unwrap();
     let measured = max_ulp(got.data(), want.data());
     assert!(
@@ -700,7 +735,7 @@ fn injected_inf_propagates_through_zero_rows_in_both_tiers() {
 
     let want = reference::matmul(&a, &b).unwrap();
     for threads in THREADS {
-        let got = with_ctx(threads, |ctx| ops::matmul_ctx(&a, &b, ctx).unwrap());
+        let got = with_ctx(threads, |ctx| packed_matmul(&a, &b, ctx));
         for i in 0..m {
             for j in 0..n {
                 let v = got.data()[i * n + j];

@@ -125,9 +125,6 @@ pub enum RecoveryAction {
     /// The request is being retried with its remaining slack as a tighter
     /// budget (degraded retry).
     Retry,
-    /// The retry additionally falls back `Plan → Interpret` after a
-    /// plan-replay failure.
-    BackendFallback,
     /// A worker's consecutive-failure circuit breaker opened.
     CircuitOpen,
     /// A worker's circuit breaker closed again after a success.
@@ -145,7 +142,6 @@ impl RecoveryAction {
         match self {
             RecoveryAction::Detected => "detected",
             RecoveryAction::Retry => "retry",
-            RecoveryAction::BackendFallback => "backend_fallback",
             RecoveryAction::CircuitOpen => "circuit_open",
             RecoveryAction::CircuitClose => "circuit_close",
             RecoveryAction::FailFast => "fail_fast",

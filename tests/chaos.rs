@@ -139,8 +139,9 @@ fn injected_crashes_are_typed_failures() {
 }
 
 /// Replay failures only exist on the plan backend: the same armed context
-/// fails a plan-backed run but leaves an interpreted run untouched — the
-/// mechanism behind the server's plan → interpret fallback.
+/// fails a plan-backed run but leaves an interpreted run untouched. A
+/// failed replay evicts its cached plan, and the next clean plan run
+/// compiles a fresh one that reproduces the pre-fault logits bit for bit.
 #[test]
 fn replay_failure_is_plan_backend_only() {
     let core = shared_core();
@@ -153,6 +154,11 @@ fn replay_failure_is_plan_backend_only() {
             .with_guard(GuardConfig::default())
             .armed(plan, 4, 0)
     };
+    let clean = || ctx_with(ExecBackend::Plan, FaultCtx::new());
+    let before = core
+        .run(&mut scratch, &img, entry.clone(), true, &clean())
+        .expect("clean plan run succeeds");
+    let cached = core.cached_plans();
     let err = core
         .run(
             &mut scratch,
@@ -166,15 +172,29 @@ fn replay_failure_is_plan_backend_only() {
         err.as_fault(),
         Some(FaultError::InjectedReplayFailure { run: 4 })
     ));
+    assert_eq!(
+        core.cached_plans(),
+        cached - 1,
+        "a failed replay evicts its plan"
+    );
     // Same fault context, interpreting backend: the fault cannot fire.
     core.run(
         &mut scratch,
         &img,
-        entry,
+        entry.clone(),
         true,
         &ctx_with(ExecBackend::Interpret, arm()),
     )
     .expect("interpreter is immune to replay faults");
+    let after = core
+        .run(&mut scratch, &img, entry, true, &clean())
+        .expect("the next clean plan run recompiles");
+    assert_eq!(core.cached_plans(), cached, "the evicted plan is rebuilt");
+    assert_eq!(
+        after.logits.data(),
+        before.logits.data(),
+        "a recompiled plan reproduces the pre-fault logits"
+    );
 }
 
 /// An injected stall slows the run but never changes its output.
@@ -210,40 +230,53 @@ fn stalls_preserve_outputs() {
     assert_eq!(stalled.label_map.data(), clean.label_map.data());
 }
 
-/// The threaded server self-heals: with crash injection and degraded
-/// retry, the completion/failure/retry counters match exactly what the
-/// deterministic fault plan prescribes — replayed here directly from the
-/// plan's own draws, independent of thread interleaving.
+/// The threaded server self-heals: with crash and plan-replay injection
+/// and degraded retry, the completion/failure/retry counters match exactly
+/// what the deterministic fault plan prescribes — replayed here directly
+/// from the plan's own draws, independent of thread interleaving. A replay
+/// fault is retried like a crash; its eviction writes the plan cache that
+/// the other worker reads.
 #[test]
 fn threaded_server_matches_the_plan_prescribed_outcomes() {
     use std::time::{Duration, Instant};
-    use vit_serve::{Calibration, InferenceRequest, RecoveryPolicy, Server, ServerConfig};
+    use vit_serve::{
+        Calibration, FailureReason, InferenceRequest, RecoveryPolicy, Server, ServerConfig,
+    };
 
     const SPU: f64 = 1e7; // minutes of synthetic slack: deadlines never bind
     const N: u64 = 24;
     const MAX_RETRIES: u32 = 2;
     let mut plan = FaultPlan::none(0xFA07);
-    plan.crash_rate = 0.5; // crash-only: every drawn fault is a typed crash
+    // Every drawn fault is a typed crash or replay failure.
+    plan.crash_rate = 0.25;
+    plan.replay_rate = 0.25;
 
     // Replay the plan's draws to derive the exact expected counters: a
-    // request completes at its first clean attempt, or fails after
-    // MAX_RETRIES re-attempts.
-    let (mut exp_completed, mut exp_failed) = (0usize, 0usize);
-    let (mut exp_faults, mut exp_retries, mut exp_degraded) = (0usize, 0usize, 0usize);
+    // request completes at its first clean attempt, or fails on the fault
+    // of its last attempt after MAX_RETRIES re-attempts.
+    let (mut exp_completed, mut exp_faults, mut exp_replays) = (0usize, 0usize, 0usize);
+    let (mut exp_retries, mut exp_degraded) = (0usize, 0usize);
+    let mut exp_failures = Vec::new();
     for seq in 0..N {
         let mut attempt = 0u32;
         loop {
-            if plan.decide(seq, attempt).is_none() {
+            let Some(kind) = plan.decide(seq, attempt) else {
                 exp_completed += 1;
                 exp_retries += attempt as usize;
                 if attempt > 0 {
                     exp_degraded += 1;
                 }
                 break;
-            }
+            };
             exp_faults += 1;
+            let replay = matches!(kind, FaultKind::PlanReplay);
+            exp_replays += usize::from(replay);
             if attempt >= MAX_RETRIES {
-                exp_failed += 1;
+                exp_failures.push(if replay {
+                    FailureReason::PlanReplay
+                } else {
+                    FailureReason::Crash
+                });
                 exp_retries += attempt as usize;
                 break;
             }
@@ -251,8 +284,8 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
         }
     }
     assert!(
-        exp_faults > 0 && exp_completed > 0,
-        "seed exercises both paths"
+        exp_replays > 0 && exp_faults > exp_replays && exp_completed > 0,
+        "seed exercises both fault kinds and completions"
     );
 
     let core = shared_core();
@@ -265,7 +298,7 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
             .recovery(RecoveryPolicy::DegradedRetry {
                 max_retries: MAX_RETRIES,
             })
-            // High enough that persistent crashes never open every
+            // High enough that persistent faults never open every
             // breaker and start rejecting submissions mid-test.
             .breaker_threshold(usize::MAX)
             .build()
@@ -285,15 +318,13 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
     assert!(m.accounts_for_all_submissions());
     assert_eq!(m.submitted, N as usize);
     assert_eq!(m.completed, exp_completed);
-    assert_eq!(m.fault_failures, exp_failed);
+    assert_eq!(m.fault_failures, exp_failures.len());
     assert_eq!(m.faults_seen, exp_faults);
     assert_eq!(m.retries, exp_retries);
     assert_eq!(m.degraded_completions, exp_degraded);
-    if exp_failed > 0 {
-        assert_eq!(
-            m.failure_histogram,
-            vec![(vit_serve::FailureReason::Crash, exp_failed)]
-        );
+    for (reason, n) in &m.failure_histogram {
+        let want = exp_failures.iter().filter(|&r| r == reason).count();
+        assert_eq!(*n, want, "{} failures", reason.name());
     }
 }
 
