@@ -30,8 +30,8 @@ use vit_fault::FaultPlan;
 use vit_models::SegFormerVariant;
 use vit_resilience::{segformer_fidelity, FidelitySettings};
 use vit_serve::{
-    simulate_outcomes, Outcome, RecoveryPolicy, SchedulePolicy, ServerMetrics, SimArrival,
-    SimConfig,
+    simulate_outcomes, Calibration, Outcome, RecoveryPolicy, SchedulePolicy, ServerConfig,
+    ServerMetrics, SimArrival, SimModel,
 };
 
 const WORKERS: usize = 4;
@@ -76,7 +76,7 @@ fn fault_plan(rate: f64) -> FaultPlan {
 /// The three compared (policy, recovery) pairs.
 const POLICIES: [&str; 3] = ["degraded-retry", "fail-fast", "static-full"];
 
-fn sim_config(policy: &str, rate: f64) -> SimConfig {
+fn server_config(policy: &str, rate: f64) -> ServerConfig {
     let (schedule, recovery) = match policy {
         "degraded-retry" => (
             SchedulePolicy::DrtDynamic,
@@ -86,11 +86,15 @@ fn sim_config(policy: &str, rate: f64) -> SimConfig {
         "static-full" => (SchedulePolicy::static_full(), RecoveryPolicy::FailFast),
         other => unreachable!("unknown chaos policy {other}"),
     };
-    let mut cfg = SimConfig::new(WORKERS, QUEUE_DEPTH, schedule, 1.0).with_recovery(recovery);
+    let mut cfg = ServerConfig::builder()
+        .workers(WORKERS)
+        .queue_depth(QUEUE_DEPTH)
+        .policy(schedule)
+        .recovery(recovery);
     if rate > 0.0 {
-        cfg = cfg.with_fault(fault_plan(rate));
+        cfg = cfg.fault(fault_plan(rate));
     }
-    cfg
+    cfg.build().expect("chaos sweep config validates")
 }
 
 /// The seeded open-loop arrival trace shared by every point of the sweep
@@ -127,7 +131,8 @@ struct RatePoint {
 }
 
 fn run_cell(core: &EngineCore, arrivals: &[SimArrival], policy: &'static str, rate: f64) -> Cell {
-    let outcomes = simulate_outcomes(core, &sim_config(policy, rate), arrivals);
+    let model = SimModel::new(Calibration::from_secs_per_unit(1.0));
+    let outcomes = simulate_outcomes(core, &server_config(policy, rate), model, arrivals);
     let mut degraded_configs: Vec<(LutConfig, usize)> = Vec::new();
     for outcome in &outcomes {
         if let Outcome::Completed(r) = outcome {

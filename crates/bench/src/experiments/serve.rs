@@ -29,7 +29,8 @@ use vit_drt::{DrtEngine, EngineCore};
 use vit_models::SegFormerVariant;
 use vit_resilience::{ResourceKind, Workload};
 use vit_serve::{
-    simulate, SchedulePolicy, ServerMetrics, SimArrival, SimConfig, TenantId, TenantSpec,
+    simulate, Calibration, SchedulePolicy, ServerConfig, ServerMetrics, SimArrival, SimModel,
+    TenantId, TenantSpec,
 };
 
 /// Workers per replica; the fleet is `REPLICAS * WORKERS` wide.
@@ -73,6 +74,14 @@ impl Fleet {
     fn capacity_hz(&self, core: &EngineCore) -> f64 {
         (self.replicas * WORKERS) as f64 / core.max_resource()
     }
+
+    /// One virtual second per LUT unit, `replicas` wide.
+    fn model(&self) -> SimModel {
+        SimModel {
+            replicas: self.replicas,
+            ..SimModel::new(Calibration::from_secs_per_unit(1.0))
+        }
+    }
 }
 
 pub(crate) fn build_core() -> Arc<EngineCore> {
@@ -88,16 +97,20 @@ pub(crate) fn build_core() -> Arc<EngineCore> {
 
 const POLICIES: [&str; 3] = ["drt-batched", "drt-unbatched", "static-full"];
 
-fn policy_config(policy: &str, fleet: &Fleet) -> SimConfig {
-    let base = |schedule| {
-        SimConfig::new(WORKERS, QUEUE_DEPTH, schedule, 1.0).with_replicas(fleet.replicas)
-    };
-    match policy {
-        "drt-batched" => base(SchedulePolicy::DrtDynamic).with_batching(MAX_BATCH),
-        "drt-unbatched" => base(SchedulePolicy::DrtDynamic),
-        "static-full" => base(SchedulePolicy::static_full()),
+fn policy_config(policy: &str) -> ServerConfig {
+    let (schedule, max_batch) = match policy {
+        "drt-batched" => (SchedulePolicy::DrtDynamic, MAX_BATCH),
+        "drt-unbatched" => (SchedulePolicy::DrtDynamic, 1),
+        "static-full" => (SchedulePolicy::static_full(), 1),
         other => unreachable!("unknown serve policy {other}"),
-    }
+    };
+    ServerConfig::builder()
+        .workers(WORKERS)
+        .queue_depth(QUEUE_DEPTH)
+        .policy(schedule)
+        .max_batch(max_batch)
+        .build()
+        .expect("serve sweep config validates")
 }
 
 /// Offered-load multipliers for the sweep. DRT degrades toward the
@@ -164,7 +177,7 @@ fn run_point(core: &EngineCore, fleet: &Fleet, load_x: f64, seed: u64) -> LoadPo
             .iter()
             .map(|policy| Cell {
                 policy,
-                metrics: simulate(core, &policy_config(policy, fleet), &arrivals),
+                metrics: simulate(core, &policy_config(policy), fleet.model(), &arrivals),
             })
             .collect(),
     }
@@ -181,7 +194,7 @@ fn run_diurnal(core: &EngineCore, fleet: &Fleet) -> Vec<Cell> {
         .iter()
         .map(|policy| Cell {
             policy,
-            metrics: simulate(core, &policy_config(policy, fleet), &arrivals),
+            metrics: simulate(core, &policy_config(policy), fleet.model(), &arrivals),
         })
         .collect()
 }
@@ -201,18 +214,16 @@ fn run_adversarial(core: &EngineCore, fleet: &Fleet) -> (ServerMetrics, ServerMe
         2 * fleet.replicas * QUEUE_DEPTH,
         SEED + 29,
     );
-    let quotas = vec![
+    let batched = policy_config("drt-batched");
+    let mut quotas = batched.clone();
+    quotas.tenancy.tenants = vec![
         // The steady tenant gets weight and headroom; the flooder is
         // capped to a quarter of each replica's queue.
         TenantSpec::new(TenantId(0)).with_weight(2.0),
         TenantSpec::new(TenantId(1)).with_queue_share(0.25),
     ];
-    let with_quotas = simulate(
-        core,
-        &policy_config("drt-batched", fleet).with_tenants(quotas),
-        &arrivals,
-    );
-    let without = simulate(core, &policy_config("drt-batched", fleet), &arrivals);
+    let with_quotas = simulate(core, &quotas, fleet.model(), &arrivals);
+    let without = simulate(core, &batched, fleet.model(), &arrivals);
     (with_quotas, without)
 }
 

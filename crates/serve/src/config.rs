@@ -15,9 +15,9 @@ use vit_resilience::ResourceKind;
 ///
 /// Queued requests whose slack→budget policy resolves to the same LUT
 /// configuration are coalesced into one batch-N engine pass. Batching is
-/// off by default (`max_batch == 1`) and is automatically disabled while a
-/// fault-injection plan is armed, so chaos runs keep their per-request
-/// replay determinism.
+/// off by default (`max_batch == 1`) and is automatically disabled while an
+/// active fault plan ([`FaultToleranceConfig::active_plan`]) is armed, so
+/// chaos runs keep their per-request replay determinism.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchConfig {
     /// Largest number of requests one engine pass may serve.
@@ -42,9 +42,10 @@ impl Default for BatchConfig {
 pub struct FaultToleranceConfig {
     /// Deterministic fault injection plan. `None` (the default) serves
     /// cleanly — workers still run the output guard, but no faults are
-    /// drawn. With a plan, every attempt is armed with
+    /// drawn. With an active plan, every attempt is armed with
     /// `(plan, request seq, attempt)` so a chaos run replays byte-for-byte
-    /// regardless of thread interleaving.
+    /// regardless of thread interleaving. A plan that can draw nothing
+    /// ([`FaultPlan::none`]) serves exactly like `None`.
     pub fault: Option<FaultPlan>,
     /// What workers do when an attempt faults.
     pub recovery: RecoveryPolicy,
@@ -59,6 +60,14 @@ pub struct FaultToleranceConfig {
     /// worker executes; when every worker's breaker is open,
     /// [`crate::Server::submit`] refuses new work.
     pub breaker_threshold: usize,
+}
+
+impl FaultToleranceConfig {
+    /// The plan that arms fault injection: [`FaultToleranceConfig::fault`]
+    /// when it can draw a fault at all.
+    pub fn active_plan(&self) -> Option<FaultPlan> {
+        self.fault.filter(FaultPlan::is_active)
+    }
 }
 
 impl Default for FaultToleranceConfig {
@@ -147,6 +156,15 @@ pub enum ConfigError {
     },
     /// `fault_tolerance.breaker_threshold` must be at least 1.
     ZeroBreakerThreshold,
+    /// `fault_tolerance.fault` breaks the [`FaultPlan`] contract: each rate
+    /// finite in `[0, 1]`, the rates summing to at most 1, and a finite
+    /// `stall_factor` of at least 1.
+    BadFaultPlan {
+        /// The offending plan field, or `rate_sum` for the total.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// A tenant's fair-share weight must be finite and positive.
     BadTenantWeight {
         /// The offending tenant.
@@ -183,6 +201,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroBreakerThreshold => {
                 write!(f, "circuit breaker threshold must be at least 1")
+            }
+            ConfigError::BadFaultPlan { field, value } => {
+                write!(f, "fault plan {field} {value} is out of range")
             }
             ConfigError::BadTenantWeight { tenant, weight } => {
                 write!(f, "{tenant} has non-positive fair-share weight {weight}")
@@ -304,6 +325,9 @@ impl ServerConfig {
         if self.fault_tolerance.breaker_threshold == 0 {
             return Err(ConfigError::ZeroBreakerThreshold);
         }
+        if let Some(plan) = &self.fault_tolerance.fault {
+            check_fault_plan(plan)?;
+        }
         for (i, t) in self.tenancy.tenants.iter().enumerate() {
             if !t.weight.is_finite() || t.weight <= 0.0 {
                 return Err(ConfigError::BadTenantWeight {
@@ -323,6 +347,25 @@ impl ServerConfig {
             }
         }
         Ok(())
+    }
+}
+
+/// The [`FaultPlan`] contract: per-attempt probabilities that sum to at
+/// most 1, and a stall that never speeds an attempt up.
+fn check_fault_plan(p: &FaultPlan) -> Result<(), ConfigError> {
+    let sum = p.crash_rate + p.bitflip_rate + p.stall_rate + p.replay_rate;
+    let checks = [
+        ("crash_rate", p.crash_rate, 0.0..=1.0),
+        ("bitflip_rate", p.bitflip_rate, 0.0..=1.0),
+        ("stall_rate", p.stall_rate, 0.0..=1.0),
+        ("replay_rate", p.replay_rate, 0.0..=1.0),
+        ("rate_sum", sum, 0.0..=1.0),
+        ("stall_factor", p.stall_factor, 1.0..=f64::MAX),
+    ];
+    let bad = checks.into_iter().find(|(_, v, range)| !range.contains(v));
+    match bad {
+        Some((field, value, _)) => Err(ConfigError::BadFaultPlan { field, value }),
+        None => Ok(()),
     }
 }
 
@@ -478,6 +521,28 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroBreakerThreshold
         );
+        // The fault plan field a config with `edit` applied is rejected
+        // for; empty when it validates.
+        let rejected = |edit: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::none(1);
+            edit(&mut plan);
+            match ServerConfig::builder().fault(plan).build() {
+                Ok(_) => "",
+                Err(ConfigError::BadFaultPlan { field, .. }) => field,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        };
+        assert_eq!(rejected(|p| p.crash_rate = -0.1), "crash_rate");
+        assert_eq!(rejected(|p| p.bitflip_rate = f64::NAN), "bitflip_rate");
+        assert_eq!(rejected(|p| p.stall_rate = f64::INFINITY), "stall_rate");
+        assert_eq!(rejected(|p| p.replay_rate = 1.5), "replay_rate");
+        assert_eq!(
+            rejected(|p| (p.crash_rate, p.stall_rate) = (0.6, 0.5)),
+            "rate_sum"
+        );
+        assert_eq!(rejected(|p| p.stall_factor = f64::NAN), "stall_factor");
+        assert_eq!(rejected(|p| p.stall_factor = 0.5), "stall_factor");
+        assert_eq!(rejected(|p| (p.crash_rate, p.replay_rate) = (0.5, 0.5)), "");
     }
 
     #[test]

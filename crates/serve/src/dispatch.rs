@@ -7,8 +7,9 @@
 //! substrate supplies only a [`DispatchEnv`] — clock, queue, executor,
 //! outcome sink, trace hook — so the two agree because they run this code.
 
+use crate::config::ServerConfig;
 use crate::fair::DispatchPushError;
-use crate::policy::{admissible, budget_for, RecoveryPolicy, SchedulePolicy};
+use crate::policy::{admissible, budget_for};
 use crate::request::{
     FailureReason, FailureRecord, Outcome, RequestRecord, RequestTicket, ShedReason, ShedRecord,
     TenantId,
@@ -90,16 +91,38 @@ pub(crate) fn batch_secs(single: f64, n: usize, marginal: f64) -> f64 {
 
 /// The dispatch policy of one server or simulated replica.
 pub(crate) struct Dispatcher<'a> {
-    pub core: &'a EngineCore,
-    pub policy: SchedulePolicy,
-    pub recovery: RecoveryPolicy,
-    pub secs_per_unit: f64,
+    core: &'a EngineCore,
+    config: &'a ServerConfig,
+    secs_per_unit: f64,
     /// Largest batch one pass may serve; 1 never coalesces.
-    pub max_batch: usize,
-    /// How long a leader waits for followers, in seconds.
-    pub window: f64,
+    max_batch: usize,
     /// Projected cost of each member beyond the first ([`batch_secs`]).
-    pub marginal: f64,
+    marginal: f64,
+}
+
+impl<'a> Dispatcher<'a> {
+    /// The policy `config` prescribes over `core`, on a substrate where one
+    /// LUT resource unit takes `secs_per_unit` seconds and each batch
+    /// member beyond the first adds `marginal` of a single pass.
+    ///
+    /// No batching while an active fault plan is armed: draws are keyed
+    /// per (request, attempt), and a shared pass would entangle the
+    /// members' draw histories — chaos replay stays per-request.
+    pub fn new(
+        core: &'a EngineCore,
+        config: &'a ServerConfig,
+        secs_per_unit: f64,
+        marginal: f64,
+    ) -> Self {
+        let armed = config.fault_tolerance.active_plan().is_some();
+        Dispatcher {
+            core,
+            config,
+            secs_per_unit,
+            max_batch: if armed { 1 } else { config.batching.max_batch },
+            marginal,
+        }
+    }
 }
 
 impl Dispatcher<'_> {
@@ -114,7 +137,7 @@ impl Dispatcher<'_> {
 
     fn select(&self, slack: f64) -> LutEntry {
         self.core
-            .select(budget_for(self.policy, self.core, slack))
+            .select(budget_for(self.config.policy, self.core, slack))
             .0
     }
 
@@ -183,7 +206,7 @@ impl Dispatcher<'_> {
         entry: &LutEntry,
     ) -> Vec<Job<E::Payload>> {
         let single = entry.resource * self.secs_per_unit;
-        let window_end = env.now() + self.window;
+        let window_end = env.now() + self.config.batching.window;
         let mut earliest = leader.deadline;
         let mut batch = vec![leader];
         while batch.len() < self.max_batch {
@@ -255,7 +278,7 @@ impl Dispatcher<'_> {
             };
             faults_seen += 1;
             last_reason = reason;
-            if attempt >= self.recovery.max_retries() {
+            if attempt >= self.config.fault_tolerance.recovery.max_retries() {
                 fault_event(env, RecoveryAction::FailFast, || reason.name().to_string());
                 env.record(failed(job, reason, attempt, faults_seen));
                 return;

@@ -20,7 +20,6 @@
 //! mutex + condvars for the threaded server.
 
 use crate::config::TenantSpec;
-use crate::queue::PopResult;
 use crate::request::TenantId;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -334,16 +333,14 @@ impl<K: Ord, T> SharedDispatchQueue<K, T> {
     }
 
     /// Removes and returns the next weighted-fair-EDF item, blocking while
-    /// the queue is empty. Returns `Closed` once the queue is closed *and*
+    /// the queue is empty. Returns `None` once the queue is closed *and*
     /// drained.
-    pub fn pop(&self) -> PopResult<(TenantId, K, T)> {
+    pub fn pop(&self) -> Option<(TenantId, K, T)> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(it) = q.pop() {
-                return PopResult::Item(it);
-            }
-            if q.is_closed() {
-                return PopResult::Closed;
+            let item = q.pop();
+            if item.is_some() || q.is_closed() {
+                return item;
             }
             q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
@@ -406,6 +403,77 @@ mod tests {
         q.try_push(t, 20, "mid").unwrap();
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, s)| s)).collect();
         assert_eq!(order, ["first-early", "second-early", "mid", "late"]);
+    }
+
+    /// A single-tenant shared queue: what the server runs without tenancy
+    /// config.
+    fn edf<T>(capacity: usize) -> SharedDispatchQueue<u64, T> {
+        SharedDispatchQueue::bounded(capacity, &[])
+    }
+
+    const T0: TenantId = TenantId(0);
+
+    #[test]
+    fn pops_in_deadline_order_with_fifo_tiebreak() {
+        let q = edf(8);
+        q.try_push(T0, 30, "late").unwrap();
+        q.try_push(T0, 10, "first-early").unwrap();
+        q.try_push(T0, 10, "second-early").unwrap();
+        q.try_push(T0, 20, "mid").unwrap();
+        let order: Vec<&str> = (0..4)
+            .map(|_| q.pop().expect("four items queued").2)
+            .collect();
+        assert_eq!(order, ["first-early", "second-early", "mid", "late"]);
+    }
+
+    #[test]
+    fn bounded_capacity_rejects_then_accepts() {
+        let q = edf(2);
+        q.try_push(T0, 1, 1).unwrap();
+        q.try_push(T0, 2, 2).unwrap();
+        assert_eq!(q.try_push(T0, 3, 3), Err(DispatchPushError::Full));
+        assert_eq!(q.pop().expect("two items queued").2, 1);
+        q.try_push(T0, 3, 3).unwrap();
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_producers_consumers_deliver_everything() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let q: Arc<SharedDispatchQueue<u64, u64>> = Arc::new(edf(4));
+        let sum = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for p in 0..3u64 {
+                let q = q.clone();
+                s.spawn(move || {
+                    // The shared queue never blocks a producer: retry a
+                    // full queue until a consumer makes room.
+                    for i in 0..50 {
+                        while q.try_push(T0, p * 50 + i, p * 50 + i).is_err() {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            for _ in 0..3 {
+                let q = q.clone();
+                let sum = sum.clone();
+                s.spawn(move || {
+                    while let Some((_, _, v)) = q.pop() {
+                        sum.fetch_add(v, Ordering::Relaxed);
+                    }
+                });
+            }
+            s.spawn(|| {
+                // Give producers time to finish, then close.
+                while !q.is_empty() || sum.load(Ordering::Relaxed) < (0..150u64).sum::<u64>() {
+                    std::thread::yield_now();
+                }
+                q.close();
+            });
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), (0..150u64).sum::<u64>());
     }
 
     #[test]
@@ -495,7 +563,6 @@ mod tests {
 
     #[test]
     fn shared_queue_close_drains_then_reports_closed() {
-        use crate::queue::PopResult;
         let q: SharedDispatchQueue<u64, u32> = SharedDispatchQueue::bounded(4, &[]);
         q.try_push(TenantId::default(), 5, 50).unwrap();
         q.close();
@@ -503,8 +570,8 @@ mod tests {
             q.try_push(TenantId::default(), 6, 60),
             Err(DispatchPushError::Closed)
         );
-        assert!(matches!(q.pop(), PopResult::Item((_, 5, 50))));
-        assert!(matches!(q.pop(), PopResult::Closed));
+        assert!(matches!(q.pop(), Some((_, 5, 50))));
+        assert!(q.pop().is_none());
         assert!(matches!(
             q.pop_if_timeout(Duration::from_millis(1), |_| true),
             CoalescePop::Closed
@@ -525,7 +592,6 @@ mod tests {
     /// every operation keeps working and a blocked popper still drains.
     #[test]
     fn shared_queue_survives_a_poisoned_lock() {
-        use crate::queue::PopResult;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let q: SharedDispatchQueue<u64, u32> = SharedDispatchQueue::bounded(4, &[]);
         let t = TenantId::default();
@@ -539,7 +605,7 @@ mod tests {
         // The panicking predicate popped nothing.
         assert_eq!(q.len(), 1);
         q.try_push(t, 2, 20).unwrap();
-        assert!(matches!(q.pop(), PopResult::Item((_, 1, 10))));
+        assert!(matches!(q.pop(), Some((_, 1, 10))));
         assert!(matches!(
             q.pop_if_timeout(Duration::from_millis(1), |_| true),
             CoalescePop::Item((_, 2, 20))
@@ -550,8 +616,8 @@ mod tests {
             q.try_push(t, 3, 30).unwrap();
             q.close();
             let [first, second] = popper.join().unwrap();
-            assert!(matches!(first, PopResult::Item((_, 3, 30))));
-            assert!(matches!(second, PopResult::Closed));
+            assert!(matches!(first, Some((_, 3, 30))));
+            assert!(second.is_none());
         });
     }
 }

@@ -15,16 +15,18 @@
 //! missing deadlines — the serving-time generalization of the paper's
 //! per-frame budget traces.
 //!
-//! Two execution substrates run the same dispatch code — one private
-//! dispatch core makes the admission, coalescing and recovery decisions
-//! and builds every [`Outcome`]; a substrate supplies only its clock,
-//! queue and executor:
+//! Two execution substrates run the same dispatch code under the same
+//! validated [`ServerConfig`] — one private dispatch core makes the
+//! admission, coalescing and recovery decisions and builds every
+//! [`Outcome`]; a substrate supplies only its clock, queue and executor:
 //!
 //! * [`Server`] — real threads over one `Arc<EngineCore>`, wall-clock
 //!   deadlines, actual tensor execution ([`server`]).
 //! * [`simulate`] — a deterministic discrete-event simulator with a
 //!   virtual clock and a modeled executor, for reproducible fleet-scale
-//!   load-sweep experiments ([`sim`]).
+//!   load-sweep experiments ([`sim`]). A [`SimModel`] adds what only the
+//!   simulator has: the executor rate, the batch marginal and the
+//!   replica count.
 //!
 //! # Example
 //!
@@ -34,7 +36,9 @@
 //! use vit_drt::DrtEngine;
 //! use vit_models::SegFormerVariant;
 //! use vit_resilience::{ResourceKind, Workload};
-//! use vit_serve::{Calibration, InferenceRequest, Server, ServerConfig};
+//! use vit_serve::{
+//!     simulate, Calibration, InferenceRequest, Server, ServerConfig, SimArrival, SimModel,
+//! };
 //! use vit_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,6 +52,10 @@
 //!     .max_batch(4)
 //!     .batch_window(0.002)
 //!     .build()?;
+//! // The same config in virtual time: 8 simultaneous arrivals, 200 ms slack.
+//! let arrivals = [SimArrival::new(0.0, 0.2); 8];
+//! let modeled = simulate(&core, &config, SimModel::new(calibration), &arrivals);
+//! println!("modeled goodput {:.2}", modeled.goodput);
 //! let server = Server::start(core, calibration, config);
 //! let image = Tensor::rand_uniform(&[1, 3, 64, 64], 0.0, 1.0, 1);
 //! let admission = server.submit(InferenceRequest::new(
@@ -69,7 +77,6 @@ mod dispatch;
 pub mod fair;
 pub mod metrics;
 pub mod policy;
-pub mod queue;
 pub mod request;
 pub mod scenario;
 pub mod server;
@@ -82,11 +89,10 @@ pub use config::{
 pub use fair::{CoalescePop, DispatchPushError, DispatchQueue, SharedDispatchQueue};
 pub use metrics::{percentile, ServerMetrics, TenantMetrics};
 pub use policy::{admissible, budget_for, RecoveryPolicy, SchedulePolicy};
-pub use queue::PopResult;
 pub use request::{
     FailureReason, FailureRecord, InferenceRequest, Outcome, RequestRecord, RequestTicket,
     ShedReason, ShedRecord, TenantId,
 };
 pub use scenario::{ChaosScenario, ScenarioError};
 pub use server::{Admission, Calibration, Server, SubmitError, CALIBRATION_RUNS};
-pub use sim::{simulate, simulate_outcomes, SimArrival, SimConfig};
+pub use sim::{simulate, simulate_outcomes, SimArrival, SimModel};

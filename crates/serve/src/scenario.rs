@@ -1,17 +1,22 @@
 //! Chaos scenarios as committed JSON fixtures.
 //!
 //! A [`ChaosScenario`] bundles everything a deterministic chaos replay
-//! needs — the simulation configuration (including the [`FaultPlan`]) and
-//! the exact arrival trace — in a stable JSON encoding, so a scenario
-//! found interesting once (a regression, a pathological burst) can be
-//! committed to the repository and replayed byte-for-byte in CI forever.
-//! Serialization uses the workspace's own dependency-free
-//! [`vit_drt::json`] module.
+//! needs — the serving configuration (including the [`FaultPlan`]), the
+//! simulator's [`SimModel`] and the exact arrival trace — in a stable JSON
+//! encoding, so a scenario found interesting once (a regression, a
+//! pathological burst) can be committed to the repository and replayed
+//! byte-for-byte in CI forever. Decoding validates: a scenario that
+//! [`ServerConfig::validate`] or the model's ranges reject is a
+//! [`ScenarioError`], not a later panic in the simulator. The five
+//! [`ServerConfig`] values the simulator does not model (see [`crate::sim`])
+//! are not encoded and decode to their defaults. Serialization uses the
+//! workspace's own dependency-free [`vit_drt::json`] module.
 
-use crate::config::TenantSpec;
+use crate::config::{BatchConfig, ConfigError, ServerConfig, TenantSpec};
 use crate::policy::{RecoveryPolicy, SchedulePolicy};
 use crate::request::TenantId;
-use crate::sim::{SimArrival, SimConfig};
+use crate::server::Calibration;
+use crate::sim::{SimArrival, SimModel};
 use std::fmt;
 use vit_drt::json::{parse, write_pretty, Json, JsonParseError};
 use vit_fault::FaultPlan;
@@ -21,8 +26,10 @@ use vit_fault::FaultPlan;
 pub struct ChaosScenario {
     /// Human-readable scenario name (shows up in reports).
     pub name: String,
-    /// Full simulation configuration, fault plan included.
-    pub config: SimConfig,
+    /// The serving configuration, fault plan included.
+    pub config: ServerConfig,
+    /// The simulator's executor rate, batch marginal and fleet width.
+    pub model: SimModel,
     /// The exact arrival trace to replay.
     pub arrivals: Vec<SimArrival>,
 }
@@ -38,6 +45,8 @@ pub enum ScenarioError {
         /// Dotted path of the offending field.
         field: String,
     },
+    /// The decoded serving configuration fails [`ServerConfig::validate`].
+    Config(ConfigError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -47,6 +56,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Malformed { field } => {
                 write!(f, "scenario field `{field}` is missing or malformed")
             }
+            ScenarioError::Config(e) => write!(f, "scenario config is invalid: {e}"),
         }
     }
 }
@@ -55,7 +65,8 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Parse(e) => Some(e),
-            _ => None,
+            ScenarioError::Config(e) => Some(e),
+            ScenarioError::Malformed { .. } => None,
         }
     }
 }
@@ -72,16 +83,23 @@ fn malformed(field: &str) -> ScenarioError {
     }
 }
 
-fn need<'j>(obj: &'j Json, field: &str) -> Result<&'j Json, ScenarioError> {
-    obj.get(field).ok_or_else(|| malformed(field))
+/// The member of `obj` named by the last segment of the dotted `path`; an
+/// error names the whole path.
+fn need<'j>(obj: &'j Json, path: &str) -> Result<&'j Json, ScenarioError> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    obj.get(key).ok_or_else(|| malformed(path))
 }
 
-fn need_f64(obj: &Json, field: &str) -> Result<f64, ScenarioError> {
-    need(obj, field)?.as_f64().ok_or_else(|| malformed(field))
+fn need_f64(obj: &Json, path: &str) -> Result<f64, ScenarioError> {
+    need(obj, path)?.as_f64().ok_or_else(|| malformed(path))
 }
 
-fn need_usize(obj: &Json, field: &str) -> Result<usize, ScenarioError> {
-    need(obj, field)?.as_usize().ok_or_else(|| malformed(field))
+fn need_usize(obj: &Json, path: &str) -> Result<usize, ScenarioError> {
+    need(obj, path)?.as_usize().ok_or_else(|| malformed(path))
+}
+
+fn need_u32(obj: &Json, path: &str) -> Result<u32, ScenarioError> {
+    u32::try_from(need_usize(obj, path)?).map_err(|_| malformed(path))
 }
 
 /// A `u64` encodes as an integer when it fits `i64`, else as a decimal
@@ -116,18 +134,13 @@ fn policy_to_json(policy: SchedulePolicy) -> Json {
 }
 
 fn policy_from_json(j: &Json) -> Result<SchedulePolicy, ScenarioError> {
-    let field = "config.policy";
-    let tag = need(j, "type")
-        .and_then(|t| t.as_str().ok_or_else(|| malformed(field)))
-        .map_err(|_| malformed(field))?;
-    match tag {
-        "drt_dynamic" => Ok(SchedulePolicy::DrtDynamic),
-        "static_full" => Ok(SchedulePolicy::static_full()),
-        "static" => Ok(SchedulePolicy::Static {
-            entry_index: need_usize(j, "entry_index")
-                .map_err(|_| malformed("config.policy.entry_index"))?,
+    match j.get("type").and_then(Json::as_str) {
+        Some("drt_dynamic") => Ok(SchedulePolicy::DrtDynamic),
+        Some("static_full") => Ok(SchedulePolicy::static_full()),
+        Some("static") => Ok(SchedulePolicy::Static {
+            entry_index: need_usize(j, "config.policy.entry_index")?,
         }),
-        _ => Err(malformed(field)),
+        _ => Err(malformed("config.policy")),
     }
 }
 
@@ -139,28 +152,16 @@ fn recovery_to_json(recovery: RecoveryPolicy) -> Json {
             tag("degraded_retry"),
             ("max_retries".to_string(), Json::Int(max_retries as i64)),
         ]),
-        // Future variants serialize by their stable name with no payload.
-        #[allow(unreachable_patterns)]
-        other => Json::Obj(vec![tag(other.name())]),
     }
 }
 
 fn recovery_from_json(j: &Json) -> Result<RecoveryPolicy, ScenarioError> {
-    let field = "config.recovery";
-    let tag = need(j, "type")
-        .and_then(|t| t.as_str().ok_or_else(|| malformed(field)))
-        .map_err(|_| malformed(field))?;
-    match tag {
-        "fail_fast" => Ok(RecoveryPolicy::FailFast),
-        "degraded_retry" => {
-            let max = need_usize(j, "max_retries")
-                .map_err(|_| malformed("config.recovery.max_retries"))?;
-            Ok(RecoveryPolicy::DegradedRetry {
-                max_retries: u32::try_from(max)
-                    .map_err(|_| malformed("config.recovery.max_retries"))?,
-            })
-        }
-        _ => Err(malformed(field)),
+    match j.get("type").and_then(Json::as_str) {
+        Some("fail_fast") => Ok(RecoveryPolicy::FailFast),
+        Some("degraded_retry") => Ok(RecoveryPolicy::DegradedRetry {
+            max_retries: need_u32(j, "config.recovery.max_retries")?,
+        }),
+        _ => Err(malformed("config.recovery")),
     }
 }
 
@@ -176,12 +177,9 @@ fn fault_to_json(plan: &FaultPlan) -> Json {
 }
 
 fn fault_from_json(j: &Json) -> Result<FaultPlan, ScenarioError> {
-    let num = |k: &str| need_f64(j, k).map_err(|_| malformed(&format!("config.fault.{k}")));
+    let num = |k: &str| need_f64(j, &format!("config.fault.{k}"));
     Ok(FaultPlan {
-        seed: json_to_u64(
-            need(j, "seed").map_err(|_| malformed("config.fault.seed"))?,
-            "config.fault.seed",
-        )?,
+        seed: json_to_u64(need(j, "config.fault.seed")?, "config.fault.seed")?,
         crash_rate: num("crash_rate")?,
         bitflip_rate: num("bitflip_rate")?,
         stall_rate: num("stall_rate")?,
@@ -198,8 +196,9 @@ impl ChaosScenario {
     /// defaults, so scenarios committed before they existed re-encode to
     /// the identical bytes.
     pub fn to_json(&self) -> String {
-        let config = &self.config;
-        let fault = match &config.fault {
+        let (config, model) = (&self.config, &self.model);
+        let ft = &config.fault_tolerance;
+        let fault = match &ft.fault {
             Some(plan) => fault_to_json(plan),
             None => Json::Null,
         };
@@ -225,33 +224,34 @@ impl ChaosScenario {
                 Json::Int(config.queue_depth as i64),
             ),
             ("policy".to_string(), policy_to_json(config.policy)),
-            ("secs_per_unit".to_string(), Json::Num(config.secs_per_unit)),
-            ("recovery".to_string(), recovery_to_json(config.recovery)),
             (
-                "watchdog_grace".to_string(),
-                Json::Num(config.watchdog_grace),
+                "secs_per_unit".to_string(),
+                Json::Num(model.calibration.secs_per_unit),
             ),
+            ("recovery".to_string(), recovery_to_json(ft.recovery)),
+            ("watchdog_grace".to_string(), Json::Num(ft.watchdog_grace)),
             ("fault".to_string(), fault),
         ];
-        let defaults = SimConfig::new(1, 1, SchedulePolicy::DrtDynamic, 1.0);
-        if config.max_batch != defaults.max_batch {
-            config_fields.push(("max_batch".to_string(), Json::Int(config.max_batch as i64)));
+        let max_batch = config.batching.max_batch;
+        if max_batch != BatchConfig::default().max_batch {
+            config_fields.push(("max_batch".to_string(), Json::Int(max_batch as i64)));
         }
-        if config.batch_marginal != defaults.batch_marginal {
+        let defaults = SimModel::new(model.calibration);
+        if model.batch_marginal != defaults.batch_marginal {
             config_fields.push((
                 "batch_marginal".to_string(),
-                Json::Num(config.batch_marginal),
+                Json::Num(model.batch_marginal),
             ));
         }
-        if config.replicas != defaults.replicas {
-            config_fields.push(("replicas".to_string(), Json::Int(config.replicas as i64)));
+        if model.replicas != defaults.replicas {
+            config_fields.push(("replicas".to_string(), Json::Int(model.replicas as i64)));
         }
-        if !config.tenants.is_empty() {
+        let tenants = &config.tenancy.tenants;
+        if !tenants.is_empty() {
             config_fields.push((
                 "tenants".to_string(),
                 Json::Arr(
-                    config
-                        .tenants
+                    tenants
                         .iter()
                         .map(|t| {
                             Json::Obj(vec![
@@ -274,12 +274,14 @@ impl ChaosScenario {
         out
     }
 
-    /// Decodes a scenario from JSON.
+    /// Decodes a scenario from JSON and validates it.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] on invalid JSON or a missing/malformed
-    /// field.
+    /// Returns [`ScenarioError`] on invalid JSON, a missing/malformed
+    /// field, an out-of-range model value (`secs_per_unit` not positive,
+    /// `batch_marginal` negative or non-finite, zero `replicas`), or a
+    /// configuration [`ServerConfig::validate`] rejects.
     pub fn from_json(text: &str) -> Result<Self, ScenarioError> {
         let doc = parse(text)?;
         let name = need(&doc, "name")?
@@ -287,80 +289,71 @@ impl ChaosScenario {
             .ok_or_else(|| malformed("name"))?
             .to_string();
         let cfg = need(&doc, "config")?;
-        let fault = match need(cfg, "fault").map_err(|_| malformed("config.fault"))? {
+        let fault = match need(cfg, "config.fault")? {
             Json::Null => None,
             j => Some(fault_from_json(j)?),
         };
-        let mut config = SimConfig::new(
-            need_usize(cfg, "workers").map_err(|_| malformed("config.workers"))?,
-            need_usize(cfg, "queue_depth").map_err(|_| malformed("config.queue_depth"))?,
-            policy_from_json(need(cfg, "policy").map_err(|_| malformed("config.policy"))?)?,
-            need_f64(cfg, "secs_per_unit").map_err(|_| malformed("config.secs_per_unit"))?,
-        );
-        config.fault = fault;
-        config.recovery =
-            recovery_from_json(need(cfg, "recovery").map_err(|_| malformed("config.recovery"))?)?;
-        config.watchdog_grace =
-            need_f64(cfg, "watchdog_grace").map_err(|_| malformed("config.watchdog_grace"))?;
+        let mut config = ServerConfig {
+            workers: need_usize(cfg, "config.workers")?,
+            queue_depth: need_usize(cfg, "config.queue_depth")?,
+            policy: policy_from_json(need(cfg, "config.policy")?)?,
+            ..ServerConfig::default()
+        };
+        let mut model = SimModel::new(Calibration {
+            secs_per_unit: need_f64(cfg, "config.secs_per_unit")?,
+        });
+        let ft = &mut config.fault_tolerance;
+        ft.fault = fault;
+        ft.recovery = recovery_from_json(need(cfg, "config.recovery")?)?;
+        ft.watchdog_grace = need_f64(cfg, "config.watchdog_grace")?;
         // Fleet-scale fields are optional: absent means the pre-fleet
         // defaults, keeping old committed scenarios decodable.
         if cfg.get("max_batch").is_some() {
-            config.max_batch =
-                need_usize(cfg, "max_batch").map_err(|_| malformed("config.max_batch"))?;
+            config.batching.max_batch = need_usize(cfg, "config.max_batch")?;
         }
         if cfg.get("batch_marginal").is_some() {
-            config.batch_marginal =
-                need_f64(cfg, "batch_marginal").map_err(|_| malformed("config.batch_marginal"))?;
+            model.batch_marginal = need_f64(cfg, "config.batch_marginal")?;
         }
         if cfg.get("replicas").is_some() {
-            config.replicas =
-                need_usize(cfg, "replicas").map_err(|_| malformed("config.replicas"))?;
+            model.replicas = need_usize(cfg, "config.replicas")?;
         }
         if let Some(tenants) = cfg.get("tenants") {
-            config.tenants = tenants
+            config.tenancy.tenants = tenants
                 .as_arr()
                 .ok_or_else(|| malformed("config.tenants"))?
                 .iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    let id = need_usize(t, "id")
-                        .ok()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| malformed(&format!("config.tenants[{i}].id")))?;
-                    Ok(TenantSpec::new(TenantId(id))
-                        .with_weight(
-                            need_f64(t, "weight")
-                                .map_err(|_| malformed(&format!("config.tenants[{i}].weight")))?,
-                        )
-                        .with_queue_share(need_f64(t, "max_queue_share").map_err(|_| {
-                            malformed(&format!("config.tenants[{i}].max_queue_share"))
-                        })?))
+                    let at = |k: &str| format!("config.tenants[{i}].{k}");
+                    Ok(TenantSpec::new(TenantId(need_u32(t, &at("id"))?))
+                        .with_weight(need_f64(t, &at("weight"))?)
+                        .with_queue_share(need_f64(t, &at("max_queue_share"))?))
                 })
                 .collect::<Result<Vec<_>, ScenarioError>>()?;
         }
+        if let Some(field) = model.invalid_field() {
+            return Err(malformed(&format!("config.{field}")));
+        }
+        config.validate().map_err(ScenarioError::Config)?;
         let arrivals = need(&doc, "arrivals")?
             .as_arr()
             .ok_or_else(|| malformed("arrivals"))?
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                let mut arrival = SimArrival::new(
-                    need_f64(a, "time").map_err(|_| malformed(&format!("arrivals[{i}].time")))?,
-                    need_f64(a, "slack").map_err(|_| malformed(&format!("arrivals[{i}].slack")))?,
-                );
-                if let Some(t) = a.get("tenant") {
-                    let id = t
-                        .as_usize()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| malformed(&format!("arrivals[{i}].tenant")))?;
-                    arrival = arrival.with_tenant(TenantId(id));
+                let at = |k: &str| format!("arrivals[{i}].{k}");
+                let arrival =
+                    SimArrival::new(need_f64(a, &at("time"))?, need_f64(a, &at("slack"))?);
+                match a.get("tenant") {
+                    Some(_) => Ok(arrival.with_tenant(TenantId(need_u32(a, &at("tenant"))?))),
+                    None => Ok(arrival),
                 }
-                Ok(arrival)
             })
             .collect::<Result<Vec<_>, ScenarioError>>()?;
         Ok(ChaosScenario {
             name,
             config,
+            model,
             arrivals,
         })
     }
@@ -373,8 +366,10 @@ mod tests {
     fn scenario() -> ChaosScenario {
         ChaosScenario {
             name: "burst with crashes".to_string(),
-            config: SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0)
-                .with_fault(FaultPlan {
+            config: ServerConfig::builder()
+                .workers(2)
+                .queue_depth(16)
+                .fault(FaultPlan {
                     seed: 42,
                     crash_rate: 0.1,
                     bitflip_rate: 0.05,
@@ -382,7 +377,10 @@ mod tests {
                     stall_factor: 6.0,
                     replay_rate: 0.02,
                 })
-                .with_recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 }),
+                .recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 })
+                .build()
+                .unwrap(),
+            model: SimModel::new(Calibration::from_secs_per_unit(1.0)),
             arrivals: vec![SimArrival::new(0.0, 5.0), SimArrival::new(1.5, 4.25)],
         }
     }
@@ -396,10 +394,14 @@ mod tests {
         assert_eq!(back.config.workers, s.config.workers);
         assert_eq!(back.config.queue_depth, s.config.queue_depth);
         assert_eq!(back.config.policy, s.config.policy);
-        assert_eq!(back.config.secs_per_unit, s.config.secs_per_unit);
-        assert_eq!(back.config.recovery, s.config.recovery);
-        assert_eq!(back.config.watchdog_grace, s.config.watchdog_grace);
-        assert_eq!(back.config.fault, s.config.fault);
+        assert_eq!(
+            back.model.calibration.secs_per_unit,
+            s.model.calibration.secs_per_unit
+        );
+        let (ft, want) = (&back.config.fault_tolerance, &s.config.fault_tolerance);
+        assert_eq!(ft.recovery, want.recovery);
+        assert_eq!(ft.watchdog_grace, want.watchdog_grace);
+        assert_eq!(ft.fault, want.fault);
         assert_eq!(back.arrivals, s.arrivals);
         // And the encoding itself is a fixed point: re-serializing the
         // decoded scenario reproduces the bytes exactly.
@@ -409,11 +411,11 @@ mod tests {
     #[test]
     fn clean_scenario_has_null_fault() {
         let mut s = scenario();
-        s.config.fault = None;
+        s.config.fault_tolerance.fault = None;
         let text = s.to_json();
         assert!(text.contains("\"fault\": null"));
         let back = ChaosScenario::from_json(&text).unwrap();
-        assert_eq!(back.config.fault, None);
+        assert_eq!(back.config.fault_tolerance.fault, None);
     }
 
     #[test]
@@ -429,17 +431,15 @@ mod tests {
     #[test]
     fn fleet_fields_round_trip_when_set() {
         let mut s = scenario();
-        s.config = s
-            .config
-            .with_batching(8)
-            .with_batch_marginal(0.5)
-            .with_replicas(4)
-            .with_tenants(vec![
-                TenantSpec::new(TenantId(1))
-                    .with_weight(2.0)
-                    .with_queue_share(0.5),
-                TenantSpec::new(TenantId(2)),
-            ]);
+        s.config.batching.max_batch = 8;
+        s.config.tenancy.tenants = vec![
+            TenantSpec::new(TenantId(1))
+                .with_weight(2.0)
+                .with_queue_share(0.5),
+            TenantSpec::new(TenantId(2)),
+        ];
+        s.model.batch_marginal = 0.5;
+        s.model.replicas = 4;
         s.arrivals = vec![
             SimArrival::new(0.0, 5.0).with_tenant(TenantId(1)),
             SimArrival::new(1.0, 5.0).with_tenant(TenantId(2)),
@@ -447,10 +447,10 @@ mod tests {
         ];
         let text = s.to_json();
         let back = ChaosScenario::from_json(&text).unwrap();
-        assert_eq!(back.config.max_batch, 8);
-        assert_eq!(back.config.batch_marginal, 0.5);
-        assert_eq!(back.config.replicas, 4);
-        assert_eq!(back.config.tenants, s.config.tenants);
+        assert_eq!(back.config.batching.max_batch, 8);
+        assert_eq!(back.model.batch_marginal, 0.5);
+        assert_eq!(back.model.replicas, 4);
+        assert_eq!(back.config.tenancy, s.config.tenancy);
         assert_eq!(back.arrivals, s.arrivals);
         assert_eq!(back.to_json(), text, "non-default encoding is stable too");
     }
@@ -473,10 +473,89 @@ mod tests {
             }
         );
         assert!(ChaosScenario::from_json("not json").is_err());
+        let text = scenario().to_json();
+        let missing = |what: &str| {
+            let text = text.replacen(what, "\"unknown\":", 1);
+            match ChaosScenario::from_json(&text).unwrap_err() {
+                ScenarioError::Malformed { field } => field,
+                other => panic!("unexpected {other}"),
+            }
+        };
+        assert_eq!(missing("\"seed\":"), "config.fault.seed");
+        assert_eq!(missing("\"type\":"), "config.policy");
+        assert_eq!(missing("\"max_retries\":"), "config.recovery.max_retries");
+        assert_eq!(missing("\"slack\":"), "arrivals[0].slack");
         assert_eq!(
             err.to_string(),
             "scenario field `config` is missing or malformed"
         );
+
+        // Values that decode but that the simulator cannot run are typed
+        // errors at decode time, not panics in `simulate_outcomes`.
+        let decode = |edit: fn(&mut ChaosScenario)| {
+            let mut s = scenario();
+            edit(&mut s);
+            ChaosScenario::from_json(&s.to_json()).unwrap_err()
+        };
+        let field = |f: &str| ScenarioError::Malformed {
+            field: f.to_string(),
+        };
+        assert_eq!(
+            decode(|s| s.model.calibration.secs_per_unit = 0.0),
+            field("config.secs_per_unit")
+        );
+        assert_eq!(
+            decode(|s| s.model.calibration.secs_per_unit = -1.0),
+            field("config.secs_per_unit")
+        );
+        assert_eq!(
+            decode(|s| s.model.batch_marginal = -0.5),
+            field("config.batch_marginal")
+        );
+        assert_eq!(decode(|s| s.model.replicas = 0), field("config.replicas"));
+        // JSON has no infinity, but an overflowing literal decodes to one.
+        let text = scenario().to_json().replace(
+            "\"fault\": {",
+            "\"batch_marginal\": 1e999,\n    \"fault\": {",
+        );
+        assert_eq!(
+            ChaosScenario::from_json(&text).unwrap_err(),
+            field("config.batch_marginal")
+        );
+
+        assert_eq!(
+            decode(|s| s.config.workers = 0),
+            ScenarioError::Config(ConfigError::ZeroWorkers)
+        );
+        assert!(matches!(
+            decode(|s| s.config.fault_tolerance.fault.as_mut().unwrap().crash_rate = 0.9),
+            ScenarioError::Config(ConfigError::BadFaultPlan {
+                field: "rate_sum",
+                ..
+            })
+        ));
+        // A zero or infinite tenant weight would break fair share.
+        let t = TenantId(1);
+        let err = decode(|s| {
+            s.config.tenancy.tenants = vec![TenantSpec::new(TenantId(1)).with_weight(0.0)]
+        });
+        assert_eq!(
+            err,
+            ScenarioError::Config(ConfigError::BadTenantWeight {
+                tenant: t,
+                weight: 0.0
+            })
+        );
+        assert!(err
+            .to_string()
+            .starts_with("scenario config is invalid: tenant1"));
+        let mut s = scenario();
+        s.config.tenancy.tenants = vec![TenantSpec::new(t).with_weight(2.0)];
+        let text = s.to_json().replace("\"weight\": 2.0", "\"weight\": 1e999");
+        assert!(matches!(
+            ChaosScenario::from_json(&text),
+            Err(ScenarioError::Config(ConfigError::BadTenantWeight { tenant, .. })) if tenant == t
+        ));
     }
 }
 
@@ -545,15 +624,19 @@ mod fixture {
     /// arrivals every 5 s, alternating tenants, mixed slacks, so that
     /// coalescing, config mismatches, quota sheds, admission sheds and
     /// in-queue slack exhaustion all occur.
-    fn burst_scenario() -> (SimConfig, Vec<SimArrival>) {
-        let config = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
-            .with_batching(4)
-            .with_tenants(vec![
+    fn burst_scenario() -> (ServerConfig, Vec<SimArrival>) {
+        let config = ServerConfig::builder()
+            .workers(1)
+            .queue_depth(8)
+            .max_batch(4)
+            .tenant(
                 TenantSpec::new(TenantId(1))
                     .with_weight(2.0)
                     .with_queue_share(0.5),
-                TenantSpec::new(TenantId(2)).with_queue_share(0.5),
-            ]);
+            )
+            .tenant(TenantSpec::new(TenantId(2)).with_queue_share(0.5))
+            .build()
+            .unwrap();
         let slacks = [12.0, 6.0, 3.0, 0.5, 9.0, 4.5];
         let arrivals = (0..8)
             .flat_map(|burst| {
@@ -580,18 +663,19 @@ mod fixture {
         let core = tiny_core();
         assert_sequence(
             &core,
-            &simulate_outcomes(&core, &s.config, &s.arrivals),
+            &simulate_outcomes(&core, &s.config, s.model, &s.arrivals),
             40,
             13_121_082_162_105_303_750,
         );
         let (burst, arrivals) = burst_scenario();
-        let outcomes = simulate_outcomes(&core, &burst, &arrivals);
+        let model = SimModel::new(Calibration::from_secs_per_unit(1.0));
+        let outcomes = simulate_outcomes(&core, &burst, model, &arrivals);
         let bm = ServerMetrics::from_outcomes(&outcomes);
         assert!(bm.batched_completions > 0 && bm.shed_over_quota > 0);
         assert!(bm.shed_no_slack > 0 && bm.config_histogram.len() > 1);
         assert_sequence(&core, &outcomes, 48, 11_634_831_602_728_298_105);
 
-        let m = simulate(&core, &s.config, &s.arrivals);
+        let m = simulate(&core, &s.config, s.model, &s.arrivals);
         assert!(m.accounts_for_all_submissions());
         assert_eq!(m.submitted, 40);
         assert_eq!(m.completed, 29);

@@ -5,7 +5,6 @@ use crate::config::ServerConfig;
 use crate::dispatch::{shed_event, DispatchEnv, Dispatcher, Job, OrdF64};
 use crate::fair::{CoalescePop, SharedDispatchQueue};
 use crate::metrics::ServerMetrics;
-use crate::queue::PopResult;
 use crate::request::{FailureReason, InferenceRequest, Outcome, RequestTicket, ShedReason};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -222,9 +221,9 @@ type EnginePass = fn(
     &RunContext,
 ) -> Result<(), EngineError>;
 
-/// Runs one request through [`EngineCore::run`], or a coalesced batch
-/// through one [`EngineCore::run_batch`]. The server reports outcomes, not
-/// tensors, so the outputs are dropped.
+/// Runs the members as one [`EngineCore::run_batch`] pass (a batch of one
+/// is [`EngineCore::run`]). The server reports outcomes, not tensors, so
+/// the outputs are dropped.
 fn engine_pass(
     core: &EngineCore,
     scratch: &mut ExecScratch,
@@ -232,11 +231,6 @@ fn engine_pass(
     entry: &LutEntry,
     ctx: &RunContext,
 ) -> Result<(), EngineError> {
-    if let [one] = members {
-        return core
-            .run(scratch, &one.payload.image, entry.clone(), true, ctx)
-            .map(drop);
-    }
     let images: Vec<Tensor> = members.iter().map(|m| m.payload.image.clone()).collect();
     core.run_batch(scratch, &images, entry.clone(), true, ctx)
         .map(drop)
@@ -261,22 +255,14 @@ impl Shared {
     }
 
     fn dispatcher(&self) -> Dispatcher<'_> {
-        let config = &self.config;
-        // No batching while a fault plan is armed: draws are keyed per
-        // (request, attempt), and a shared pass would entangle the
-        // members' draw histories — chaos replay stays per-request.
-        let armed = config.fault_tolerance.fault.is_some();
-        Dispatcher {
-            core: &self.core,
-            policy: config.policy,
-            recovery: config.fault_tolerance.recovery,
-            secs_per_unit: self.calibration.secs_per_unit,
-            max_batch: if armed { 1 } else { config.batching.max_batch },
-            window: config.batching.window,
-            // Linear in members: batch-N replay costs about N single runs
-            // on this CPU substrate.
-            marginal: 1.0,
-        }
+        // A linear batch marginal: batch-N replay costs about N single
+        // runs on this CPU substrate.
+        Dispatcher::new(
+            &self.core,
+            &self.config,
+            self.calibration.secs_per_unit,
+            1.0,
+        )
     }
 
     fn trace(&self, event: impl FnOnce() -> EventKind) {
@@ -569,7 +555,7 @@ impl DispatchEnv for Worker<'_> {
         let shared = self.shared;
         let ft = &shared.config.fault_tolerance;
         let mut fault = FaultCtx::new().with_guard(GuardConfig::default());
-        if let Some(plan) = ft.fault {
+        if let Some(plan) = ft.active_plan() {
             fault = fault.armed(plan, members[0].seq, attempt);
         }
         let ctx = shared.ctx.clone().with_fault(fault);
@@ -654,7 +640,7 @@ fn worker_loop(shared: &Shared, pass: EnginePass) {
         consecutive_failures: 0,
         breaker_open: false,
     };
-    while let PopResult::Item((_, _, job)) = shared.queue.pop() {
+    while let Some((_, _, job)) = shared.queue.pop() {
         shared.popped(&job);
         dispatcher.dispatch(&mut worker, job);
     }
@@ -794,6 +780,38 @@ mod tests {
                 .count();
             assert_eq!(failed_batches > 0, max_batch > 1);
         }
+    }
+
+    /// A fault plan that can draw nothing serves like no plan: the
+    /// threaded server and the simulator both still batch under
+    /// `FaultPlan::none`.
+    #[test]
+    fn inactive_fault_plan_still_batches() {
+        use crate::sim::{simulate, SimArrival, SimModel};
+        let core = Arc::new(crate::dispatch::tiny_core());
+        let config = ServerConfig::builder()
+            .workers(1)
+            .max_batch(4)
+            .batch_window(30.0)
+            .fault(vit_fault::FaultPlan::none(7))
+            .build()
+            .unwrap();
+        let calibration = Calibration::from_secs_per_unit(1.0);
+        let arrivals = [SimArrival::new(0.0, 3600.0); 8];
+        let sim = simulate(&core, &config, SimModel::new(calibration), &arrivals);
+        assert!(sim.batched_completions > 0, "the simulator batches");
+
+        let ok_pass: EnginePass = |_, _, _, _, _| Ok(());
+        let server = Server::spawn(core, calibration, config, RunContext::default(), ok_pass);
+        for _ in 0..8 {
+            let image = Tensor::zeros(&[1, 3, 64, 64]);
+            let deadline = Instant::now() + Duration::from_secs(3600);
+            let request = InferenceRequest::new(image, deadline, ResourceKind::GpuTime);
+            assert!(server.submit(request).unwrap().is_admitted());
+        }
+        let m = server.shutdown();
+        assert!(m.accounts_for_all_submissions());
+        assert!(m.batched_completions > 0, "the threaded server batches");
     }
 
     #[test]

@@ -1,27 +1,37 @@
 //! Deterministic discrete-event simulation of the serving loop.
 //!
 //! Runs the dispatch core the threaded [`crate::Server`] runs
-//! (`dispatch.rs`): weighted-fair multi-tenant EDF dispatch,
-//! admission control at arrival and at dispatch, a bounded queue,
-//! continuous batching, degraded retry. What it replaces is the substrate:
-//! a *virtual* clock per worker, so a load sweep is exactly reproducible
-//! under a fixed seed and independent of the host machine, and a modeled
-//! executor. Service times are the LUT's resource estimates scaled by a
-//! fixed seconds-per-unit rate; inference outputs are not materialized
-//! (the metrics only need the selected configuration and its accuracy
-//! estimate), which keeps sweeping millions of requests over hundreds of
-//! operating points cheap.
+//! (`dispatch.rs`) under the same validated [`ServerConfig`]:
+//! weighted-fair multi-tenant EDF dispatch, admission control at arrival
+//! and at dispatch, a bounded queue, continuous batching, degraded retry.
+//! What it replaces is the substrate: a *virtual* clock per worker, so a
+//! load sweep is exactly reproducible under a fixed seed and independent
+//! of the host machine, and a modeled executor. Service times are the
+//! LUT's resource estimates scaled by a fixed seconds-per-unit rate;
+//! inference outputs are not materialized (the metrics only need the
+//! selected configuration and its accuracy estimate), which keeps
+//! sweeping millions of requests over hundreds of operating points cheap.
+//!
+//! A [`SimModel`] carries what the simulator models and a server does not
+//! have: the executor's rate, the marginal cost of a batch member, and
+//! the fleet width. Five [`ServerConfig`] values do not apply to a modeled
+//! executor and are ignored: `resource_kind` (arrivals carry slack, not a
+//! typed request), `exec_threads` and `use_plans` (nothing executes),
+//! `breaker_threshold` (the breaker never changes how a worker executes),
+//! and `batching.window` (virtual time stands still while a batch forms,
+//! so the window is zero-cost and coalesces exactly what is queued).
+//! The watchdog, by contrast, is modeled as a real abort.
 //!
 //! Fleet scale: `replicas` simulates that many identical worker groups,
 //! each with its own queue and `workers` workers; arrivals are routed
 //! round-robin (by arrival order), modeling a stateless load balancer.
 
-use crate::config::TenantSpec;
+use crate::config::ServerConfig;
 use crate::dispatch::{batch_secs, DispatchEnv, Dispatcher, Job, OrdF64};
 use crate::fair::{CoalescePop, DispatchQueue};
 use crate::metrics::ServerMetrics;
-use crate::policy::{RecoveryPolicy, SchedulePolicy};
 use crate::request::{FailureReason, Outcome, TenantId};
+use crate::server::Calibration;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vit_drt::{EngineCore, LutEntry};
@@ -56,32 +66,13 @@ impl SimArrival {
     }
 }
 
-/// Simulation parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Parallel workers per replica.
-    pub workers: usize,
-    /// Dispatch queue capacity per replica; arrivals beyond it are shed.
-    pub queue_depth: usize,
-    /// Scheduling policy.
-    pub policy: SchedulePolicy,
+/// What the simulator models that a [`ServerConfig`] does not say: how
+/// fast the modeled executor runs, what batching costs, and how many
+/// replicas the fleet has.
+#[derive(Debug, Clone, Copy)]
+pub struct SimModel {
     /// Virtual seconds one LUT resource unit takes to execute.
-    pub secs_per_unit: f64,
-    /// Deterministic fault injection plan (`None` = clean runs). Draws are
-    /// keyed by the request's admission sequence number and attempt, so a
-    /// simulated chaos run is exactly reproducible.
-    pub fault: Option<FaultPlan>,
-    /// What a worker does when an attempt faults.
-    pub recovery: RecoveryPolicy,
-    /// Watchdog allowance as a multiple of the selected entry's expected
-    /// service time. Unlike the threaded server (which can only observe an
-    /// overrun after the fact), the simulator models the real abort: a
-    /// stalled attempt is killed at the allowance and handed to recovery.
-    pub watchdog_grace: f64,
-    /// Largest number of same-config requests one engine pass may serve
-    /// (1 = no batching). Like the threaded server, batching is disabled
-    /// while a fault plan is armed.
-    pub max_batch: usize,
+    pub calibration: Calibration,
     /// Marginal cost of each extra batched request, as a fraction of the
     /// single-request service time: a batch of `N` takes
     /// `expected × (1 + (N−1) × batch_marginal)` virtual seconds. The
@@ -90,77 +81,31 @@ pub struct SimConfig {
     pub batch_marginal: f64,
     /// Identical worker-group replicas behind a round-robin load balancer.
     pub replicas: usize,
-    /// Per-tenant quotas and fair-share weights (empty = single tenant).
-    pub tenants: Vec<TenantSpec>,
 }
 
-impl SimConfig {
-    /// A clean (fault-free) single-replica simulation configuration with
-    /// the default recovery policy and watchdog grace — the common case;
-    /// chaos runs layer [`SimConfig::with_fault`] on top, fleet runs
-    /// [`SimConfig::with_replicas`] and friends.
-    pub fn new(
-        workers: usize,
-        queue_depth: usize,
-        policy: SchedulePolicy,
-        secs_per_unit: f64,
-    ) -> Self {
-        SimConfig {
-            workers,
-            queue_depth,
-            policy,
-            secs_per_unit,
-            fault: None,
-            recovery: RecoveryPolicy::default(),
-            watchdog_grace: 4.0,
-            max_batch: 1,
+impl SimModel {
+    /// One replica at `calibration`, with the default batch marginal.
+    pub fn new(calibration: Calibration) -> Self {
+        SimModel {
+            calibration,
             batch_marginal: 0.25,
             replicas: 1,
-            tenants: Vec::new(),
         }
     }
 
-    /// Arms fault injection.
-    #[must_use]
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Sets the recovery policy.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Enables continuous batching up to `max_batch` requests per pass.
-    #[must_use]
-    pub fn with_batching(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the marginal per-request cost of batched service.
-    #[must_use]
-    pub fn with_batch_marginal(mut self, marginal: f64) -> Self {
-        self.batch_marginal = marginal;
-        self
-    }
-
-    /// Simulates `replicas` identical worker groups behind round-robin
-    /// load balancing.
-    #[must_use]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
-    /// Sets the per-tenant quota/weight specs.
-    #[must_use]
-    pub fn with_tenants(mut self, tenants: Vec<TenantSpec>) -> Self {
-        self.tenants = tenants;
-        self
+    /// The first value outside its range, by field name: `secs_per_unit`
+    /// must be finite and positive, `batch_marginal` finite and
+    /// non-negative, `replicas` at least 1.
+    pub(crate) fn invalid_field(&self) -> Option<&'static str> {
+        let secs = self.calibration.secs_per_unit;
+        let marginal = self.batch_marginal;
+        [
+            ("secs_per_unit", secs.is_finite() && secs > 0.0),
+            ("batch_marginal", marginal.is_finite() && marginal >= 0.0),
+            ("replicas", self.replicas > 0),
+        ]
+        .into_iter()
+        .find_map(|(field, ok)| (!ok).then_some(field))
     }
 }
 
@@ -171,16 +116,22 @@ const CRASH_BURN: f64 = 0.5;
 /// before the executor reports it (replay validation fails fast).
 const REPLAY_BURN: f64 = 0.05;
 
-/// Runs the simulation over `arrivals` (any order; sorted internally by
-/// arrival time, stably) and returns aggregate metrics in virtual seconds.
+/// Runs the simulation of `config` over `arrivals` (any order; sorted
+/// internally by arrival time, stably) and returns aggregate metrics in
+/// virtual seconds.
 ///
 /// # Panics
 ///
-/// Panics when `config.workers`, `config.queue_depth`, `config.max_batch`,
-/// or `config.replicas` is zero, or when `config.secs_per_unit` is not
-/// positive, or when `config.batch_marginal` is negative.
-pub fn simulate(core: &EngineCore, config: &SimConfig, arrivals: &[SimArrival]) -> ServerMetrics {
-    ServerMetrics::from_outcomes(&simulate_outcomes(core, config, arrivals))
+/// Panics when `config` fails [`ServerConfig::validate`], or when `model`
+/// has a non-positive `secs_per_unit`, a negative or non-finite
+/// `batch_marginal`, or zero `replicas`.
+pub fn simulate(
+    core: &EngineCore,
+    config: &ServerConfig,
+    model: SimModel,
+    arrivals: &[SimArrival],
+) -> ServerMetrics {
+    ServerMetrics::from_outcomes(&simulate_outcomes(core, config, model, arrivals))
 }
 
 /// Like [`simulate`], but returns the raw per-request [`Outcome`]s instead
@@ -193,21 +144,16 @@ pub fn simulate(core: &EngineCore, config: &SimConfig, arrivals: &[SimArrival]) 
 /// Same contract as [`simulate`].
 pub fn simulate_outcomes(
     core: &EngineCore,
-    config: &SimConfig,
+    config: &ServerConfig,
+    model: SimModel,
     arrivals: &[SimArrival],
 ) -> Vec<Outcome> {
-    assert!(config.workers > 0, "simulation needs at least one worker");
-    assert!(config.queue_depth > 0, "simulation needs queue capacity");
-    assert!(
-        config.secs_per_unit > 0.0,
-        "seconds-per-unit must be positive"
-    );
-    assert!(config.max_batch > 0, "max batch must be at least 1");
-    assert!(
-        config.batch_marginal >= 0.0,
-        "batch marginal cost cannot be negative"
-    );
-    assert!(config.replicas > 0, "simulation needs at least one replica");
+    config
+        .validate()
+        .expect("simulation run with an invalid configuration");
+    if let Some(field) = model.invalid_field() {
+        panic!("simulation model has an out-of-range {field}");
+    }
 
     let mut sorted: Vec<SimArrival> = arrivals.to_vec();
     sorted.sort_by(|a, b| a.time.total_cmp(&b.time));
@@ -216,15 +162,15 @@ pub fn simulate_outcomes(
     // time order) goes to replica i mod replicas. Each replica is an
     // independent queue + worker group; outcomes concatenate (aggregate
     // metrics are order-insensitive).
-    (0..config.replicas)
+    (0..model.replicas)
         .flat_map(|r| {
             let share: Vec<SimArrival> = sorted
                 .iter()
                 .skip(r)
-                .step_by(config.replicas)
+                .step_by(model.replicas)
                 .copied()
                 .collect();
-            simulate_replica(core, config, &share)
+            simulate_replica(core, config, model, &share)
         })
         .collect()
 }
@@ -232,7 +178,8 @@ pub fn simulate_outcomes(
 /// One simulated replica: its queue, its outcomes, and the virtual clock
 /// of the worker currently dispatching.
 struct Replica<'a> {
-    config: &'a SimConfig,
+    config: &'a ServerConfig,
+    model: SimModel,
     /// The armed fault plan, if any draws can fire.
     fault: Option<FaultPlan>,
     queue: DispatchQueue<OrdF64, Job<()>>,
@@ -276,7 +223,7 @@ impl DispatchEnv for Replica<'_> {
         entry: &LutEntry,
         attempt: u32,
     ) -> Result<(), FailureReason> {
-        let expected = entry.resource * self.config.secs_per_unit;
+        let expected = self.model.calibration.secs(entry.resource);
         let drawn = self.fault.and_then(|p| p.decide(members[0].seq, attempt));
         let (burned, result) = match drawn {
             Some(FaultKind::Crash) => (CRASH_BURN * expected, Err(FailureReason::Crash)),
@@ -286,7 +233,7 @@ impl DispatchEnv for Replica<'_> {
             Some(FaultKind::Stall) => {
                 let factor = self.fault.expect("drawn implies a plan").stall_factor;
                 let actual = expected * factor.max(1.0);
-                let allowance = expected * self.config.watchdog_grace;
+                let allowance = expected * self.config.fault_tolerance.watchdog_grace;
                 if actual > allowance {
                     (allowance, Err(FailureReason::Watchdog))
                 } else {
@@ -296,7 +243,7 @@ impl DispatchEnv for Replica<'_> {
             Some(FaultKind::PlanReplay) => (REPLAY_BURN * expected, Err(FailureReason::PlanReplay)),
             // No fault (or an unknown future kind): clean service.
             _ => (
-                batch_secs(expected, members.len(), self.config.batch_marginal),
+                batch_secs(expected, members.len(), self.model.batch_marginal),
                 Ok(()),
             ),
         };
@@ -311,23 +258,19 @@ impl DispatchEnv for Replica<'_> {
 }
 
 /// Simulates one replica over its (time-sorted) share of the arrivals.
-fn simulate_replica(core: &EngineCore, config: &SimConfig, sorted: &[SimArrival]) -> Vec<Outcome> {
-    let fault = config.fault.filter(|p| p.is_active());
-    let dispatcher = Dispatcher {
-        core,
-        policy: config.policy,
-        recovery: config.recovery,
-        secs_per_unit: config.secs_per_unit,
-        // As in the threaded server: batching never mixes with an armed
-        // fault plan, keeping per-request fault draws replayable.
-        max_batch: if fault.is_some() { 1 } else { config.max_batch },
-        window: 0.0,
-        marginal: config.batch_marginal,
-    };
+fn simulate_replica(
+    core: &EngineCore,
+    config: &ServerConfig,
+    model: SimModel,
+    sorted: &[SimArrival],
+) -> Vec<Outcome> {
+    let secs_per_unit = model.calibration.secs_per_unit;
+    let dispatcher = Dispatcher::new(core, config, secs_per_unit, model.batch_marginal);
     let mut env = Replica {
         config,
-        fault,
-        queue: DispatchQueue::bounded(config.queue_depth, &config.tenants),
+        model,
+        fault: config.fault_tolerance.active_plan(),
+        queue: DispatchQueue::bounded(config.queue_depth, &config.tenancy.tenants),
         outcomes: Vec::with_capacity(sorted.len()),
         now: 0.0,
         free_at: 0.0,
@@ -385,7 +328,20 @@ fn simulate_replica(core: &EngineCore, config: &SimConfig, sorted: &[SimArrival]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ServerConfigBuilder, TenantSpec};
     use crate::dispatch::tiny_core;
+    use crate::policy::{RecoveryPolicy, SchedulePolicy};
+
+    /// One replica at one virtual second per LUT unit.
+    fn unit() -> SimModel {
+        SimModel::new(Calibration::from_secs_per_unit(1.0))
+    }
+
+    fn server(workers: usize, queue_depth: usize) -> ServerConfigBuilder {
+        ServerConfig::builder()
+            .workers(workers)
+            .queue_depth(queue_depth)
+    }
 
     fn uniform_arrivals(n: usize, gap: f64, slack: f64) -> Vec<SimArrival> {
         (0..n)
@@ -398,7 +354,8 @@ mod tests {
         let core = tiny_core();
         let m = simulate(
             &core,
-            &SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0),
+            &server(2, 16).build().unwrap(),
+            unit(),
             // One arrival every 4s on 2 workers; service <= 4s: no queueing.
             &uniform_arrivals(20, 4.0, 8.0),
         );
@@ -413,13 +370,18 @@ mod tests {
     #[test]
     fn overload_degrades_accuracy_instead_of_missing() {
         let core = tiny_core();
-        let cfg = |policy| SimConfig::new(1, 8, policy, 1.0);
+        let cfg = |policy| server(1, 8).policy(policy).build().unwrap();
         // Offered load 2x capacity of the full model (arrival every 2s,
         // full service 4s), with slack that fits the full model only when
         // the queue is empty.
         let arrivals = uniform_arrivals(60, 2.0, 5.0);
-        let drt = simulate(&core, &cfg(SchedulePolicy::DrtDynamic), &arrivals);
-        let stat = simulate(&core, &cfg(SchedulePolicy::static_full()), &arrivals);
+        let drt = simulate(&core, &cfg(SchedulePolicy::DrtDynamic), unit(), &arrivals);
+        let stat = simulate(
+            &core,
+            &cfg(SchedulePolicy::static_full()),
+            unit(),
+            &arrivals,
+        );
         assert!(drt.accounts_for_all_submissions());
         assert!(stat.accounts_for_all_submissions());
         assert!(
@@ -436,10 +398,11 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let core = tiny_core();
-        let cfg = SimConfig::new(3, 8, SchedulePolicy::DrtDynamic, 0.01);
+        let cfg = server(3, 8).build().unwrap();
+        let model = SimModel::new(Calibration::from_secs_per_unit(0.01));
         let arrivals = uniform_arrivals(100, 0.013, 0.07);
-        let a = simulate(&core, &cfg, &arrivals);
-        let b = simulate(&core, &cfg, &arrivals);
+        let a = simulate(&core, &cfg, model, &arrivals);
+        let b = simulate(&core, &cfg, model, &arrivals);
         assert_eq!(a.submitted, b.submitted);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.deadline_misses, b.deadline_misses);
@@ -458,10 +421,10 @@ mod tests {
             stall_factor: 6.0,
             replay_rate: 0.04,
         };
-        let cfg = SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0).with_fault(plan);
+        let cfg = server(2, 16).fault(plan).build().unwrap();
         let arrivals = uniform_arrivals(200, 2.1, 9.0);
-        let a = simulate(&core, &cfg, &arrivals);
-        let b = simulate(&core, &cfg, &arrivals);
+        let a = simulate(&core, &cfg, unit(), &arrivals);
+        let b = simulate(&core, &cfg, unit(), &arrivals);
         assert!(a.accounts_for_all_submissions());
         assert!(a.faults_seen > 0, "rates this high must draw faults");
         assert_eq!(a.completed, b.completed);
@@ -484,17 +447,14 @@ mod tests {
             replay_rate: 0.0,
         };
         let arrivals = uniform_arrivals(300, 2.5, 10.0);
-        let cfg = |rec| {
-            SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0)
-                .with_fault(plan)
-                .with_recovery(rec)
-        };
+        let cfg = |rec| server(2, 16).fault(plan).recovery(rec).build().unwrap();
         let healing = simulate(
             &core,
             &cfg(RecoveryPolicy::DegradedRetry { max_retries: 2 }),
+            unit(),
             &arrivals,
         );
-        let brittle = simulate(&core, &cfg(RecoveryPolicy::FailFast), &arrivals);
+        let brittle = simulate(&core, &cfg(RecoveryPolicy::FailFast), unit(), &arrivals);
         assert!(healing.accounts_for_all_submissions());
         assert!(brittle.accounts_for_all_submissions());
         assert!(
@@ -520,10 +480,12 @@ mod tests {
             stall_factor: 10.0,
             replay_rate: 0.0,
         };
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
-            .with_fault(plan)
-            .with_recovery(RecoveryPolicy::FailFast);
-        let m = simulate(&core, &cfg, &uniform_arrivals(10, 50.0, 40.0));
+        let cfg = server(1, 8)
+            .fault(plan)
+            .recovery(RecoveryPolicy::FailFast)
+            .build()
+            .unwrap();
+        let m = simulate(&core, &cfg, unit(), &uniform_arrivals(10, 50.0, 40.0));
         assert_eq!(m.completed, 0);
         assert_eq!(m.fault_failures, 10);
         assert_eq!(m.failure_histogram, vec![(FailureReason::Watchdog, 10)]);
@@ -542,10 +504,12 @@ mod tests {
             stall_factor: 1.0,
             replay_rate: 1.0,
         };
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
-            .with_fault(plan)
-            .with_recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 });
-        let m = simulate(&core, &cfg, &uniform_arrivals(10, 50.0, 40.0));
+        let cfg = server(1, 8)
+            .fault(plan)
+            .recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 })
+            .build()
+            .unwrap();
+        let m = simulate(&core, &cfg, unit(), &uniform_arrivals(10, 50.0, 40.0));
         assert!(m.accounts_for_all_submissions());
         assert_eq!(m.completed, 0);
         assert_eq!(m.fault_failures, 10);
@@ -559,7 +523,8 @@ mod tests {
         let core = tiny_core();
         let m = simulate(
             &core,
-            &SimConfig::new(1, 4, SchedulePolicy::DrtDynamic, 1.0),
+            &server(1, 4).build().unwrap(),
+            unit(),
             // Slack 0.5 < cheapest cost 1.0: nothing can ever be served.
             &uniform_arrivals(10, 1.0, 0.5),
         );
@@ -581,10 +546,10 @@ mod tests {
                 arrivals.push(SimArrival::new(burst as f64 * 12.0, 12.0));
             }
         }
-        let unbatched = SimConfig::new(1, 16, SchedulePolicy::DrtDynamic, 1.0);
-        let batched = unbatched.clone().with_batching(8);
-        let mu = simulate(&core, &unbatched, &arrivals);
-        let mb = simulate(&core, &batched, &arrivals);
+        let unbatched = server(1, 16).build().unwrap();
+        let batched = server(1, 16).max_batch(8).build().unwrap();
+        let mu = simulate(&core, &unbatched, unit(), &arrivals);
+        let mb = simulate(&core, &batched, unit(), &arrivals);
         assert!(mu.accounts_for_all_submissions());
         assert!(mb.accounts_for_all_submissions());
         assert!(mb.batched_completions > 0, "overload must coalesce");
@@ -604,8 +569,8 @@ mod tests {
         // Two workers idle at t=0; 4 identical-slack arrivals at t=0: the
         // first worker batches what is queued when it dispatches.
         let arrivals: Vec<SimArrival> = (0..4).map(|_| SimArrival::new(0.0, 20.0)).collect();
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0).with_batching(4);
-        let outcomes = simulate_outcomes(&core, &cfg, &arrivals);
+        let cfg = server(1, 8).max_batch(4).build().unwrap();
+        let outcomes = simulate_outcomes(&core, &cfg, unit(), &arrivals);
         let records: Vec<_> = outcomes
             .iter()
             .filter_map(|o| match o {
@@ -631,8 +596,8 @@ mod tests {
         // must refuse to pull the full-config request into the mid-config
         // leader's batch even though a slot is free.
         let arrivals = vec![SimArrival::new(0.0, 3.0), SimArrival::new(0.0, 30.0)];
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0).with_batching(8);
-        let outcomes = simulate_outcomes(&core, &cfg, &arrivals);
+        let cfg = server(1, 8).max_batch(8).build().unwrap();
+        let outcomes = simulate_outcomes(&core, &cfg, unit(), &arrivals);
         let records: Vec<_> = outcomes
             .iter()
             .filter_map(|o| match o {
@@ -665,15 +630,13 @@ mod tests {
             stall_factor: 1.0,
             replay_rate: 0.0,
         };
-        let cfg = SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0)
-            .with_fault(plan)
-            .with_batching(8);
-        let m = simulate(&core, &cfg, &uniform_arrivals(100, 2.1, 9.0));
+        let cfg = server(2, 16).fault(plan).max_batch(8).build().unwrap();
+        let m = simulate(&core, &cfg, unit(), &uniform_arrivals(100, 2.1, 9.0));
         assert!(m.accounts_for_all_submissions());
         assert_eq!(m.batched_completions, 0, "armed faults must not batch");
         // And the run matches the batching-free config exactly.
-        let plain = SimConfig::new(2, 16, SchedulePolicy::DrtDynamic, 1.0).with_fault(plan);
-        let p = simulate(&core, &plain, &uniform_arrivals(100, 2.1, 9.0));
+        let plain = server(2, 16).fault(plan).build().unwrap();
+        let p = simulate(&core, &plain, unit(), &uniform_arrivals(100, 2.1, 9.0));
         assert_eq!(m.completed, p.completed);
         assert_eq!(m.faults_seen, p.faults_seen);
         assert_eq!(m.p99_latency, p.p99_latency);
@@ -683,10 +646,13 @@ mod tests {
     fn replicas_scale_capacity_and_stay_deterministic() {
         let core = tiny_core();
         let arrivals = uniform_arrivals(400, 0.7, 6.0);
-        let one = SimConfig::new(1, 16, SchedulePolicy::DrtDynamic, 1.0);
-        let four = one.clone().with_replicas(4);
-        let m1 = simulate(&core, &one, &arrivals);
-        let m4 = simulate(&core, &four, &arrivals);
+        let cfg = server(1, 16).build().unwrap();
+        let four = SimModel {
+            replicas: 4,
+            ..unit()
+        };
+        let m1 = simulate(&core, &cfg, unit(), &arrivals);
+        let m4 = simulate(&core, &cfg, four, &arrivals);
         assert!(m1.accounts_for_all_submissions());
         assert!(m4.accounts_for_all_submissions());
         assert_eq!(m4.submitted, 400, "replicas conserve every arrival");
@@ -696,7 +662,7 @@ mod tests {
             m4.goodput,
             m1.goodput
         );
-        let again = simulate(&core, &four, &arrivals);
+        let again = simulate(&core, &cfg, four, &arrivals);
         assert_eq!(m4.completed, again.completed);
         assert_eq!(m4.p99_latency, again.p99_latency);
     }
@@ -715,11 +681,12 @@ mod tests {
         for i in 0..40 {
             arrivals.push(SimArrival::new(i as f64 * 4.0, 8.0).with_tenant(light));
         }
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0).with_tenants(vec![
-            TenantSpec::new(heavy).with_queue_share(0.5),
-            TenantSpec::new(light).with_queue_share(0.5),
-        ]);
-        let m = simulate(&core, &cfg, &arrivals);
+        let cfg = server(1, 8)
+            .tenant(TenantSpec::new(heavy).with_queue_share(0.5))
+            .tenant(TenantSpec::new(light).with_queue_share(0.5))
+            .build()
+            .unwrap();
+        let m = simulate(&core, &cfg, unit(), &arrivals);
         assert!(m.accounts_for_all_submissions());
         assert!(m.shed_over_quota > 0, "the flood must hit the quota");
         let mh = *m.tenant(heavy).unwrap();

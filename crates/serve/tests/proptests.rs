@@ -9,8 +9,8 @@ use vit_fault::FaultPlan;
 use vit_models::{SegFormerDynamic, SegFormerVariant};
 use vit_resilience::{DynConfig, TradeoffPoint};
 use vit_serve::{
-    admissible, simulate, PopResult, RecoveryPolicy, SchedulePolicy, SharedDispatchQueue,
-    SimArrival, SimConfig, TenantId,
+    admissible, simulate, Calibration, RecoveryPolicy, ServerConfig, ServerConfigBuilder,
+    SharedDispatchQueue, SimArrival, SimModel, TenantId,
 };
 
 /// A synthetic core whose LUT costs 1/2/4 units.
@@ -39,6 +39,17 @@ fn tiny_core() -> EngineCore {
     .unwrap()
 }
 
+/// One replica at one virtual second per LUT unit.
+fn unit() -> SimModel {
+    SimModel::new(Calibration::from_secs_per_unit(1.0))
+}
+
+fn server(workers: usize, queue_depth: usize) -> ServerConfigBuilder {
+    ServerConfig::builder()
+        .workers(workers)
+        .queue_depth(queue_depth)
+}
+
 proptest! {
     /// Whatever order deadlines are pushed in, the server's single-tenant
     /// dispatch queue pops them in nondecreasing deadline order, and equal
@@ -51,7 +62,7 @@ proptest! {
         }
         q.close();
         let mut popped = Vec::new();
-        while let PopResult::Item((_, d, i)) = q.pop() {
+        while let Some((_, d, i)) = q.pop() {
             popped.push((d, i));
         }
         prop_assert_eq!(popped.len(), deadlines.len());
@@ -89,7 +100,8 @@ proptest! {
             .collect();
         let metrics = simulate(
             &core,
-            &SimConfig::new(workers, queue_depth, SchedulePolicy::DrtDynamic, 1.0),
+            &server(workers, queue_depth).build().unwrap(),
+            unit(),
             &arrivals,
         );
         prop_assert_eq!(metrics.submitted, arrivals.len());
@@ -128,8 +140,8 @@ proptest! {
             .collect();
         // One slow worker + tight slacks: some admitted requests expire
         // in-queue, while injected faults force retries on others.
-        let cfg = SimConfig::new(1, 8, SchedulePolicy::DrtDynamic, 1.0)
-            .with_fault(FaultPlan {
+        let cfg = server(1, 8)
+            .fault(FaultPlan {
                 seed,
                 crash_rate: crash,
                 bitflip_rate: bitflip,
@@ -137,8 +149,10 @@ proptest! {
                 stall_factor: 1.0,
                 replay_rate: 0.0,
             })
-            .with_recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 });
-        let m = simulate(&core, &cfg, &arrivals);
+            .recovery(RecoveryPolicy::DegradedRetry { max_retries: 2 })
+            .build()
+            .unwrap();
+        let m = simulate(&core, &cfg, unit(), &arrivals);
         prop_assert_eq!(m.submitted, arrivals.len());
         // Exactly-once accounting: completed + shed + fault-failed
         // partitions the submissions — an in-queue expiry can never also
@@ -166,17 +180,19 @@ proptest! {
             .iter()
             .map(|(time, slack)| SimArrival::new(*time, *slack))
             .collect();
-        let cfg = SimConfig::new(2, 8, SchedulePolicy::DrtDynamic, 1.0)
-            .with_fault(FaultPlan {
+        let cfg = server(2, 8)
+            .fault(FaultPlan {
                 seed,
                 crash_rate: 0.2,
                 bitflip_rate: 0.1,
                 stall_rate: 0.1,
                 stall_factor: 8.0,
                 replay_rate: 0.05,
-            });
-        let a = simulate(&core, &cfg, &arrivals);
-        let b = simulate(&core, &cfg, &arrivals);
+            })
+            .build()
+            .unwrap();
+        let a = simulate(&core, &cfg, unit(), &arrivals);
+        let b = simulate(&core, &cfg, unit(), &arrivals);
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.fault_failures, b.fault_failures);
         prop_assert_eq!(a.faults_seen, b.faults_seen);
@@ -211,14 +227,14 @@ proptest! {
                 SimArrival::new(*time, *slack).with_tenant(TenantId(*t))
             })
             .collect();
-        let cfg = SimConfig::new(1, queue_depth, SchedulePolicy::DrtDynamic, 1.0)
-            .with_tenants(vec![
-                TenantSpec::new(TenantId(0)).with_weight(w0).with_queue_share(share0),
-                TenantSpec::new(TenantId(1)).with_weight(w1).with_queue_share(share1),
-                // Tenant 2 keeps the defaults: weight 1, unlimited share.
-                TenantSpec::new(TenantId(2)),
-            ]);
-        let m = simulate(&core, &cfg, &arrivals);
+        let cfg = server(1, queue_depth)
+            .tenant(TenantSpec::new(TenantId(0)).with_weight(w0).with_queue_share(share0))
+            .tenant(TenantSpec::new(TenantId(1)).with_weight(w1).with_queue_share(share1))
+            // Tenant 2 keeps the defaults: weight 1, unlimited share.
+            .tenant(TenantSpec::new(TenantId(2)))
+            .build()
+            .unwrap();
+        let m = simulate(&core, &cfg, unit(), &arrivals);
         prop_assert_eq!(m.submitted, arrivals.len());
         prop_assert!(m.accounts_for_all_submissions());
 

@@ -18,7 +18,7 @@ use vit_drt::DrtEngine;
 use vit_models::SegFormerVariant;
 use vit_resilience::{ResourceKind, Workload};
 use vit_serve::{
-    simulate, Calibration, InferenceRequest, SchedulePolicy, Server, ServerConfig, SimConfig,
+    simulate, Calibration, InferenceRequest, SchedulePolicy, Server, ServerConfig, SimModel,
 };
 use vit_tensor::Tensor;
 
@@ -111,9 +111,18 @@ fn main() {
             12,
             42,
         );
-        let cfg = |policy| SimConfig::new(4, 16, policy, 1.0);
-        let drt = simulate(&core, &cfg(SchedulePolicy::DrtDynamic), &arrivals);
-        let stat = simulate(&core, &cfg(SchedulePolicy::static_full()), &arrivals);
+        let run = |policy| {
+            let config = ServerConfig::builder()
+                .workers(4)
+                .queue_depth(16)
+                .policy(policy)
+                .build()
+                .expect("a positive worker count and queue depth validate");
+            let model = SimModel::new(Calibration::from_secs_per_unit(1.0));
+            simulate(&core, &config, model, &arrivals)
+        };
+        let drt = run(SchedulePolicy::DrtDynamic);
+        let stat = run(SchedulePolicy::static_full());
         println!(
             "  {load_x:.1}x  {:8.1}%  {:11.1}%  {:8.3}  {:10.3}",
             drt.deadline_miss_rate * 100.0,

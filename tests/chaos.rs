@@ -235,12 +235,14 @@ fn stalls_preserve_outputs() {
 /// what the deterministic fault plan prescribes — replayed here directly
 /// from the plan's own draws, independent of thread interleaving. A replay
 /// fault is retried like a crash; its eviction writes the plan cache that
-/// the other worker reads.
+/// the other worker reads. The simulator, run on the same `ServerConfig`
+/// and submission order, reaches the same verdict for every ticket.
 #[test]
 fn threaded_server_matches_the_plan_prescribed_outcomes() {
     use std::time::{Duration, Instant};
     use vit_serve::{
-        Calibration, FailureReason, InferenceRequest, RecoveryPolicy, Server, ServerConfig,
+        simulate_outcomes, Calibration, FailureReason, InferenceRequest, Outcome, RecoveryPolicy,
+        Server, ServerConfig, SimArrival, SimModel,
     };
 
     const SPU: f64 = 1e7; // minutes of synthetic slack: deadlines never bind
@@ -289,21 +291,19 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
     );
 
     let core = shared_core();
-    let srv = Server::start(
-        Arc::clone(&core),
-        Calibration::from_secs_per_unit(SPU),
-        ServerConfig::builder()
-            .workers(2)
-            .fault(plan)
-            .recovery(RecoveryPolicy::DegradedRetry {
-                max_retries: MAX_RETRIES,
-            })
-            // High enough that persistent faults never open every
-            // breaker and start rejecting submissions mid-test.
-            .breaker_threshold(usize::MAX)
-            .build()
-            .expect("chaos config validates"),
-    );
+    let calibration = Calibration::from_secs_per_unit(SPU);
+    let config = ServerConfig::builder()
+        .workers(2)
+        .fault(plan)
+        .recovery(RecoveryPolicy::DegradedRetry {
+            max_retries: MAX_RETRIES,
+        })
+        // High enough that persistent faults never open every
+        // breaker and start rejecting submissions mid-test.
+        .breaker_threshold(usize::MAX)
+        .build()
+        .expect("chaos config validates");
+    let srv = Server::start(Arc::clone(&core), calibration, config.clone());
     for _ in 0..N {
         let admission = srv
             .submit(InferenceRequest::new(
@@ -314,7 +314,7 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
             .expect("healthy server accepts");
         assert!(admission.is_admitted());
     }
-    let m = srv.shutdown();
+    let (m, outcomes) = srv.shutdown_outcomes();
     assert!(m.accounts_for_all_submissions());
     assert_eq!(m.submitted, N as usize);
     assert_eq!(m.completed, exp_completed);
@@ -326,6 +326,30 @@ fn threaded_server_matches_the_plan_prescribed_outcomes() {
         let want = exp_failures.iter().filter(|&r| r == reason).count();
         assert_eq!(*n, want, "{} failures", reason.name());
     }
+
+    // The same config and submission order in virtual time. Even if every
+    // attempt of every request ran back to back on one worker at the full
+    // path's cost, it would finish inside this slack, so no deadline binds
+    // here either.
+    let attempts = f64::from(MAX_RETRIES + 1) * N as f64;
+    let slack = 2.0 * attempts * calibration.secs(core.max_resource());
+    let arrivals = vec![SimArrival::new(0.0, slack); N as usize];
+    let simulated = simulate_outcomes(&core, &config, SimModel::new(calibration), &arrivals);
+    let verdicts = |outcomes: &[Outcome]| {
+        let mut v: Vec<_> = outcomes
+            .iter()
+            .map(|o| match o {
+                Outcome::Completed(r) => (r.ticket, "completed", None, r.retries),
+                Outcome::Failed(f) => (f.ticket, "failed", Some(f.reason), f.retries),
+                Outcome::Shed(s) => (s.ticket, "shed", None, 0),
+            })
+            .collect();
+        v.sort_by_key(|&(ticket, ..)| ticket);
+        v
+    };
+    let threaded = verdicts(&outcomes);
+    assert_eq!(threaded.len(), N as usize);
+    assert_eq!(verdicts(&simulated), threaded);
 }
 
 /// Persistent faults open a worker's circuit breaker (observable as typed
